@@ -23,8 +23,13 @@
 #include "gep/typed.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/gemm_leaf.hpp"
+#include "simd/microkernel.hpp"
 #include "simd/strassen.hpp"
 #include "util/prng.hpp"
+
+#if GEP_SIMD_X86
+#include <immintrin.h>
+#endif
 
 namespace {
 
@@ -159,8 +164,51 @@ std::vector<gep::simd::Level> measurable_paths() {
   std::vector<gep::simd::Level> p{gep::simd::Level::Scalar};
   if (gep::simd::avx2_available() && !gep::simd::forced_scalar_env())
     p.push_back(gep::simd::Level::Avx2);
+  if (gep::simd::avx512_available() && !gep::simd::forced_scalar_env())
+    p.push_back(gep::simd::Level::Avx512);
   return p;
 }
+
+#if GEP_SIMD_X86
+// Register-only FMA bursts, one per vector level: independent
+// accumulator chains (more than FMA latency x ports: 12 of the 16 ymm,
+// 24 of the 32 zmm registers) and no memory operand, so the rate is the
+// ceiling a micro-kernel of that register width can reach. Each returns
+// a value derived from every chain so none is dead code.
+constexpr int kYmmChains = 12;
+constexpr int kZmmChains = 24;
+constexpr long kFmaBurstIters = 4096;
+
+__attribute__((target("avx2,fma"))) double fma_burst_avx2() {
+  const __m256d a = _mm256_set1_pd(1.0000001), b = _mm256_set1_pd(1e-9);
+  __m256d acc[kYmmChains];
+#pragma GCC unroll 32
+  for (int c = 0; c < kYmmChains; ++c) acc[c] = _mm256_set1_pd(c);
+  for (long it = 0; it < kFmaBurstIters; ++it) {
+#pragma GCC unroll 32
+    for (int c = 0; c < kYmmChains; ++c) acc[c] = _mm256_fmadd_pd(acc[c], a, b);
+  }
+#pragma GCC unroll 32
+  for (int c = 1; c < kYmmChains; ++c) acc[0] = _mm256_add_pd(acc[0], acc[c]);
+  return _mm256_cvtsd_f64(acc[0]);
+}
+
+__attribute__((target("avx2,fma,avx512f"))) double fma_burst_avx512() {
+  const __m512d a = _mm512_set1_pd(1.0000001), b = _mm512_set1_pd(1e-9);
+  __m512d acc[kZmmChains];
+#pragma GCC unroll 32
+  for (int c = 0; c < kZmmChains; ++c) acc[c] = _mm512_set1_pd(c);
+  for (long it = 0; it < kFmaBurstIters; ++it) {
+#pragma GCC unroll 32
+    for (int c = 0; c < kZmmChains; ++c) acc[c] = _mm512_fmadd_pd(acc[c], a, b);
+  }
+#pragma GCC unroll 32
+  for (int c = 1; c < kZmmChains; ++c) acc[0] = _mm512_add_pd(acc[0], acc[c]);
+  double lanes[8];
+  _mm512_storeu_pd(lanes, acc[0]);
+  return lanes[0];
+}
+#endif
 
 struct KernelCase {
   std::string name;
@@ -363,7 +411,7 @@ int main(int argc, char** argv) {
                {"kernel_fw m=" + std::to_string(m), mmf, upd,
                 [&, m] {
 #if GEP_SIMD_X86
-                  if (simd::active() == simd::Level::Avx2) {
+                  if (simd::active() >= simd::Level::Avx2) {
                     simd::fw_avx2(x.data(), u.data(), v.data(), m, m, m, m);
                     return;
                   }
@@ -375,7 +423,7 @@ int main(int argc, char** argv) {
                {"kernel_bottleneck m=" + std::to_string(m), mmf, upd,
                 [&, m] {
 #if GEP_SIMD_X86
-                  if (simd::active() == simd::Level::Avx2) {
+                  if (simd::active() >= simd::Level::Avx2) {
                     simd::bottleneck_avx2(x.data(), u.data(), v.data(), m, m,
                                           m, m);
                     return;
@@ -429,7 +477,7 @@ int main(int argc, char** argv) {
                  {"kernel_tc m=" + std::to_string(m), upd, upd,
                   [&, m] {
 #if GEP_SIMD_X86
-                    if (simd::active() == simd::Level::Avx2) {
+                    if (simd::active() >= simd::Level::Avx2) {
                       simd::tc_avx2(bx.data(), bu.data(), bv.data(), m, m, m,
                                     m);
                       return;
@@ -441,6 +489,44 @@ int main(int argc, char** argv) {
                  m);
     }
   }
+
+#if GEP_SIMD_X86
+  // Bare micro-kernel per vector level: one register tile per call, kc =
+  // 64 (the typed leaves' k-extent) with both packed panels and the C
+  // tile in L1, as a share of the same register width's FMA peak (timed
+  // alternately with the kernel, so host drift hits both alike). The
+  // scalar level gets no row: its template autovectorizes at whatever
+  // width the build allows, so it has no peak of its own.
+  for (simd::Level level : measurable_paths()) {
+    if (level == simd::Level::Scalar) continue;
+    const bool zmm = level == simd::Level::Avx512;
+    simd::force_level(level);
+    simd::with_gemm_kernel<double>([&](auto tile, simd::UkrFn<double> ukr) {
+      constexpr index_t MR = decltype(tile)::MR;
+      constexpr index_t NR = decltype(tile)::NR;
+      constexpr index_t kc = 64;
+      const auto pa = random_buf(MR * kc, 70), pb = random_buf(NR * kc, 71);
+      std::vector<double> c(static_cast<std::size_t>(MR * NR), 0.0);
+      const simd::GemmDest<double> dst{c.data(), 1.0};
+      volatile double sink = 0;
+      const auto [t_ukr, t_fma] = paired_time(
+          [&] { ukr(kc, 1.0, pa.data(), pb.data(), &dst, 1, NR, MR, NR); },
+          [&] { sink = sink + (zmm ? fma_burst_avx512() : fma_burst_avx2()); },
+          3);
+      const double level_peak = 2.0 * (zmm ? 8 * kZmmChains : 4 * kYmmChains) *
+                                kFmaBurstIters / t_fma / 1e9;
+      add_run(report, level_peak,
+              "ukr " + std::to_string(MR) + "x" + std::to_string(NR) +
+                  " kc=64 " + path_name(level),
+              kc, 2.0 * MR * NR * kc, t_ukr);
+      report.annotate("fma_peak_gflops", level_peak);
+      std::printf("  %-28s %7.2f%% of the %s FMA peak, %.1f GF/s\n", "",
+                  100.0 * 2.0 * MR * NR * kc / t_ukr / 1e9 / level_peak,
+                  path_name(level), level_peak);
+    });
+  }
+  simd::clear_forced_level();
+#endif
 
   // Cache-aware blocked GEMM through the shared micro-kernel layer.
   {

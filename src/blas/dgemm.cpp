@@ -3,78 +3,51 @@
 #include <algorithm>
 #include <cstring>
 
-#include "simd/dispatch.hpp"
-#include "simd/kernels_avx2.hpp"
 #include "simd/microkernel.hpp"
 #include "simd/strassen.hpp"
 #include "util/aligned.hpp"
 
 namespace gep::blas {
-namespace {
 
-// Shared BLIS-style micro-kernel layer (simd/microkernel.hpp): 6 x 8
-// register-blocked micro-tiles, A packed into MR-row column panels, B
-// into NR-column row panels. The AVX2/FMA micro-kernel is selected once
-// per dgemm_blocked call via runtime dispatch; the scalar reference
-// micro-kernel keeps the identical packed contract on other hosts and
-// under $GEP_FORCE_SCALAR=1.
-constexpr index_t MR = simd::kMicroRows;
-constexpr index_t NR = simd::micro_cols<double>();
-
-}  // namespace
-
+// Runs on the shared BLIS-style micro-kernel layer (simd/microkernel.hpp):
+// A packed into MR-row column panels, B into NR-column row panels, with
+// the register tile and micro-kernel of the active dispatch level
+// (simd::with_gemm_kernel) selected once per call.
 void dgemm_blocked(index_t m, index_t n, index_t k, double alpha,
                    const double* a, index_t lda, const double* b, index_t ldb,
                    double* c, index_t ldc, const GemmBlocking& bl) {
   if (m <= 0 || n <= 0 || k <= 0) return;
-  const index_t mc = bl.mc, kc = bl.kc, nc = bl.nc;
-  auto packed_a = make_aligned<double>(
-      static_cast<std::size_t>(simd::packed_a_size<double>(mc, kc)));
-  auto packed_b = make_aligned<double>(
-      static_cast<std::size_t>(simd::packed_b_size<double>(kc, nc)));
-#if GEP_SIMD_X86
-  const bool use_avx2 = simd::active() == simd::Level::Avx2;
-#else
-  const bool use_avx2 = false;
-#endif
-
-  for (index_t jc = 0; jc < n; jc += nc) {
-    const index_t ncb = std::min(nc, n - jc);
-    for (index_t pc = 0; pc < k; pc += kc) {
-      const index_t kcb = std::min(kc, k - pc);
-      simd::pack_b(b + pc * ldb + jc, ldb, kcb, ncb, packed_b.get());
-      for (index_t ic = 0; ic < m; ic += mc) {
-        const index_t mcb = std::min(mc, m - ic);
-        simd::pack_a(a + ic * lda + pc, lda, mcb, kcb, packed_a.get());
-        // Macro kernel over the packed panels.
-        for (index_t jr = 0; jr < ncb; jr += NR) {
-          const index_t nr = std::min(NR, ncb - jr);
-          const double* pb = packed_b.get() + (jr / NR) * kcb * NR;
-          for (index_t ir = 0; ir < mcb; ir += MR) {
-            const index_t mr = std::min(MR, mcb - ir);
-            const double* pa = packed_a.get() + (ir / MR) * kcb * MR;
-            double* cij = c + (ic + ir) * ldc + jc + jr;
-#if GEP_SIMD_X86
-            if (use_avx2) {
-              if (mr == MR && nr == NR) {
-                simd::ukr_avx2(kcb, alpha, pa, pb, cij, ldc);
-              } else {
-                simd::ukr_avx2_edge(kcb, alpha, pa, pb, cij, ldc, mr, nr);
-              }
-              continue;
-            }
-#endif
-            if (mr == MR && nr == NR) {
-              simd::ukr_scalar(kcb, alpha, pa, pb, cij, ldc);
-            } else {
-              simd::ukr_scalar_edge(kcb, alpha, pa, pb, cij, ldc, mr, nr);
+  simd::with_gemm_kernel<double>([&](auto tile, simd::UkrFn<double> ukr) {
+    constexpr index_t MR = decltype(tile)::MR;
+    constexpr index_t NR = decltype(tile)::NR;
+    const index_t mc = bl.mc, kc = bl.kc, nc = bl.nc;
+    auto packed_a = make_aligned<double>(
+        static_cast<std::size_t>(simd::packed_a_size(MR, mc, kc)));
+    auto packed_b = make_aligned<double>(
+        static_cast<std::size_t>(simd::packed_b_size(NR, kc, nc)));
+    for (index_t jc = 0; jc < n; jc += nc) {
+      const index_t ncb = std::min(nc, n - jc);
+      for (index_t pc = 0; pc < k; pc += kc) {
+        const index_t kcb = std::min(kc, k - pc);
+        simd::pack_b<NR>(b + pc * ldb + jc, ldb, kcb, ncb, packed_b.get());
+        for (index_t ic = 0; ic < m; ic += mc) {
+          const index_t mcb = std::min(mc, m - ic);
+          simd::pack_a<MR>(a + ic * lda + pc, lda, mcb, kcb, packed_a.get());
+          // Macro kernel over the packed panels.
+          for (index_t jr = 0; jr < ncb; jr += NR) {
+            const index_t nr = std::min(NR, ncb - jr);
+            const double* pb = packed_b.get() + (jr / NR) * kcb * NR;
+            for (index_t ir = 0; ir < mcb; ir += MR) {
+              const simd::GemmDest<double> cij{
+                  c + (ic + ir) * ldc + jc + jr, 1.0};
+              ukr(kcb, alpha, packed_a.get() + (ir / MR) * kcb * MR, pb,
+                  &cij, 1, ldc, std::min(MR, mcb - ir), nr);
             }
           }
         }
       }
     }
-  }
-  (void)use_avx2;
+  });
 }
 
 void dgemm(index_t m, index_t n, index_t k, double alpha, const double* a,

@@ -50,16 +50,18 @@
 
 // The semiring kernels (fw / bottleneck / tc) are pure elementwise
 // sweeps with no reductions across the vector lanes — exactly the shape
-// compilers autovectorize perfectly. In a TU compiled with AVX-512
-// enabled (e.g. -march=native on a 512-bit host, the GEP_NATIVE_ARCH=ON
-// default), the autovectorized scalar template is 512 bits wide and
-// beats the explicit 256-bit kernels, so routing there would be a
-// de-optimization. Route them to AVX2 only where the TU's own codegen
-// cannot already match it; portable (non-native) builds — the reason
-// runtime dispatch exists — still route and win. All TUs of one build
-// share arch flags, so this compile-time fork is ODR-consistent.
-// The FMA kernels (ge / lu / mm) always route: packing + register
-// blocking beat autovectorization at any ISA width.
+// compilers autovectorize well. In a TU compiled with AVX-512 enabled
+// (e.g. -march=native on a 512-bit host, the GEP_NATIVE_ARCH=ON
+// default) the autovectorized scalar template is 512 bits wide: GCC 12
+// emits zmm vaddpd/vminpd for the min-plus sweep (checked by
+// disassembly on an AVX-512 Xeon), and it runs 1.0-1.7x the explicit
+// 256-bit kernels at m <= 128 (BENCH_kernels.json), so routing there
+// would be a de-optimization. Route them to AVX2 only where the TU's
+// own codegen cannot already match it; portable (non-native) builds —
+// the reason runtime dispatch exists — still route and win. All TUs of
+// one build share arch flags, so this compile-time fork is
+// ODR-consistent. The FMA kernels (ge / lu / mm) always route: packing
+// and register blocking beat autovectorization at any ISA width.
 #if GEP_SIMD_X86 && !defined(__AVX512F__)
 #define GEP_SIMD_ROUTE_SEMIRING 1
 #else
@@ -266,12 +268,14 @@ template <class T>
 inline constexpr bool simd_byte_type =
     std::is_integral_v<T> && sizeof(T) == 1;
 
-// One dispatch decision per leaf call, with the obs tick.
+// One dispatch decision per leaf call, with the obs tick. Every level
+// from Avx2 up runs the AVX2 leaf kernels; only the packed-GEMM tile
+// behind simd::gemm_tile widens at Avx512.
 inline bool leaf_use_avx2() {
 #if GEP_SIMD_X86
   const simd::Level l = simd::active();
   simd::note_leaf(l);
-  return l == simd::Level::Avx2;
+  return l >= simd::Level::Avx2;
 #else
   simd::note_leaf(simd::Level::Scalar);
   return false;

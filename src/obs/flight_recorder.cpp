@@ -30,13 +30,17 @@ using flightfmt::ThreadHeader;
 constexpr std::uint32_t kRingMask = kRingEvents - 1;
 static_assert((kRingEvents & kRingMask) == 0, "ring size must be pow2");
 
-// One thread's ring. Allocated on the thread's first record() and
-// intentionally leaked: a dump may run (from a signal handler or the
-// watchdog) after the owning thread exited, and its tail of events is
-// exactly what such a dump is for.
+// One thread's ring. Allocated on a thread's first record() and never
+// freed: a dump may run (from a signal handler or the watchdog) after the
+// owning thread exited, and its tail of events is exactly what such a
+// dump is for. An exiting thread marks its ring free instead, and the
+// next thread to start recording takes it over, so the number of rings
+// follows the peak number of live threads rather than every thread the
+// process ever started (each DAG solve starts a fresh pool).
 struct Ring {
   Event ev[kRingEvents];
   std::atomic<std::uint64_t> seq{0};
+  std::atomic<bool> in_use{true};
   char name[24] = {};
   std::uint32_t tid = 0;
 };
@@ -62,13 +66,49 @@ struct OldActions {
 
 thread_local Ring* t_ring = nullptr;
 
+// Frees the thread's ring at thread exit. Kept apart from t_ring so the
+// record() fast path reads a plain pointer; only ring_slow() touches
+// this one, which registers its destructor. Rings past kMaxRings are not
+// in the table, so no later thread could find them: they stay leaked.
+struct RingRelease {
+  Ring* ring = nullptr;
+  ~RingRelease() {
+    if (ring != nullptr) ring->in_use.store(false, std::memory_order_release);
+  }
+};
+thread_local RingRelease t_release;
+
+// Takes over a ring whose thread exited. A scan of the published table
+// with one CAS per candidate: lock-free, like everything a signal
+// handler may reach.
+Ring* claim_free_ring() {
+  const int nr = std::min(g_nrings.load(std::memory_order_acquire),
+                          kMaxRings);
+  for (int i = 0; i < nr; ++i) {
+    Ring* r = g_rings[i].load(std::memory_order_acquire);
+    bool free = false;
+    if (r != nullptr && !r->in_use.load(std::memory_order_relaxed) &&
+        r->in_use.compare_exchange_strong(free, true,
+                                          std::memory_order_acq_rel)) {
+      return r;
+    }
+  }
+  return nullptr;
+}
+
 Ring* ring_slow() {
-  Ring* r = new Ring();
-  const int i = g_nrings.fetch_add(1, std::memory_order_acq_rel);
-  r->tid = static_cast<std::uint32_t>(i + 1);
-  std::snprintf(r->name, sizeof r->name, "thread-%d", i + 1);
-  if (i < kMaxRings) {
-    g_rings[i].store(r, std::memory_order_release);
+  Ring* r = claim_free_ring();
+  const bool fresh = r == nullptr;
+  if (fresh) {
+    r = new Ring();
+    r->tid = static_cast<std::uint32_t>(
+        g_nrings.fetch_add(1, std::memory_order_acq_rel) + 1);
+  }
+  r->seq.store(0, std::memory_order_release);
+  std::snprintf(r->name, sizeof r->name, "thread-%u", r->tid);
+  if (r->tid <= static_cast<std::uint32_t>(kMaxRings)) {
+    if (fresh) g_rings[r->tid - 1].store(r, std::memory_order_release);
+    t_release.ring = r;
   }
   t_ring = r;
   return r;
@@ -287,6 +327,8 @@ void install_job_signal_handlers() {
 bool stop_requested() { return g_stop.load(std::memory_order_acquire); }
 void request_stop() { g_stop.store(true, std::memory_order_release); }
 void reset_stop() { g_stop.store(false, std::memory_order_release); }
+
+int ring_count() { return g_nrings.load(std::memory_order_acquire); }
 
 void clear() {
   const int nr = std::min(g_nrings.load(std::memory_order_acquire),

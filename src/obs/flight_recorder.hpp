@@ -228,6 +228,10 @@ bool stop_requested();
 void request_stop();
 void reset_stop();  // tests / repeated bench legs
 
+// Rings allocated so far. A thread's ring is reused by a later thread
+// once it exits, so this tracks the peak number of recording threads.
+int ring_count();
+
 // Test support: forget all recorded events (rings stay registered).
 void clear();
 
@@ -279,6 +283,7 @@ inline void install_job_signal_handlers() {}
 inline bool stop_requested() { return false; }
 inline void request_stop() {}
 inline void reset_stop() {}
+inline int ring_count() { return 0; }
 inline void clear() {}
 inline std::uint64_t now_ns() { return 0; }
 

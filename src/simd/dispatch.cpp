@@ -1,5 +1,6 @@
 #include "simd/dispatch.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -22,14 +23,17 @@ bool env_scalar() {
 }
 
 Level detected_level() {
-  static const Level l =
-      cpu_features().can_run_avx2() ? Level::Avx2 : Level::Scalar;
+  static const Level l = cpu_features().can_run_avx512() ? Level::Avx512
+                         : cpu_features().can_run_avx2() ? Level::Avx2
+                                                         : Level::Scalar;
   return l;
 }
 
 }  // namespace
 
-bool avx2_available() { return detected_level() == Level::Avx2; }
+bool avx2_available() { return detected_level() >= Level::Avx2; }
+
+bool avx512_available() { return detected_level() == Level::Avx512; }
 
 bool forced_scalar_env() { return env_scalar(); }
 
@@ -37,8 +41,7 @@ Level active() {
   if (env_scalar()) return Level::Scalar;
   const int f = g_forced.load(std::memory_order_relaxed);
   if (f >= 0) {
-    const Level l = static_cast<Level>(f);
-    return (l == Level::Avx2 && !avx2_available()) ? Level::Scalar : l;
+    return std::min(static_cast<Level>(f), detected_level());
   }
   return detected_level();
 }
@@ -50,13 +53,22 @@ void force_level(Level l) {
 void clear_forced_level() { g_forced.store(-1, std::memory_order_relaxed); }
 
 const char* level_name(Level l) {
-  return l == Level::Avx2 ? "avx2" : "scalar";
+  switch (l) {
+    case Level::Avx512:
+      return "avx512";
+    case Level::Avx2:
+      return "avx2";
+    case Level::Scalar:
+      break;
+  }
+  return "scalar";
 }
 
 void note_leaf(Level l) {
-  static obs::Counter avx2 = obs::counter("kernels.dispatch.avx2");
-  static obs::Counter scalar = obs::counter("kernels.dispatch.scalar");
-  (l == Level::Avx2 ? avx2 : scalar).inc();
+  static obs::Counter counters[] = {obs::counter("kernels.dispatch.scalar"),
+                                    obs::counter("kernels.dispatch.avx2"),
+                                    obs::counter("kernels.dispatch.avx512")};
+  counters[static_cast<int>(l)].inc();
 }
 
 }  // namespace gep::simd

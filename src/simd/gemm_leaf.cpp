@@ -4,11 +4,8 @@
 #include <cassert>
 #include <cstddef>
 
-#include "simd/dispatch.hpp"
-#include "simd/kernels_avx2.hpp"
 #include "simd/microkernel.hpp"
 #include "simd/strassen.hpp"
-#include "util/aligned.hpp"
 
 namespace gep::simd {
 namespace {
@@ -26,51 +23,33 @@ static_assert(kGemmKc <= kMaxPanelK,
 template <class T, bool Scaled>
 void gemm_impl(T* x, const T* u, const T* v, const T* w, index_t m,
                index_t sx, index_t su, index_t sv, index_t sw, T alpha) {
-  constexpr index_t MR = kMicroRows;
-  constexpr index_t NR = micro_cols<T>();
-  const index_t kc = std::min(m, kGemmKc);
-  T* pa = packing_buffer<T>(0, static_cast<std::size_t>(packed_a_size<T>(m, kc)));
-  T* pb = packing_buffer<T>(1, static_cast<std::size_t>(packed_b_size<T>(kc, m)));
-#if GEP_SIMD_X86
-  const bool use_avx2 = active() == Level::Avx2;
-#else
-  const bool use_avx2 = false;
-#endif
-
-  for (index_t pc = 0; pc < m; pc += kc) {
-    const index_t kcb = std::min(kc, m - pc);
-    pack_b(v + pc * sv, sv, kcb, m, pb);
-    if constexpr (Scaled) {
-      pack_a_scaled(u + pc, su, m, kcb, w + pc * sw + pc, sw, pa);
-    } else {
-      pack_a(u + pc, su, m, kcb, pa);
-    }
-    for (index_t jr = 0; jr < m; jr += NR) {
-      const index_t nr = std::min(NR, m - jr);
-      const T* pbj = pb + (jr / NR) * kcb * NR;
-      for (index_t ir = 0; ir < m; ir += MR) {
-        const index_t mr = std::min(MR, m - ir);
-        const T* pai = pa + (ir / MR) * kcb * MR;
-        T* cij = x + ir * sx + jr;
-#if GEP_SIMD_X86
-        if (use_avx2) {
-          if (mr == MR && nr == NR) {
-            ukr_avx2(kcb, alpha, pai, pbj, cij, sx);
-          } else {
-            ukr_avx2_edge(kcb, alpha, pai, pbj, cij, sx, mr, nr);
-          }
-          continue;
-        }
-#endif
-        if (mr == MR && nr == NR) {
-          ukr_scalar(kcb, alpha, pai, pbj, cij, sx);
-        } else {
-          ukr_scalar_edge(kcb, alpha, pai, pbj, cij, sx, mr, nr);
+  with_gemm_kernel<T>([&](auto tile, UkrFn<T> ukr) {
+    constexpr index_t MR = decltype(tile)::MR;
+    constexpr index_t NR = decltype(tile)::NR;
+    const index_t kc = std::min(m, kGemmKc);
+    T* pa = packing_buffer<T>(
+        0, static_cast<std::size_t>(packed_a_size(MR, m, kc)));
+    T* pb = packing_buffer<T>(
+        1, static_cast<std::size_t>(packed_b_size(NR, kc, m)));
+    for (index_t pc = 0; pc < m; pc += kc) {
+      const index_t kcb = std::min(kc, m - pc);
+      pack_b<NR>(v + pc * sv, sv, kcb, m, pb);
+      if constexpr (Scaled) {
+        pack_a_scaled<MR>(u + pc, su, m, kcb, w + pc * sw + pc, sw, pa);
+      } else {
+        pack_a<MR>(u + pc, su, m, kcb, pa);
+      }
+      for (index_t jr = 0; jr < m; jr += NR) {
+        const index_t nr = std::min(NR, m - jr);
+        const T* pbj = pb + (jr / NR) * kcb * NR;
+        for (index_t ir = 0; ir < m; ir += MR) {
+          const GemmDest<T> c{x + ir * sx + jr, T{1}};
+          ukr(kcb, alpha, pa + (ir / MR) * kcb * MR, pbj, &c, 1, sx,
+              std::min(MR, m - ir), nr);
         }
       }
     }
-  }
-  (void)use_avx2;
+  });
 }
 
 }  // namespace

@@ -1,18 +1,21 @@
-// Explicit AVX2/FMA base-case kernels.
+// Explicit AVX2/FMA base-case kernels and the AVX2 / AVX-512 GEMM
+// micro-kernels.
 //
-// Compiled with per-function `target("avx2,fma")` attributes so this TU
-// builds under any -march (including the portable -DGEP_NATIVE_ARCH=OFF
-// CI leg); the gep/kernels.hpp wrappers only call in here after
-// simd::active() confirmed the host executes AVX2+FMA.
+// Compiled with per-function `target(...)` attributes so this TU builds
+// under any -march (including the portable -DGEP_NATIVE_ARCH=OFF CI
+// leg); callers only reach in here after simd::active() confirmed the
+// host executes the ISA (>= Avx2 for the leaf kernels, == Avx512 for
+// ukr_avx512).
 //
 // Correctness contracts (verified by tests/test_simd_kernels.cpp):
 //  - fw / bottleneck / tc are BIT-EXACT vs the scalar templates: the
 //    vector lanes perform the identical elementwise add/min/max/or, and
 //    min/max operand order is chosen so ties resolve like std::min /
 //    std::max (second operand = the old x value).
-//  - ge / lu / micro-kernels use FMA, so they are tolerance-equivalent
-//    to scalar (documented in docs/KERNELS.md) and deterministic
-//    run-to-run at fixed dispatch.
+//  - ge / lu / mm and the micro-kernels use FMA, so they are
+//    tolerance-equivalent to scalar (documented in docs/KERNELS.md) and
+//    deterministic run-to-run at fixed dispatch. The AVX2 and AVX-512
+//    micro-kernels agree bit for bit when alpha is ±1.
 //  - No `restrict` across x/u/v/w: A/B/C-kind boxes alias. Per-row
 //    sweeps are safe because a row-i sweep never overlaps the k-row /
 //    k-column it reads (see the aliasing notes in gep/kernels.hpp).
@@ -23,8 +26,10 @@
 #include <immintrin.h>
 
 #include "gep/numeric_guard.hpp"
+#include "simd/microkernel.hpp"
 
 #define GEP_AVX2_FN __attribute__((target("avx2,fma")))
+#define GEP_AVX512_FN __attribute__((target("avx2,fma,avx512f")))
 
 namespace gep::simd {
 namespace {
@@ -221,208 +226,140 @@ GEP_AVX2_FN void mm_impl(T* x, const T* u, const T* v, index_t m, index_t sx,
 }  // namespace
 
 // --- GEMM micro-kernels ----------------------------------------------------
-
-// 6 x 8 doubles: 12 ymm accumulators + 2 B vectors + 1 broadcast.
-GEP_AVX2_FN void ukr_avx2(index_t kc, double alpha, const double* pa,
-                          const double* pb, double* c, index_t ldc) {
-  constexpr int MR = 6;
-  constexpr index_t NR = 8;
-  __m256d acc[MR][2];
-  for (int i = 0; i < MR; ++i) {
-    acc[i][0] = _mm256_setzero_pd();
-    acc[i][1] = _mm256_setzero_pd();
-  }
-  for (index_t p = 0; p < kc; ++p) {
-    const __m256d b0 = _mm256_loadu_pd(pb + p * NR);
-    const __m256d b1 = _mm256_loadu_pd(pb + p * NR + 4);
-    const double* a = pa + p * MR;
-    for (int i = 0; i < MR; ++i) {
-      const __m256d ai = _mm256_broadcast_sd(a + i);
-      acc[i][0] = _mm256_fmadd_pd(ai, b0, acc[i][0]);
-      acc[i][1] = _mm256_fmadd_pd(ai, b1, acc[i][1]);
-    }
-  }
-  const __m256d va = _mm256_set1_pd(alpha);
-  for (int i = 0; i < MR; ++i) {
-    double* ci = c + i * ldc;
-    _mm256_storeu_pd(ci,
-                     _mm256_fmadd_pd(va, acc[i][0], _mm256_loadu_pd(ci)));
-    _mm256_storeu_pd(
-        ci + 4, _mm256_fmadd_pd(va, acc[i][1], _mm256_loadu_pd(ci + 4)));
-  }
-}
-
-// 6 x 16 floats.
-GEP_AVX2_FN void ukr_avx2(index_t kc, float alpha, const float* pa,
-                          const float* pb, float* c, index_t ldc) {
-  constexpr int MR = 6;
-  constexpr index_t NR = 16;
-  __m256 acc[MR][2];
-  for (int i = 0; i < MR; ++i) {
-    acc[i][0] = _mm256_setzero_ps();
-    acc[i][1] = _mm256_setzero_ps();
-  }
-  for (index_t p = 0; p < kc; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(pb + p * NR);
-    const __m256 b1 = _mm256_loadu_ps(pb + p * NR + 8);
-    const float* a = pa + p * MR;
-    for (int i = 0; i < MR; ++i) {
-      const __m256 ai = _mm256_broadcast_ss(a + i);
-      acc[i][0] = _mm256_fmadd_ps(ai, b0, acc[i][0]);
-      acc[i][1] = _mm256_fmadd_ps(ai, b1, acc[i][1]);
-    }
-  }
-  const __m256 va = _mm256_set1_ps(alpha);
-  for (int i = 0; i < MR; ++i) {
-    float* ci = c + i * ldc;
-    _mm256_storeu_ps(ci, _mm256_fmadd_ps(va, acc[i][0], _mm256_loadu_ps(ci)));
-    _mm256_storeu_ps(
-        ci + 8, _mm256_fmadd_ps(va, acc[i][1], _mm256_loadu_ps(ci + 8)));
-  }
-}
-
-namespace {
-
-template <class T, index_t NR>
-GEP_AVX2_FN void ukr_edge_impl(index_t kc, T alpha, const T* pa, const T* pb,
-                               T* c, index_t ldc, index_t mr, index_t nr) {
-  // The panels are zero-padded, so computing the full micro-tile into a
-  // scratch buffer is safe; only the valid corner is written back.
-  alignas(64) T tmp[6 * NR] = {};
-  ukr_avx2(kc, alpha, pa, pb, tmp, NR);
-  for (index_t i = 0; i < mr; ++i) {
-    for (index_t j = 0; j < nr; ++j) c[i * ldc + j] += tmp[i * NR + j];
-  }
-}
-
-}  // namespace
-
-GEP_AVX2_FN void ukr_avx2_edge(index_t kc, double alpha, const double* pa,
-                               const double* pb, double* c, index_t ldc,
-                               index_t mr, index_t nr) {
-  ukr_edge_impl<double, 8>(kc, alpha, pa, pb, c, ldc, mr, nr);
-}
-
-GEP_AVX2_FN void ukr_avx2_edge(index_t kc, float alpha, const float* pa,
-                               const float* pb, float* c, index_t ldc,
-                               index_t mr, index_t nr) {
-  ukr_edge_impl<float, 16>(kc, alpha, pa, pb, c, ldc, mr, nr);
-}
-
-// --- multi-destination micro-kernels (Strassen output fusion) --------------
 //
-// The accumulation loop is identical to ukr_avx2; the product tile is
-// then streamed from registers to every destination quadrant with its
-// own ±1 coefficient, so Strassen's output additions cost no separate
-// sweep and all destinations share the identically-rounded product.
-
-GEP_AVX2_FN void ukr_avx2_multi(index_t kc, double alpha, const double* pa,
-                                const double* pb, const GemmDest<double>* dst,
-                                int nd, index_t ldc) {
-  constexpr int MR = 6;
-  constexpr index_t NR = 8;
-  __m256d acc[MR][2];
-  for (int i = 0; i < MR; ++i) {
-    acc[i][0] = _mm256_setzero_pd();
-    acc[i][1] = _mm256_setzero_pd();
-  }
-  // Early RFO prefetch of every destination tile: the multi writeback
-  // streams up to kMaxGemmOperands C quadrants, so hiding the C-line
-  // fetch behind the k-loop matters more than in the classic kernel.
-  for (int q = 0; q < nd; ++q) {
-    for (int i = 0; i < MR; ++i) {
-      __builtin_prefetch(dst[q].c + i * ldc, 1, 3);
-    }
-  }
-  for (index_t p = 0; p < kc; ++p) {
-    const __m256d b0 = _mm256_loadu_pd(pb + p * NR);
-    const __m256d b1 = _mm256_loadu_pd(pb + p * NR + 4);
-    const double* a = pa + p * MR;
-    for (int i = 0; i < MR; ++i) {
-      const __m256d ai = _mm256_broadcast_sd(a + i);
-      acc[i][0] = _mm256_fmadd_pd(ai, b0, acc[i][0]);
-      acc[i][1] = _mm256_fmadd_pd(ai, b1, acc[i][1]);
-    }
-  }
-  for (int q = 0; q < nd; ++q) {
-    const __m256d vs = _mm256_set1_pd(alpha * dst[q].coeff);
-    for (int i = 0; i < MR; ++i) {
-      double* ci = dst[q].c + i * ldc;
-      _mm256_storeu_pd(ci,
-                       _mm256_fmadd_pd(vs, acc[i][0], _mm256_loadu_pd(ci)));
-      _mm256_storeu_pd(
-          ci + 4, _mm256_fmadd_pd(vs, acc[i][1], _mm256_loadu_pd(ci + 4)));
-    }
-  }
-}
-
-GEP_AVX2_FN void ukr_avx2_multi(index_t kc, float alpha, const float* pa,
-                                const float* pb, const GemmDest<float>* dst,
-                                int nd, index_t ldc) {
-  constexpr int MR = 6;
-  constexpr index_t NR = 16;
-  __m256 acc[MR][2];
-  for (int i = 0; i < MR; ++i) {
-    acc[i][0] = _mm256_setzero_ps();
-    acc[i][1] = _mm256_setzero_ps();
-  }
-  for (index_t p = 0; p < kc; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(pb + p * NR);
-    const __m256 b1 = _mm256_loadu_ps(pb + p * NR + 8);
-    const float* a = pa + p * MR;
-    for (int i = 0; i < MR; ++i) {
-      const __m256 ai = _mm256_broadcast_ss(a + i);
-      acc[i][0] = _mm256_fmadd_ps(ai, b0, acc[i][0]);
-      acc[i][1] = _mm256_fmadd_ps(ai, b1, acc[i][1]);
-    }
-  }
-  for (int q = 0; q < nd; ++q) {
-    const __m256 vs = _mm256_set1_ps(alpha * dst[q].coeff);
-    for (int i = 0; i < MR; ++i) {
-      float* ci = dst[q].c + i * ldc;
-      _mm256_storeu_ps(ci,
-                       _mm256_fmadd_ps(vs, acc[i][0], _mm256_loadu_ps(ci)));
-      _mm256_storeu_ps(
-          ci + 8, _mm256_fmadd_ps(vs, acc[i][1], _mm256_loadu_ps(ci + 8)));
-    }
-  }
-}
+// The two vector instantiations of microkernel.hpp's ukr_tile. Each trait
+// member carries its ISA's target attribute; ukr_tile itself has none and
+// is always_inline, so it is compiled inside each targeted wrapper below
+// and the trait calls inline there.
 
 namespace {
 
-template <class T, index_t NR>
-GEP_AVX2_FN void ukr_multi_edge_impl(index_t kc, T alpha, const T* pa,
-                                     const T* pb, const GemmDest<T>* dst,
-                                     int nd, index_t ldc, index_t mr,
-                                     index_t nr) {
-  // Full zero-padded tile into scratch (alpha folded in), then each
-  // destination receives its ±1-scaled valid corner.
-  alignas(64) T tmp[6 * NR] = {};
-  GemmDest<T> t{tmp, T{1}};
-  ukr_avx2_multi(kc, alpha, pa, pb, &t, 1, NR);
-  for (int q = 0; q < nd; ++q) {
-    const T s = dst[q].coeff;
-    T* c = dst[q].c;
-    for (index_t i = 0; i < mr; ++i) {
-      for (index_t j = 0; j < nr; ++j) c[i * ldc + j] += s * tmp[i * NR + j];
-    }
+template <class T>
+struct Avx2Vec;
+
+template <>
+struct Avx2Vec<double> {
+  using V = __m256d;
+  static constexpr index_t kLanes = 4;
+  GEP_AVX2_FN static V zero() { return _mm256_setzero_pd(); }
+  GEP_AVX2_FN static V set1(double s) { return _mm256_set1_pd(s); }
+  GEP_AVX2_FN static V broadcast(const double* p) {
+    return _mm256_broadcast_sd(p);
   }
-}
+  GEP_AVX2_FN static V load(const double* p) { return _mm256_loadu_pd(p); }
+  GEP_AVX2_FN static void store(double* p, V v) { _mm256_storeu_pd(p, v); }
+  GEP_AVX2_FN static __m256i mask(index_t n) {
+    return _mm256_cmpgt_epi64(_mm256_set1_epi64x(n),
+                              _mm256_setr_epi64x(0, 1, 2, 3));
+  }
+  GEP_AVX2_FN static V load_n(const double* p, index_t n) {
+    return _mm256_maskload_pd(p, mask(n));
+  }
+  GEP_AVX2_FN static void store_n(double* p, V v, index_t n) {
+    _mm256_maskstore_pd(p, mask(n), v);
+  }
+  GEP_AVX2_FN static V fma(V a, V b, V c) { return _mm256_fmadd_pd(a, b, c); }
+};
+
+template <>
+struct Avx2Vec<float> {
+  using V = __m256;
+  static constexpr index_t kLanes = 8;
+  GEP_AVX2_FN static V zero() { return _mm256_setzero_ps(); }
+  GEP_AVX2_FN static V set1(float s) { return _mm256_set1_ps(s); }
+  GEP_AVX2_FN static V broadcast(const float* p) {
+    return _mm256_broadcast_ss(p);
+  }
+  GEP_AVX2_FN static V load(const float* p) { return _mm256_loadu_ps(p); }
+  GEP_AVX2_FN static void store(float* p, V v) { _mm256_storeu_ps(p, v); }
+  GEP_AVX2_FN static __m256i mask(index_t n) {
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  }
+  GEP_AVX2_FN static V load_n(const float* p, index_t n) {
+    return _mm256_maskload_ps(p, mask(n));
+  }
+  GEP_AVX2_FN static void store_n(float* p, V v, index_t n) {
+    _mm256_maskstore_ps(p, mask(n), v);
+  }
+  GEP_AVX2_FN static V fma(V a, V b, V c) { return _mm256_fmadd_ps(a, b, c); }
+};
+
+template <class T>
+struct Avx512Vec;
+
+template <>
+struct Avx512Vec<double> {
+  using V = __m512d;
+  static constexpr index_t kLanes = 8;
+  GEP_AVX512_FN static V zero() { return _mm512_setzero_pd(); }
+  GEP_AVX512_FN static V set1(double s) { return _mm512_set1_pd(s); }
+  GEP_AVX512_FN static V broadcast(const double* p) {
+    return _mm512_set1_pd(*p);
+  }
+  GEP_AVX512_FN static V load(const double* p) { return _mm512_loadu_pd(p); }
+  GEP_AVX512_FN static void store(double* p, V v) { _mm512_storeu_pd(p, v); }
+  GEP_AVX512_FN static V load_n(const double* p, index_t n) {
+    return _mm512_maskz_loadu_pd(static_cast<__mmask8>((1u << n) - 1), p);
+  }
+  GEP_AVX512_FN static void store_n(double* p, V v, index_t n) {
+    _mm512_mask_storeu_pd(p, static_cast<__mmask8>((1u << n) - 1), v);
+  }
+  GEP_AVX512_FN static V fma(V a, V b, V c) {
+    return _mm512_fmadd_pd(a, b, c);
+  }
+};
+
+template <>
+struct Avx512Vec<float> {
+  using V = __m512;
+  static constexpr index_t kLanes = 16;
+  GEP_AVX512_FN static V zero() { return _mm512_setzero_ps(); }
+  GEP_AVX512_FN static V set1(float s) { return _mm512_set1_ps(s); }
+  GEP_AVX512_FN static V broadcast(const float* p) {
+    return _mm512_set1_ps(*p);
+  }
+  GEP_AVX512_FN static V load(const float* p) { return _mm512_loadu_ps(p); }
+  GEP_AVX512_FN static void store(float* p, V v) { _mm512_storeu_ps(p, v); }
+  GEP_AVX512_FN static V load_n(const float* p, index_t n) {
+    return _mm512_maskz_loadu_ps(static_cast<__mmask16>((1u << n) - 1), p);
+  }
+  GEP_AVX512_FN static void store_n(float* p, V v, index_t n) {
+    _mm512_mask_storeu_ps(p, static_cast<__mmask16>((1u << n) - 1), v);
+  }
+  GEP_AVX512_FN static V fma(V a, V b, V c) {
+    return _mm512_fmadd_ps(a, b, c);
+  }
+};
 
 }  // namespace
 
-GEP_AVX2_FN void ukr_avx2_multi_edge(index_t kc, double alpha,
-                                     const double* pa, const double* pb,
-                                     const GemmDest<double>* dst, int nd,
-                                     index_t ldc, index_t mr, index_t nr) {
-  ukr_multi_edge_impl<double, 8>(kc, alpha, pa, pb, dst, nd, ldc, mr, nr);
+GEP_AVX2_FN void ukr_avx2(index_t kc, double alpha, const double* pa,
+                          const double* pb, const GemmDest<double>* dst,
+                          int nd, index_t ldc, index_t mr, index_t nr) {
+  ukr_tile<Avx2Vec<double>, Avx2Tile<double>::MR, Avx2Tile<double>::NR>(
+      kc, alpha, pa, pb, dst, nd, ldc, mr, nr);
 }
 
-GEP_AVX2_FN void ukr_avx2_multi_edge(index_t kc, float alpha, const float* pa,
-                                     const float* pb,
-                                     const GemmDest<float>* dst, int nd,
-                                     index_t ldc, index_t mr, index_t nr) {
-  ukr_multi_edge_impl<float, 16>(kc, alpha, pa, pb, dst, nd, ldc, mr, nr);
+GEP_AVX2_FN void ukr_avx2(index_t kc, float alpha, const float* pa,
+                          const float* pb, const GemmDest<float>* dst, int nd,
+                          index_t ldc, index_t mr, index_t nr) {
+  ukr_tile<Avx2Vec<float>, Avx2Tile<float>::MR, Avx2Tile<float>::NR>(
+      kc, alpha, pa, pb, dst, nd, ldc, mr, nr);
+}
+
+GEP_AVX512_FN void ukr_avx512(index_t kc, double alpha, const double* pa,
+                              const double* pb, const GemmDest<double>* dst,
+                              int nd, index_t ldc, index_t mr, index_t nr) {
+  ukr_tile<Avx512Vec<double>, Avx512Tile<double>::MR,
+           Avx512Tile<double>::NR>(kc, alpha, pa, pb, dst, nd, ldc, mr, nr);
+}
+
+GEP_AVX512_FN void ukr_avx512(index_t kc, float alpha, const float* pa,
+                              const float* pb, const GemmDest<float>* dst,
+                              int nd, index_t ldc, index_t mr, index_t nr) {
+  ukr_tile<Avx512Vec<float>, Avx512Tile<float>::MR, Avx512Tile<float>::NR>(
+      kc, alpha, pa, pb, dst, nd, ldc, mr, nr);
 }
 
 // --- leaf kernels ----------------------------------------------------------

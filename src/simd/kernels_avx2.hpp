@@ -3,11 +3,12 @@
 // Definitions live in kernels_avx2.cpp, compiled with
 // `__attribute__((target("avx2,fma")))` so the library builds — and the
 // scalar path stays runnable — without any -march flags; callers must
-// check simd::active() == Level::Avx2 (gep/kernels.hpp wrappers do)
-// before invoking. Argument conventions (x/u/v/w, strides, diag flags)
+// check simd::active() >= Level::Avx2 (gep/kernels.hpp wrappers do)
+// before invoking. The GEMM micro-kernels are declared in
+// simd/microkernel.hpp. Argument conventions (x/u/v/w, strides, diag flags)
 // match the scalar templates in gep/kernels.hpp exactly; semiring
 // kernels (fw, bottleneck, tc) are bit-identical to scalar, the FMA
-// kernels (ge, lu, mm, micro-kernels) are tolerance-equivalent and
+// kernels (ge, lu, mm) are tolerance-equivalent and
 // deterministic run-to-run. None of these use `restrict` across
 // x/u/v/w — A/B/C-kind boxes alias.
 #pragma once
@@ -16,7 +17,6 @@
 
 #include "matrix/matrix.hpp"
 #include "simd/dispatch.hpp"
-#include "simd/microkernel.hpp"
 
 #if GEP_SIMD_X86
 
@@ -25,38 +25,6 @@ namespace gep {
 class PivotGuard;  // gep/numeric_guard.hpp
 
 namespace simd {
-
-// --- GEMM micro-kernels (packed-panel contract of microkernel.hpp) ---------
-
-// c(6 x 8, row-major ldc) += alpha * packed_a(kc x 6)^T * packed_b(kc x 8).
-void ukr_avx2(index_t kc, double alpha, const double* pa, const double* pb,
-              double* c, index_t ldc);
-// float shape is 6 x 16.
-void ukr_avx2(index_t kc, float alpha, const float* pa, const float* pb,
-              float* c, index_t ldc);
-
-// Fringe variant: computes the full zero-padded micro-tile into a local
-// buffer, writes back only the valid mr x nr corner.
-void ukr_avx2_edge(index_t kc, double alpha, const double* pa,
-                   const double* pb, double* c, index_t ldc, index_t mr,
-                   index_t nr);
-void ukr_avx2_edge(index_t kc, float alpha, const float* pa, const float* pb,
-                   float* c, index_t ldc, index_t mr, index_t nr);
-
-// Multi-destination variants for the Strassen layer: one micro-tile
-// product streamed to up to kMaxGemmOperands C quadrants as
-// c_q += alpha * coeff_q * acc (see ukr_scalar_multi).
-void ukr_avx2_multi(index_t kc, double alpha, const double* pa,
-                    const double* pb, const GemmDest<double>* dst, int nd,
-                    index_t ldc);
-void ukr_avx2_multi(index_t kc, float alpha, const float* pa, const float* pb,
-                    const GemmDest<float>* dst, int nd, index_t ldc);
-void ukr_avx2_multi_edge(index_t kc, double alpha, const double* pa,
-                         const double* pb, const GemmDest<double>* dst,
-                         int nd, index_t ldc, index_t mr, index_t nr);
-void ukr_avx2_multi_edge(index_t kc, float alpha, const float* pa,
-                         const float* pb, const GemmDest<float>* dst, int nd,
-                         index_t ldc, index_t mr, index_t nr);
 
 // --- Leaf kernels ----------------------------------------------------------
 

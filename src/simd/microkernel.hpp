@@ -1,42 +1,50 @@
 // Shared register-blocked GEMM micro-kernel layer (BLIS-style).
 //
-// One packing format and one micro-tile shape serve both the cache-aware
-// BLAS baseline (blas/dgemm.cpp macro loops) and the typed engine's
-// D-kind leaf routing (simd/gemm_leaf.*): A blocks are packed into
-// MR-row column panels, B blocks into NR-column row panels, both
-// zero-padded to full micro-tile width so the interior micro-kernel
-// never sees a fringe.
+// One packing format and one micro-kernel template serve the
+// cache-aware BLAS baseline (blas/dgemm.cpp), the typed engine's D-kind
+// leaves (simd/gemm_leaf.*) and the Strassen layer (simd/strassen.*):
+// A blocks are packed into MR-row column panels, B blocks into
+// NR-column row panels, both zero-padded to full micro-tile width so the
+// accumulation loop never sees a fringe.
 //
-// Micro-tile shape: MR x NR = 6 x 8 for double (12 ymm accumulators +
-// 2 B vectors + 1 broadcast = 15 of 16 registers, the AVX2 analogue of
-// BLIS's haswell dgemm kernel) and 6 x 16 for float. The AVX2/FMA
-// micro-kernels live in kernels_avx2.cpp behind runtime dispatch; the
-// scalar reference micro-kernels below keep the identical contract for
-// non-AVX2 hosts and the $GEP_FORCE_SCALAR leg.
+// The register tile is shaped to the ISA (with_gemm_kernel picks it from
+// the active dispatch level):
+//   - scalar / AVX2: MR x NR = 6 x 8 double, 6 x 16 float — 12 ymm
+//     accumulators + 2 B vectors + 1 broadcast, the AVX2 analogue of
+//     BLIS's Haswell dgemm kernel;
+//   - AVX-512: 8 x 16 double, 8 x 32 float — 16 zmm accumulators, which
+//     tile the 64-wide typed leaves exactly.
+// The pack functions therefore take MR / NR as template parameters.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 
 #include "matrix/matrix.hpp"
+#include "simd/dispatch.hpp"
 #include "util/aligned.hpp"
 
 namespace gep::simd {
 
-// Micro-tile rows (shared) and columns (per element type).
-inline constexpr index_t kMicroRows = 6;
+// Register-tile shape of one micro-kernel instantiation.
+template <index_t MR_, index_t NR_>
+struct Tile {
+  static constexpr index_t MR = MR_;
+  static constexpr index_t NR = NR_;
+};
 
+// Two vectors of B per k-step on each ISA: 2 x 256 bits for scalar and
+// AVX2, 2 x 512 bits for AVX-512.
 template <class T>
-constexpr index_t micro_cols() {
-  return sizeof(T) == 4 ? 16 : 8;
-}
+using Avx2Tile = Tile<6, 64 / sizeof(T)>;
+template <class T>
+using Avx512Tile = Tile<8, 128 / sizeof(T)>;
 
 // Packs an mc x kc block of row-major A (leading dimension lda) into
-// kMicroRows-wide column panels: panel p0 holds rows [p0*MR, p0*MR+MR)
-// laid out column-by-column, short panels zero-padded.
-template <class T>
+// MR-wide column panels: panel p0 holds rows [p0*MR, p0*MR+MR) laid out
+// column-by-column, short panels zero-padded.
+template <index_t MR, class T>
 void pack_a(const T* a, index_t lda, index_t mc, index_t kc, T* dst) {
-  constexpr index_t MR = kMicroRows;
   for (index_t i0 = 0; i0 < mc; i0 += MR) {
     const index_t mr = std::min(MR, mc - i0);
     for (index_t p = 0; p < kc; ++p) {
@@ -58,10 +66,9 @@ inline constexpr index_t kMaxPanelK = 256;
 // multiplier by at most one ulp relative to the scalar division; the
 // GE kernels are tolerance-equivalent (not bit-exact) across dispatch
 // levels precisely to license this (see docs/KERNELS.md).
-template <class T>
+template <index_t MR, class T>
 void pack_a_scaled(const T* a, index_t lda, index_t mc, index_t kc,
                    const T* w, index_t sw, T* dst) {
-  constexpr index_t MR = kMicroRows;
   T inv[kMaxPanelK];
   for (index_t p = 0; p < kc; ++p) inv[p] = T{1} / w[p * sw + p];
   for (index_t i0 = 0; i0 < mc; i0 += MR) {
@@ -86,9 +93,8 @@ inline constexpr index_t kPackBRows = 32;
 
 // Packs a kc x nc block of row-major B (leading dimension ldb) into
 // NR-column row panels, zero-padded.
-template <class T>
+template <index_t NR, class T>
 void pack_b(const T* b, index_t ldb, index_t kc, index_t nc, T* dst) {
-  constexpr index_t NR = micro_cols<T>();
   for (index_t p0 = 0; p0 < kc; p0 += kPackBRows) {
     const index_t pe = std::min(p0 + kPackBRows, kc);
     for (index_t j0 = 0; j0 < nc; j0 += NR) {
@@ -110,61 +116,13 @@ void pack_b(const T* b, index_t ldb, index_t kc, index_t nc, T* dst) {
   }
 }
 
-// Scalar reference micro-kernel:
-// c(MR x NR, row-major ldc) += alpha * packed_a(kc x MR)^T * packed_b.
-// The accumulators live in a local array the compiler keeps in
-// registers; `restrict` holds because packed panels never alias C.
-template <class T>
-void ukr_scalar(index_t kc, T alpha, const T* __restrict pa,
-                const T* __restrict pb, T* __restrict c, index_t ldc) {
-  constexpr index_t MR = kMicroRows;
-  constexpr index_t NR = micro_cols<T>();
-  T acc[MR][NR] = {};
-  for (index_t p = 0; p < kc; ++p) {
-    const T* a = pa + p * MR;
-    const T* b = pb + p * NR;
-    for (index_t i = 0; i < MR; ++i) {
-      for (index_t j = 0; j < NR; ++j) acc[i][j] += a[i] * b[j];
-    }
-  }
-  for (index_t i = 0; i < MR; ++i) {
-    for (index_t j = 0; j < NR; ++j) c[i * ldc + j] += alpha * acc[i][j];
-  }
-}
-
-// Fringe micro-kernel for tiles smaller than MR x NR. The panels are
-// zero-padded so the full-width accumulation is safe; only the valid
-// mr x nr corner is written back. Same `restrict` contract as above —
-// the packed panels are private buffers, never aliases of C.
-template <class T>
-void ukr_scalar_edge(index_t kc, T alpha, const T* __restrict pa,
-                     const T* __restrict pb, T* __restrict c, index_t ldc,
-                     index_t mr, index_t nr) {
-  constexpr index_t MR = kMicroRows;
-  constexpr index_t NR = micro_cols<T>();
-  T acc[MR][NR] = {};
-  for (index_t p = 0; p < kc; ++p) {
-    const T* a = pa + p * MR;
-    const T* b = pb + p * NR;
-    for (index_t i = 0; i < mr; ++i) {
-      for (index_t j = 0; j < nr; ++j) acc[i][j] += a[i] * b[j];
-    }
-  }
-  for (index_t i = 0; i < mr; ++i) {
-    for (index_t j = 0; j < nr; ++j) c[i * ldc + j] += alpha * acc[i][j];
-  }
-}
-
 // Number of packed elements pack_a / pack_b emit for an mc x kc (resp.
 // kc x nc) block — buffer sizing for callers.
-template <class T>
-constexpr index_t packed_a_size(index_t mc, index_t kc) {
-  return ((mc + kMicroRows - 1) / kMicroRows) * kMicroRows * kc;
+constexpr index_t packed_a_size(index_t mr, index_t mc, index_t kc) {
+  return ((mc + mr - 1) / mr) * mr * kc;
 }
-template <class T>
-constexpr index_t packed_b_size(index_t kc, index_t nc) {
-  constexpr index_t NR = micro_cols<T>();
-  return ((nc + NR - 1) / NR) * NR * kc;
+constexpr index_t packed_b_size(index_t nr, index_t kc, index_t nc) {
+  return ((nc + nr - 1) / nr) * nr * kc;
 }
 
 // --- Strassen fusion hooks -------------------------------------------------
@@ -203,10 +161,9 @@ namespace detail_pack {
 // locals (the aliasing-opaque PackSrc fields would otherwise reload
 // every element), and the inv indirection is a template branch, not a
 // per-element one. NS <= kMaxGemmOperands.
-template <class T, int NS, bool Inv>
+template <index_t MR, class T, int NS, bool Inv>
 void pack_a_multi_fixed(const PackSrc<T>* s, index_t lda, index_t mc,
                         index_t kc, T* dst) {
-  constexpr index_t MR = kMicroRows;
   const T* src[NS];
   const T* inv[NS];
   T co[NS];
@@ -248,10 +205,9 @@ void pack_a_multi_fixed(const PackSrc<T>* s, index_t lda, index_t mc,
 }
 
 // Same chunked traversal as pack_b (see kPackBRows).
-template <class T, int NS>
+template <index_t NR, class T, int NS>
 void pack_b_multi_fixed(const PackSrc<T>* s, index_t ldb, index_t kc,
                         index_t nc, T* dst) {
-  constexpr index_t NR = micro_cols<T>();
   const T* src[NS];
   T co[NS];
   for (int q = 0; q < NS; ++q) {
@@ -280,101 +236,208 @@ void pack_b_multi_fixed(const PackSrc<T>* s, index_t ldb, index_t kc,
 }  // namespace detail_pack
 
 // pack_a over a ±1 linear combination of source quadrants (all sharing
-// lda). Layout is identical to pack_a, so the micro-kernels are reused
+// lda). Layout is identical to pack_a, so the micro-kernel is reused
 // unchanged. Sources must carry `inv` uniformly (all null or all
 // non-null), which the Strassen layer guarantees.
-template <class T>
+template <index_t MR, class T>
 void pack_a_multi(const PackSrc<T>* s, int ns, index_t lda, index_t mc,
                   index_t kc, T* dst) {
+  using detail_pack::pack_a_multi_fixed;
   const bool inv = s[0].inv != nullptr;
   switch (ns) {
     case 1:
-      inv ? detail_pack::pack_a_multi_fixed<T, 1, true>(s, lda, mc, kc, dst)
-          : detail_pack::pack_a_multi_fixed<T, 1, false>(s, lda, mc, kc, dst);
+      inv ? pack_a_multi_fixed<MR, T, 1, true>(s, lda, mc, kc, dst)
+          : pack_a_multi_fixed<MR, T, 1, false>(s, lda, mc, kc, dst);
       return;
     case 2:
-      inv ? detail_pack::pack_a_multi_fixed<T, 2, true>(s, lda, mc, kc, dst)
-          : detail_pack::pack_a_multi_fixed<T, 2, false>(s, lda, mc, kc, dst);
+      inv ? pack_a_multi_fixed<MR, T, 2, true>(s, lda, mc, kc, dst)
+          : pack_a_multi_fixed<MR, T, 2, false>(s, lda, mc, kc, dst);
       return;
     case 3:
-      inv ? detail_pack::pack_a_multi_fixed<T, 3, true>(s, lda, mc, kc, dst)
-          : detail_pack::pack_a_multi_fixed<T, 3, false>(s, lda, mc, kc, dst);
+      inv ? pack_a_multi_fixed<MR, T, 3, true>(s, lda, mc, kc, dst)
+          : pack_a_multi_fixed<MR, T, 3, false>(s, lda, mc, kc, dst);
       return;
     default:
-      inv ? detail_pack::pack_a_multi_fixed<T, 4, true>(s, lda, mc, kc, dst)
-          : detail_pack::pack_a_multi_fixed<T, 4, false>(s, lda, mc, kc, dst);
+      inv ? pack_a_multi_fixed<MR, T, 4, true>(s, lda, mc, kc, dst)
+          : pack_a_multi_fixed<MR, T, 4, false>(s, lda, mc, kc, dst);
       return;
   }
 }
 
 // pack_b over a ±1 linear combination of source quadrants (shared ldb).
-template <class T>
+template <index_t NR, class T>
 void pack_b_multi(const PackSrc<T>* s, int ns, index_t ldb, index_t kc,
                   index_t nc, T* dst) {
+  using detail_pack::pack_b_multi_fixed;
   switch (ns) {
     case 1:
-      detail_pack::pack_b_multi_fixed<T, 1>(s, ldb, kc, nc, dst);
+      pack_b_multi_fixed<NR, T, 1>(s, ldb, kc, nc, dst);
       return;
     case 2:
-      detail_pack::pack_b_multi_fixed<T, 2>(s, ldb, kc, nc, dst);
+      pack_b_multi_fixed<NR, T, 2>(s, ldb, kc, nc, dst);
       return;
     case 3:
-      detail_pack::pack_b_multi_fixed<T, 3>(s, ldb, kc, nc, dst);
+      pack_b_multi_fixed<NR, T, 3>(s, ldb, kc, nc, dst);
       return;
     default:
-      detail_pack::pack_b_multi_fixed<T, 4>(s, ldb, kc, nc, dst);
+      pack_b_multi_fixed<NR, T, 4>(s, ldb, kc, nc, dst);
       return;
   }
 }
 
-// Multi-destination scalar micro-kernel: accumulates one micro-tile
-// product, then streams it to every destination quadrant as
-// c_q += alpha * coeff_q * acc. The single product is rounded once and
-// shared, so all destinations see the identical tile.
-template <class T>
-void ukr_scalar_multi(index_t kc, T alpha, const T* __restrict pa,
-                      const T* __restrict pb, const GemmDest<T>* dst, int nd,
-                      index_t ldc) {
-  constexpr index_t MR = kMicroRows;
-  constexpr index_t NR = micro_cols<T>();
-  T acc[MR][NR] = {};
-  for (index_t p = 0; p < kc; ++p) {
-    const T* a = pa + p * MR;
-    const T* b = pb + p * NR;
-    for (index_t i = 0; i < MR; ++i) {
-      for (index_t j = 0; j < NR; ++j) acc[i][j] += a[i] * b[j];
+// --- the micro-kernel template ---------------------------------------------
+//
+// One micro-tile product, streamed to every destination q < nd as
+// c_q += alpha * coeff_q * pa^T * pb; only the valid mr x nr corner of
+// each destination is read or written. `Vec` is a per-ISA vector trait:
+//   V, kLanes                       register type and its element count
+//   zero(), set1(s), broadcast(p)   splats
+//   load(p), store(p, v)            unaligned full-width access
+//   load_n(p, n), store_n(p, v, n)  the first n < kLanes lanes only
+//   fma(a, b, c)                    a * b + c, one rounding (explicit
+//                                   FMA) in the vector traits
+// Every loop over the tile is fully unrolled (`#pragma GCC unroll`), so
+// each accumulator index is a compile-time constant and acc[][] lives in
+// registers: a runtime index (say an `i < mr` loop over acc) would force
+// the array onto the stack and make every k-step store all of it.
+// Per element the result is fma(alpha * coeff, fma chain over p, c) with
+// the same chain for every shape, so instantiations that see the same kc
+// agree bit for bit whenever alpha * coeff is ±1.
+//
+// ukr_tile has no target attribute of its own; a vector instantiation is
+// only ever inlined into a wrapper that has one (kernels_avx2.cpp), and
+// the trait calls inline there. Portable builds would
+// still note that vector returns from the trait calls "change the ABI"
+// (-Wpsabi): no such call survives inlining, so the note is silenced.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wpsabi"
+template <class Vec, index_t MR, index_t NR, class T>
+[[gnu::always_inline]] inline void ukr_tile(index_t kc, T alpha,
+                                            const T* __restrict pa,
+                                            const T* __restrict pb,
+                                            const GemmDest<T>* dst, int nd,
+                                            index_t ldc, index_t mr,
+                                            index_t nr) {
+  using V = typename Vec::V;
+  constexpr index_t L = Vec::kLanes;
+  constexpr index_t NV = NR / L;
+  static_assert(NR % L == 0, "NR must be a whole number of vectors");
+  // Early RFO prefetch of every destination row, hidden behind the k-loop.
+  for (int q = 0; q < nd; ++q) {
+    for (index_t i = 0; i < mr; ++i) {
+      __builtin_prefetch(dst[q].c + i * ldc, 1, 3);
     }
   }
-  for (int q = 0; q < nd; ++q) {
-    const T s = alpha * dst[q].coeff;
-    T* c = dst[q].c;
+  V acc[MR][NV];
+#pragma GCC unroll 16
+  for (index_t i = 0; i < MR; ++i) {
+#pragma GCC unroll 16
+    for (index_t v = 0; v < NV; ++v) acc[i][v] = Vec::zero();
+  }
+  for (index_t p = 0; p < kc; ++p) {
+    V b[NV];
+#pragma GCC unroll 16
+    for (index_t v = 0; v < NV; ++v) b[v] = Vec::load(pb + p * NR + v * L);
+    const T* a = pa + p * MR;
+#pragma GCC unroll 16
     for (index_t i = 0; i < MR; ++i) {
-      for (index_t j = 0; j < NR; ++j) c[i * ldc + j] += s * acc[i][j];
+      const V ai = Vec::broadcast(a + i);
+#pragma GCC unroll 16
+      for (index_t v = 0; v < NV; ++v) {
+        acc[i][v] = Vec::fma(ai, b[v], acc[i][v]);
+      }
+    }
+  }
+  const bool full = mr == MR && nr == NR;
+  for (int q = 0; q < nd; ++q) {
+    const V s = Vec::set1(alpha * dst[q].coeff);
+#pragma GCC unroll 16
+    for (index_t i = 0; i < MR; ++i) {
+      if (!full && i >= mr) continue;
+      T* ci = dst[q].c + i * ldc;
+#pragma GCC unroll 16
+      for (index_t v = 0; v < NV; ++v) {
+        const index_t n = full ? L : nr - v * L;
+        T* cv = ci + v * L;
+        if (n >= L) {
+          Vec::store(cv, Vec::fma(s, acc[i][v], Vec::load(cv)));
+        } else if (n > 0) {
+          Vec::store_n(cv, Vec::fma(s, acc[i][v], Vec::load_n(cv, n)), n);
+        }
+      }
     }
   }
 }
+#pragma GCC diagnostic pop
+
+// One-lane trait: the scalar reference instantiation, for hosts without
+// AVX2 and the $GEP_FORCE_SCALAR leg. Its fma is a plain multiply-add
+// that the compiler may contract, like the scalar leaf templates.
+template <class T>
+struct ScalarVec {
+  using V = T;
+  static constexpr index_t kLanes = 1;
+  static V zero() { return T{}; }
+  static V set1(T s) { return s; }
+  static V broadcast(const T* p) { return *p; }
+  static V load(const T* p) { return *p; }
+  static V load_n(const T* p, index_t) { return *p; }
+  static void store(T* p, V v) { *p = v; }
+  static void store_n(T* p, V v, index_t) { *p = v; }
+  static V fma(V a, V b, V c) { return a * b + c; }
+};
+
+// The signature of every micro-kernel instantiation.
+template <class T>
+using UkrFn = void (*)(index_t kc, T alpha, const T* pa, const T* pb,
+                       const GemmDest<T>* dst, int nd, index_t ldc,
+                       index_t mr, index_t nr);
 
 template <class T>
-void ukr_scalar_multi_edge(index_t kc, T alpha, const T* __restrict pa,
-                           const T* __restrict pb, const GemmDest<T>* dst,
-                           int nd, index_t ldc, index_t mr, index_t nr) {
-  constexpr index_t MR = kMicroRows;
-  constexpr index_t NR = micro_cols<T>();
-  T acc[MR][NR] = {};
-  for (index_t p = 0; p < kc; ++p) {
-    const T* a = pa + p * MR;
-    const T* b = pb + p * NR;
-    for (index_t i = 0; i < mr; ++i) {
-      for (index_t j = 0; j < nr; ++j) acc[i][j] += a[i] * b[j];
-    }
+void ukr_scalar(index_t kc, T alpha, const T* pa, const T* pb,
+                const GemmDest<T>* dst, int nd, index_t ldc, index_t mr,
+                index_t nr) {
+  ukr_tile<ScalarVec<T>, Avx2Tile<T>::MR, Avx2Tile<T>::NR>(
+      kc, alpha, pa, pb, dst, nd, ldc, mr, nr);
+}
+
+#if GEP_SIMD_X86
+// The AVX2 (Avx2Tile) and AVX-512 (Avx512Tile) instantiations, compiled
+// with target attributes in kernels_avx2.cpp; callers must have checked
+// the dispatch level, as with_gemm_kernel does.
+void ukr_avx2(index_t kc, double alpha, const double* pa, const double* pb,
+              const GemmDest<double>* dst, int nd, index_t ldc, index_t mr,
+              index_t nr);
+void ukr_avx2(index_t kc, float alpha, const float* pa, const float* pb,
+              const GemmDest<float>* dst, int nd, index_t ldc, index_t mr,
+              index_t nr);
+void ukr_avx512(index_t kc, double alpha, const double* pa, const double* pb,
+                const GemmDest<double>* dst, int nd, index_t ldc, index_t mr,
+                index_t nr);
+void ukr_avx512(index_t kc, float alpha, const float* pa, const float* pb,
+                const GemmDest<float>* dst, int nd, index_t ldc, index_t mr,
+                index_t nr);
+#endif
+
+// Calls f(tile, ukr) with the active dispatch level's micro-kernel and
+// its register-tile shape (a Tile<MR, NR> value): the one place the GEMM
+// macro loops (gemm_leaf.cpp, strassen.cpp, blas/dgemm.cpp) consult the
+// level. The scalar kernel uses the AVX2 shape.
+template <class T, class F>
+void with_gemm_kernel(F&& f) {
+#if GEP_SIMD_X86
+  switch (active()) {
+    case Level::Avx512:
+      f(Avx512Tile<T>{}, static_cast<UkrFn<T>>(&ukr_avx512));
+      return;
+    case Level::Avx2:
+      f(Avx2Tile<T>{}, static_cast<UkrFn<T>>(&ukr_avx2));
+      return;
+    case Level::Scalar:
+      break;
   }
-  for (int q = 0; q < nd; ++q) {
-    const T s = alpha * dst[q].coeff;
-    T* c = dst[q].c;
-    for (index_t i = 0; i < mr; ++i) {
-      for (index_t j = 0; j < nr; ++j) c[i * ldc + j] += s * acc[i][j];
-    }
-  }
+#endif
+  f(Avx2Tile<T>{}, &ukr_scalar<T>);
 }
 
 // Grow-on-demand thread-local packing panels (index 0 = A, 1 = B),

@@ -6,9 +6,7 @@
 #include <cstring>
 
 #include "obs/registry.hpp"
-#include "simd/dispatch.hpp"
 #include "simd/gemm_leaf.hpp"
-#include "simd/kernels_avx2.hpp"
 #include "simd/microkernel.hpp"
 #include "util/aligned.hpp"
 
@@ -68,72 +66,51 @@ void gemm_packed_multi(index_t m, index_t n, index_t k, T alpha,
                        const PackSrc<T>* bs, int nb, index_t ldb,
                        const GemmDest<T>* cs, int nd, index_t ldc) {
   if (m <= 0 || n <= 0 || k <= 0) return;
-  constexpr index_t MR = kMicroRows;
-  constexpr index_t NR = micro_cols<T>();
-  const index_t mc = std::min(m, kStrassenMc);
-  const index_t kc = std::min(k, kStrassenKc);
-  const index_t nc = std::min(n, kStrassenNc);
-  T* pa = packing_buffer<T>(
-      0, static_cast<std::size_t>(packed_a_size<T>(mc, kc)));
-  T* pb = packing_buffer<T>(
-      1, static_cast<std::size_t>(packed_b_size<T>(kc, nc)));
-#if GEP_SIMD_X86
-  const bool use_avx2 = active() == Level::Avx2;
-#else
-  const bool use_avx2 = false;
-#endif
+  with_gemm_kernel<T>([&](auto tile, UkrFn<T> ukr) {
+    constexpr index_t MR = decltype(tile)::MR;
+    constexpr index_t NR = decltype(tile)::NR;
+    const index_t mc = std::min(m, kStrassenMc);
+    const index_t kc = std::min(k, kStrassenKc);
+    const index_t nc = std::min(n, kStrassenNc);
+    T* pa = packing_buffer<T>(
+        0, static_cast<std::size_t>(packed_a_size(MR, mc, kc)));
+    T* pb = packing_buffer<T>(
+        1, static_cast<std::size_t>(packed_b_size(NR, kc, nc)));
 
-  PackSrc<T> ab[kMaxGemmOperands];
-  PackSrc<T> bb[kMaxGemmOperands];
-  GemmDest<T> db[kMaxGemmOperands];
-  for (index_t jc = 0; jc < n; jc += nc) {
-    const index_t ncb = std::min(nc, n - jc);
-    for (index_t pc = 0; pc < k; pc += kc) {
-      const index_t kcb = std::min(kc, k - pc);
-      for (int q = 0; q < nb; ++q) {
-        bb[q] = {bs[q].p + pc * ldb + jc, bs[q].coeff, nullptr};
-      }
-      pack_b_multi(bb, nb, ldb, kcb, ncb, pb);
-      for (index_t ic = 0; ic < m; ic += mc) {
-        const index_t mcb = std::min(mc, m - ic);
-        for (int q = 0; q < na; ++q) {
-          ab[q] = {as[q].p + ic * lda + pc, as[q].coeff,
-                   as[q].inv == nullptr ? nullptr : as[q].inv + pc};
+    PackSrc<T> ab[kMaxGemmOperands];
+    PackSrc<T> bb[kMaxGemmOperands];
+    GemmDest<T> db[kMaxGemmOperands];
+    for (index_t jc = 0; jc < n; jc += nc) {
+      const index_t ncb = std::min(nc, n - jc);
+      for (index_t pc = 0; pc < k; pc += kc) {
+        const index_t kcb = std::min(kc, k - pc);
+        for (int q = 0; q < nb; ++q) {
+          bb[q] = {bs[q].p + pc * ldb + jc, bs[q].coeff, nullptr};
         }
-        pack_a_multi(ab, na, lda, mcb, kcb, pa);
-        for (index_t jr = 0; jr < ncb; jr += NR) {
-          const index_t nr = std::min(NR, ncb - jr);
-          const T* pbj = pb + (jr / NR) * kcb * NR;
-          for (index_t ir = 0; ir < mcb; ir += MR) {
-            const index_t mr = std::min(MR, mcb - ir);
-            const T* pai = pa + (ir / MR) * kcb * MR;
-            const index_t coff = (ic + ir) * ldc + jc + jr;
-            for (int q = 0; q < nd; ++q) {
-              db[q] = {cs[q].c + coff, cs[q].coeff};
-            }
-#if GEP_SIMD_X86
-            if (use_avx2) {
-              if (mr == MR && nr == NR) {
-                ukr_avx2_multi(kcb, alpha, pai, pbj, db, nd, ldc);
-              } else {
-                ukr_avx2_multi_edge(kcb, alpha, pai, pbj, db, nd, ldc, mr,
-                                    nr);
+        pack_b_multi<NR>(bb, nb, ldb, kcb, ncb, pb);
+        for (index_t ic = 0; ic < m; ic += mc) {
+          const index_t mcb = std::min(mc, m - ic);
+          for (int q = 0; q < na; ++q) {
+            ab[q] = {as[q].p + ic * lda + pc, as[q].coeff,
+                     as[q].inv == nullptr ? nullptr : as[q].inv + pc};
+          }
+          pack_a_multi<MR>(ab, na, lda, mcb, kcb, pa);
+          for (index_t jr = 0; jr < ncb; jr += NR) {
+            const index_t nr = std::min(NR, ncb - jr);
+            const T* pbj = pb + (jr / NR) * kcb * NR;
+            for (index_t ir = 0; ir < mcb; ir += MR) {
+              const index_t coff = (ic + ir) * ldc + jc + jr;
+              for (int q = 0; q < nd; ++q) {
+                db[q] = {cs[q].c + coff, cs[q].coeff};
               }
-              continue;
-            }
-#endif
-            if (mr == MR && nr == NR) {
-              ukr_scalar_multi(kcb, alpha, pai, pbj, db, nd, ldc);
-            } else {
-              ukr_scalar_multi_edge(kcb, alpha, pai, pbj, db, nd, ldc, mr,
-                                    nr);
+              ukr(kcb, alpha, pa + (ir / MR) * kcb * MR, pbj, db, nd, ldc,
+                  std::min(MR, mcb - ir), nr);
             }
           }
         }
       }
     }
-  }
-  (void)use_avx2;
+  });
 }
 
 // --- Strassen recursion ----------------------------------------------------

@@ -33,6 +33,11 @@ struct CpuFeatures {
   // True when AVX2+FMA kernels are safe to execute on this host.
   bool can_run_avx2() const { return avx2 && fma && os_avx; }
 
+  // True when the AVX-512F GEMM micro-kernel is also safe to execute.
+  bool can_run_avx512() const {
+    return can_run_avx2() && avx512f && os_avx512;
+  }
+
   // "avx2+fma+avx512f" / "avx2+fma" / "none" — for banners and reports.
   std::string summary() const;
 };

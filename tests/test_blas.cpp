@@ -3,6 +3,7 @@
 #include "blas/blas.hpp"
 #include "gep/iterative.hpp"
 #include "gep/functors.hpp"
+#include "simd/dispatch.hpp"
 #include "util/prng.hpp"
 
 namespace gep {
@@ -51,6 +52,34 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmShape{64, 64, 64}, GemmShape{65, 33, 17},
                       GemmShape{128, 64, 256}, GemmShape{100, 100, 100},
                       GemmShape{256, 256, 256}));
+
+// The AVX-512 8 x 16 register tile against the AVX2 6 x 8 one on odd
+// shapes, where each leaves a different row and column fringe.
+TEST(Dgemm, Avx512TileMatchesAvx2OnOddShapes) {
+  if (!simd::avx512_available() || simd::forced_scalar_env()) {
+    GTEST_SKIP() << "AVX-512F not dispatchable here";
+  }
+  for (const GemmShape& s : {GemmShape{5, 7, 3}, GemmShape{13, 9, 21},
+                             GemmShape{65, 33, 17}, GemmShape{101, 37, 129},
+                             GemmShape{257, 131, 67}}) {
+    Matrix<double> a = random_matrix(s.m, s.k, 11);
+    Matrix<double> b = random_matrix(s.k, s.n, 12);
+    Matrix<double> c2 = random_matrix(s.m, s.n, 13);
+    Matrix<double> c512 = c2;
+    for (double alpha : {1.0, -0.5}) {
+      simd::force_level(simd::Level::Avx2);
+      blas::dgemm(s.m, s.n, s.k, alpha, a.data(), s.k, b.data(), s.n,
+                  c2.data(), s.n);
+      simd::force_level(simd::Level::Avx512);
+      blas::dgemm(s.m, s.n, s.k, alpha, a.data(), s.k, b.data(), s.n,
+                  c512.data(), s.n);
+      EXPECT_LT(max_abs_diff(c2, c512), 1e-11)
+          << "m=" << s.m << " n=" << s.n << " k=" << s.k
+          << " alpha=" << alpha;
+    }
+  }
+  simd::clear_forced_level();
+}
 
 TEST(Dgemm, NegativeAlphaSubtracts) {
   const index_t n = 32;

@@ -27,6 +27,7 @@
 #include "obs/registry.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/gemm_leaf.hpp"
+#include "simd/strassen.hpp"
 #include "util/prng.hpp"
 
 namespace gep {
@@ -88,6 +89,13 @@ class SimdKernels : public ::testing::Test {
       GTEST_SKIP() << "GEP_FORCE_SCALAR pins dispatch"; \
   } while (0)
 
+#define REQUIRE_AVX512()                                \
+  do {                                                  \
+    REQUIRE_AVX2();                                     \
+    if (!simd::avx512_available())                      \
+      GTEST_SKIP() << "host has no AVX-512F";           \
+  } while (0)
+
 // --- dispatch semantics ----------------------------------------------------
 
 TEST_F(SimdKernels, EnvForcedScalarAlwaysWins) {
@@ -100,7 +108,7 @@ TEST_F(SimdKernels, EnvForcedScalarAlwaysWins) {
     simd::force_level(simd::Level::Scalar);
     EXPECT_EQ(simd::active(), simd::Level::Scalar);
     simd::clear_forced_level();
-    EXPECT_EQ(simd::active() == simd::Level::Avx2, simd::avx2_available());
+    EXPECT_EQ(simd::active() >= simd::Level::Avx2, simd::avx2_available());
   }
 }
 
@@ -108,6 +116,34 @@ TEST_F(SimdKernels, ForcingAvx2IsClampedToCapability) {
   if (simd::forced_scalar_env()) GTEST_SKIP() << "env pins scalar";
   simd::force_level(simd::Level::Avx2);
   EXPECT_EQ(simd::active() == simd::Level::Avx2, simd::avx2_available());
+}
+
+TEST_F(SimdKernels, ForcingAvx512IsClampedToCapability) {
+  if (simd::forced_scalar_env()) GTEST_SKIP() << "env pins scalar";
+  simd::force_level(simd::Level::Avx512);
+  if (!simd::avx512_available()) {
+    EXPECT_EQ(simd::active(), simd::avx2_available() ? simd::Level::Avx2
+                                                     : simd::Level::Scalar);
+    GTEST_SKIP() << "host has no AVX-512F; the clamp is all there is to test";
+  }
+  EXPECT_EQ(simd::active(), simd::Level::Avx512);
+  EXPECT_STREQ(simd::active_name(), "avx512");
+  simd::force_level(simd::Level::Avx2);
+  EXPECT_EQ(simd::active(), simd::Level::Avx2);
+}
+
+TEST_F(SimdKernels, Avx512DispatchCounterTicks) {
+  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
+  REQUIRE_AVX512();
+  obs::Counter avx512 = obs::counter("kernels.dispatch.avx512");
+  const index_t m = 8;
+  auto x = random_tile(m, m, 1, -1, 1);
+  auto u = random_tile(m, m, 2, -1, 1);
+  auto v = random_tile(m, m, 3, -1, 1);
+  simd::force_level(simd::Level::Avx512);
+  const std::uint64_t before = avx512.value();
+  kernel_mm(x.data(), u.data(), v.data(), m, m, m, m);
+  EXPECT_EQ(avx512.value(), before + 1);
 }
 
 TEST_F(SimdKernels, DispatchCountersTick) {
@@ -351,6 +387,83 @@ TEST_F(SimdKernels, MatmulMatchesScalarAcrossGemmThreshold) {
       EXPECT_TRUE(bitwise_equal(x_v, x_v2)) << "non-deterministic m=" << m;
     }
   }
+}
+
+// Only the packed-GEMM register tile widens at Avx512 (8 x 16 vs 6 x 8).
+// Both tiles run the same per-element FMA chain over the same k-chunks,
+// so for alpha = ±1 — every GEP leaf — the two levels agree bit for bit,
+// including the 6 x 8 tile's row fringes (m is never a multiple of 6)
+// and the Strassen route.
+template <class T>
+void expect_gemm_levels_bitwise_equal() {
+  auto same_bits = [](const std::vector<T>& a, const std::vector<T>& b) {
+    return std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+  };
+  auto tile = [](index_t m, std::uint64_t seed) {
+    SplitMix64 g(seed);
+    std::vector<T> t(static_cast<std::size_t>(m * (m + 3)));
+    for (auto& e : t) e = static_cast<T>(g.uniform(-1.0, 1.0));
+    return t;
+  };
+  auto run = [](simd::Level level, auto&& op, std::vector<T> x) {
+    simd::force_level(level);
+    op(x.data());
+    return x;
+  };
+  for (const simd::GemmOptions gemm :
+       {simd::GemmOptions{0, -1}, simd::GemmOptions{1, 32}}) {
+    simd::ScopedGemmOptions scope(gemm);
+    for (index_t m : {16, 32, 64, 128, 256}) {
+      const index_t s = m + 3;
+      const auto u = tile(m, 1), v = tile(m, 2), x = tile(m, 3);
+      auto w = tile(m, 4);
+      for (index_t i = 0; i < m; ++i) w[i * s + i] = static_cast<T>(2 + i % 5);
+      for (T alpha : {T{1}, T{-1}}) {
+        auto op = [&](T* xp) {
+          simd::gemm_tile(xp, u.data(), v.data(), m, s, s, s, alpha);
+        };
+        EXPECT_TRUE(same_bits(run(simd::Level::Avx2, op, x),
+                              run(simd::Level::Avx512, op, x)))
+            << "gemm_tile m=" << m << " alpha=" << alpha
+            << " strassen_levels=" << gemm.strassen_levels;
+      }
+      auto op = [&](T* xp) {
+        simd::gemm_tile_scaled(xp, u.data(), v.data(), w.data(), m, s, s, s,
+                               s);
+      };
+      EXPECT_TRUE(same_bits(run(simd::Level::Avx2, op, x),
+                            run(simd::Level::Avx512, op, x)))
+          << "gemm_tile_scaled m=" << m
+          << " strassen_levels=" << gemm.strassen_levels;
+    }
+  }
+}
+
+TEST_F(SimdKernels, GemmTileBitIdenticalAcrossAvx2AndAvx512) {
+  REQUIRE_AVX512();
+  expect_gemm_levels_bitwise_equal<double>();
+  expect_gemm_levels_bitwise_equal<float>();
+}
+
+// Every non-GEMM leaf keeps its AVX2 kernel at Avx512 (leaf_use_avx2 is
+// true there): the A/B/C-kind LU boxes must not fall back to scalar, and
+// all four kinds give the Avx2 bits.
+TEST_F(SimdKernels, LuLeavesRunAvx2KernelsAtAvx512) {
+  REQUIRE_AVX512();
+  for (const KindCase& kind : kKinds) {
+    for (index_t m : {7, 15, 33, 64}) {
+      auto op = [&](double* x, const double* u, const double* v,
+                    const double* w) {
+        kernel_lu(x, u, v, w, m, m, m, m, m, kind.di, kind.dj);
+      };
+      EXPECT_TRUE(bitwise_equal(
+          run_boxed(kind, m, m, 700, simd::Level::Avx2, op),
+          run_boxed(kind, m, m, 700, simd::Level::Avx512, op)))
+          << "kind=" << kind.name << " m=" << m;
+    }
+  }
+  simd::force_level(simd::Level::Avx512);
+  EXPECT_TRUE(detail::leaf_use_avx2());
 }
 
 // The packed-GEMM route must kick in exactly at kGemmMinM — both sides

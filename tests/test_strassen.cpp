@@ -16,6 +16,7 @@
 #include "obs/registry.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/gemm_leaf.hpp"
+#include "simd/microkernel.hpp"
 #include "simd/strassen.hpp"
 #include "util/prng.hpp"
 
@@ -230,6 +231,34 @@ TEST(Strassen, ScalarFallbackEquivalence) {
   ASSERT_TRUE(simd::strassen_gemm(m, n, k, 1.0, a.data(), k, b.data(), n,
                                   active_c.data(), n));
   EXPECT_LT(max_abs_diff(scalar_c, active_c), 1e-11);
+}
+
+// The fused packs and multi-destination writebacks run on the same
+// micro-kernel template at every level, so the AVX-512 8 x 16 tile gives
+// the AVX2 6 x 8 bits for alpha = ±1 — odd extents (peeling) and two
+// levels (four-operand packs and writebacks) included.
+TEST(Strassen, Avx512TileBitIdenticalToAvx2) {
+  if (!simd::avx512_available() || simd::forced_scalar_env()) {
+    GTEST_SKIP() << "AVX-512F not dispatchable here";
+  }
+  const index_t m = 97, n = 130, k = 75;
+  auto a = random_buf(m * k, 521), b = random_buf(k * n, 522);
+  const auto c0 = random_buf(m * n, 523);
+  for (int levels : {1, 2}) {
+    simd::ScopedGemmOptions g({levels, 16});
+    for (double alpha : {1.0, -1.0}) {
+      auto c2 = c0, c512 = c0;
+      simd::force_level(simd::Level::Avx2);
+      ASSERT_TRUE(simd::strassen_gemm(m, n, k, alpha, a.data(), k, b.data(),
+                                      n, c2.data(), n));
+      simd::force_level(simd::Level::Avx512);
+      ASSERT_TRUE(simd::strassen_gemm(m, n, k, alpha, a.data(), k, b.data(),
+                                      n, c512.data(), n));
+      EXPECT_TRUE(bitwise_equal(c2, c512))
+          << "levels=" << levels << " alpha=" << alpha;
+    }
+  }
+  simd::clear_forced_level();
 }
 
 // Scaled GE form: x -= (u * diag(w)^-1) * v with the hoisted

@@ -7,6 +7,7 @@
 // structs tools/gep_events uses, so they double as a format regression
 // gate: a layout change that breaks the CLI breaks these first.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -27,6 +28,7 @@
 #include "gep/typed.hpp"
 #include "layout/zblocked.hpp"
 #include "obs/obs.hpp"
+#include "parallel/work_stealing.hpp"
 #include "util/prng.hpp"
 
 namespace gep {
@@ -234,6 +236,60 @@ TEST(TelemetryFlight, DumpPathDefaultsAndOverrides) {
   obs::flight::set_dump_path(huge.c_str());
   EXPECT_STRNE(obs::flight::dump_path(), huge.c_str());
   obs::flight::set_dump_path("flight.gepdump");
+}
+
+std::int64_t resident_bytes() {
+  long size = 0, resident = 0;
+  if (std::FILE* f = std::fopen("/proc/self/statm", "r")) {
+    if (std::fscanf(f, "%ld %ld", &size, &resident) != 2) resident = 0;
+    std::fclose(f);
+  }
+  return static_cast<std::int64_t>(resident) * sysconf(_SC_PAGESIZE);
+}
+
+// Every DAG solve starts a fresh pool, so a ring per thread ever started
+// grew a 4-worker solve loop by 192 KiB a solve. An exiting thread's ring
+// goes back to the table instead: 1000 pool create/run/destroy cycles
+// must leave the ring count and the RSS flat, and a dump taken after the
+// churn must still name the workers of the pool that is live then.
+TEST(TelemetryFlight, RingsOfExitedThreadsAreReused) {
+  constexpr int kChurnThreads = 4;  // three workers plus this thread
+  constexpr int kLiveThreads = 6;   // names ws-worker-4/5 are new
+  const int rings_at_start = obs::flight::ring_count();
+  obs::flight::record(ff::kMark, 0);
+  auto churn = [](int cycles) {
+    for (int c = 0; c < cycles; ++c) {
+      WorkStealingPool pool(kChurnThreads);
+      WsTaskGroup g(&pool);
+      for (int t = 0; t < 8; ++t) {
+        g.run([] { obs::flight::record(ff::kMark, 1); });
+      }
+      g.wait();
+    }
+  };
+  churn(10);  // settle the allocator's per-thread arenas
+  const std::int64_t rss0 = resident_bytes();
+  churn(1000);
+  // At most kChurnThreads threads record at once (this one included).
+  EXPECT_LE(obs::flight::ring_count(), rings_at_start + kChurnThreads + 1);
+  EXPECT_LT(resident_bytes() - rss0, std::int64_t{4} << 20);
+
+  WorkStealingPool live(kLiveThreads);
+  const char* path = "telemetry_churn.gepdump";
+  bool all_named = false;
+  for (int attempt = 0; attempt < 200 && !all_named; ++attempt) {
+    ASSERT_TRUE(obs::flight::dump(path));
+    const DecodedDump d = decode_dump(path);
+    ASSERT_TRUE(d.ok);
+    all_named = true;
+    for (int w = 1; w < kLiveThreads; ++w) {
+      const std::string name = "ws-worker-" + std::to_string(w);
+      all_named = all_named && find_thread(d, name.c_str()) != nullptr;
+    }
+    if (!all_named) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(all_named) << "a live worker is missing from the dump";
+  std::remove(path);
 }
 
 TEST(TelemetryFlight, DumpToUnwritablePathReturnsFalse) {
