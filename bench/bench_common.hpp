@@ -22,6 +22,10 @@
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
+#if GEP_SIMD_X86
+#include <immintrin.h>
+#endif
+
 namespace gep::bench {
 
 // Version of the BENCH_*.json / BENCH_manifest.json schema. Bump when a
@@ -30,8 +34,150 @@ namespace gep::bench {
 //       trace_dropped, dispatch_level, schema_version itself.
 inline constexpr int kBenchSchemaVersion = 2;
 
+// --- measured peak ----------------------------------------------------------
+//
+// Register-only bursts, one per vector level and op mix, with no memory
+// operand, so the rate is the ceiling a micro-kernel of that register
+// width can reach:
+//   - Fma: independent FMA chains, more than FMA latency x ports (12 of
+//     the 16 ymm, 24 of the 32 zmm registers);
+//   - AddMin: the min-plus k-step acc = min(a + b, acc) over a grid of
+//     chains (4 x 2 ymm, 8 x 2 zmm) whose empty asm keeps the compiler
+//     from hoisting the loop-invariant sums: the ceiling of a min-plus
+//     or max-min kernel. It need not be half the FMA rate, since a core
+//     may issue adds and mins on more ports than FMAs.
+// Each returns a value derived from every chain so none is dead code.
+enum class Burst { Fma, AddMin };
+
+#if GEP_SIMD_X86
+inline constexpr long kBurstIters = 4096;
+inline constexpr int kYmmFmaChains = 12, kZmmFmaChains = 24;
+inline constexpr int kYmmMinRows = 4, kZmmMinRows = 8;
+
+GEP_AVX2_FN inline double fma_burst_avx2() {
+  const __m256d a = _mm256_set1_pd(1.0000001), b = _mm256_set1_pd(1e-9);
+  __m256d acc[kYmmFmaChains];
+#pragma GCC unroll 32
+  for (int c = 0; c < kYmmFmaChains; ++c) acc[c] = _mm256_set1_pd(c);
+  for (long it = 0; it < kBurstIters; ++it) {
+#pragma GCC unroll 32
+    for (int c = 0; c < kYmmFmaChains; ++c)
+      acc[c] = _mm256_fmadd_pd(acc[c], a, b);
+  }
+#pragma GCC unroll 32
+  for (int c = 1; c < kYmmFmaChains; ++c)
+    acc[0] = _mm256_add_pd(acc[0], acc[c]);
+  return _mm256_cvtsd_f64(acc[0]);
+}
+
+GEP_AVX512_FN inline double fma_burst_avx512() {
+  const __m512d a = _mm512_set1_pd(1.0000001), b = _mm512_set1_pd(1e-9);
+  __m512d acc[kZmmFmaChains];
+#pragma GCC unroll 32
+  for (int c = 0; c < kZmmFmaChains; ++c) acc[c] = _mm512_set1_pd(c);
+  for (long it = 0; it < kBurstIters; ++it) {
+#pragma GCC unroll 32
+    for (int c = 0; c < kZmmFmaChains; ++c)
+      acc[c] = _mm512_fmadd_pd(acc[c], a, b);
+  }
+#pragma GCC unroll 32
+  for (int c = 1; c < kZmmFmaChains; ++c)
+    acc[0] = _mm512_add_pd(acc[0], acc[c]);
+  return _mm512_cvtsd_f64(acc[0]);
+}
+
+GEP_AVX2_FN inline double addmin_burst_avx2() {
+  __m256d a[kYmmMinRows], b0 = _mm256_set1_pd(0.5), b1 = _mm256_set1_pd(2);
+  __m256d acc[kYmmMinRows][2];
+#pragma GCC unroll 32
+  for (int i = 0; i < kYmmMinRows; ++i) {
+    a[i] = _mm256_set1_pd(i);
+    acc[i][0] = acc[i][1] = _mm256_set1_pd(1e300);
+  }
+  for (long it = 0; it < kBurstIters; ++it) {
+    asm volatile("" : "+v"(b0), "+v"(b1));
+#pragma GCC unroll 32
+    for (int i = 0; i < kYmmMinRows; ++i) {
+      acc[i][0] = _mm256_min_pd(_mm256_add_pd(a[i], b0), acc[i][0]);
+      acc[i][1] = _mm256_min_pd(_mm256_add_pd(a[i], b1), acc[i][1]);
+    }
+  }
+#pragma GCC unroll 32
+  for (int i = 1; i < kYmmMinRows; ++i)
+    acc[0][0] = _mm256_add_pd(acc[0][0], _mm256_add_pd(acc[i][0], acc[i][1]));
+  return _mm256_cvtsd_f64(acc[0][0]);
+}
+
+GEP_AVX512_FN inline double addmin_burst_avx512() {
+  __m512d a[kZmmMinRows], b0 = _mm512_set1_pd(0.5), b1 = _mm512_set1_pd(2);
+  __m512d acc[kZmmMinRows][2];
+#pragma GCC unroll 32
+  for (int i = 0; i < kZmmMinRows; ++i) {
+    a[i] = _mm512_set1_pd(i);
+    acc[i][0] = acc[i][1] = _mm512_set1_pd(1e300);
+  }
+  for (long it = 0; it < kBurstIters; ++it) {
+    asm volatile("" : "+v"(b0), "+v"(b1));
+    // The all-lanes mask form dodges GCC 12's -Wmaybe-uninitialized on
+    // _mm512_min_pd (as in the library's AVX-512 trait).
+#pragma GCC unroll 32
+    for (int i = 0; i < kZmmMinRows; ++i) {
+      acc[i][0] = _mm512_mask_min_pd(acc[i][0], 0xFF,
+                                     _mm512_add_pd(a[i], b0), acc[i][0]);
+      acc[i][1] = _mm512_mask_min_pd(acc[i][1], 0xFF,
+                                     _mm512_add_pd(a[i], b1), acc[i][1]);
+    }
+  }
+#pragma GCC unroll 32
+  for (int i = 1; i < kZmmMinRows; ++i)
+    acc[0][0] = _mm512_add_pd(acc[0][0], _mm512_add_pd(acc[i][0], acc[i][1]));
+  return _mm512_cvtsd_f64(acc[0][0]);
+}
+#endif
+
+// One >= 20 ms batch of burst `kind` at vector level l (which the host
+// must run), in GF/s: ymm at Avx2, zmm at Avx512. At Scalar, whose
+// templates vectorize as the compiler sees fit, the FMA peak is
+// util/peak's portable C burst and there is no add+min peak (0).
+inline double burst_gflops(simd::Level l, Burst kind = Burst::Fma) {
+#if GEP_SIMD_X86
+  if (l != simd::Level::Scalar) {
+    const bool zmm = l == simd::Level::Avx512;
+    const bool fma = kind == Burst::Fma;
+    volatile double sink = 0;
+    long bursts = 0;
+    WallTimer t;
+    do {
+      sink = sink + (zmm ? (fma ? fma_burst_avx512() : addmin_burst_avx512())
+                         : (fma ? fma_burst_avx2() : addmin_burst_avx2()));
+      ++bursts;
+    } while (t.seconds() < 0.02);
+    const int lanes = zmm ? 8 : 4;
+    const int chains = fma ? (zmm ? kZmmFmaChains : kYmmFmaChains)
+                           : 2 * (zmm ? kZmmMinRows : kYmmMinRows);
+    return 2.0 * lanes * chains * kBurstIters * static_cast<double>(bursts) /
+           t.seconds() / 1e9;
+  }
+#endif
+  return kind == Burst::Fma ? measured_peak_gflops() : 0.0;
+}
+
+// The measured peak of level l for burst `kind`: the best batch over
+// about 0.25 s, cached. The denominator of every "% of peak", so no row
+// reads above 100% because of its register width or op mix.
+inline double peak_gflops(simd::Level l, Burst kind = Burst::Fma) {
+  if (l == simd::Level::Scalar && kind != Burst::Fma) return 0.0;
+  static double cached[2][3] = {};
+  double& best = cached[static_cast<int>(kind)][static_cast<int>(l)];
+  if (best > 0) return best;
+  WallTimer total;
+  while (total.seconds() < 0.25) best = std::max(best, burst_gflops(l, kind));
+  return best;
+}
+
 // Prints the machine row (our stand-in for the paper's Table 2) and
-// returns the measured peak in GFLOP/s used for "% of peak" columns.
+// returns the measured FMA peak of the dispatched SIMD level in GFLOP/s,
+// used for "% of peak" columns.
 // Every bench calls this first, so it doubles as the telemetry hook:
 // crash handlers write a flight-recorder dump on fatal signals,
 // $GEP_WATCHDOG_MS arms the stall watchdog, and $GEP_STAT_PORT starts
@@ -43,10 +189,11 @@ inline double print_host_banner(const char* title) {
   obs::StatServer::set_build_info(nullptr, simd::active_name());
   obs::StatServer::start_from_env();
   CpuInfo info = query_cpu_info();
-  double peak = measured_peak_gflops();
+  double peak = peak_gflops(simd::active());
   std::printf("== %s ==\n", title);
   std::printf("host: %s\n", info.summary().c_str());
-  std::printf("measured peak (double mul+add): %.2f GFLOP/s\n\n", peak);
+  std::printf("measured peak (double FMA, %s level): %.2f GFLOP/s\n\n",
+              simd::active_name(), peak);
   return peak;
 }
 

@@ -1,19 +1,22 @@
 // Kernel microbenchmarks: the dispatched base-case kernels and the
-// BLAS-baseline GEMM, measured on BOTH dispatch paths (forced scalar
-// vs AVX2) in one process. These building blocks set the "% of peak"
+// BLAS-baseline GEMM, measured on EVERY dispatch path the host runs
+// (scalar, avx2, avx512) in one process, each row rated against its own
+// level's measured peak. These building blocks set the "% of peak"
 // ceilings in Figs. 10 and 11.
 //
 // Run with no arguments it emits BENCH_kernels.json: per kernel x size
 // x path throughput (GF/s, plus Gupdates/s for the semiring kernels),
-// per-path speedups, the selected dispatch level, and an end-to-end
-// typed I-GEP LU on both paths. Any argument switches to the
-// google-benchmark harness (e.g. --benchmark_filter=...), which
-// measures whatever dispatch level the environment selects.
+// per-path speedups, the bare micro-kernels against their peaks, the
+// selected dispatch level, and an end-to-end typed I-GEP LU on every
+// path. Any argument switches to the google-benchmark harness (e.g.
+// --benchmark_filter=...), which measures whatever dispatch level the
+// environment selects.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstring>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,10 +29,6 @@
 #include "simd/microkernel.hpp"
 #include "simd/strassen.hpp"
 #include "util/prng.hpp"
-
-#if GEP_SIMD_X86
-#include <immintrin.h>
-#endif
 
 namespace {
 
@@ -169,52 +168,15 @@ std::vector<gep::simd::Level> measurable_paths() {
   return p;
 }
 
-#if GEP_SIMD_X86
-// Register-only FMA bursts, one per vector level: independent
-// accumulator chains (more than FMA latency x ports: 12 of the 16 ymm,
-// 24 of the 32 zmm registers) and no memory operand, so the rate is the
-// ceiling a micro-kernel of that register width can reach. Each returns
-// a value derived from every chain so none is dead code.
-constexpr int kYmmChains = 12;
-constexpr int kZmmChains = 24;
-constexpr long kFmaBurstIters = 4096;
-
-__attribute__((target("avx2,fma"))) double fma_burst_avx2() {
-  const __m256d a = _mm256_set1_pd(1.0000001), b = _mm256_set1_pd(1e-9);
-  __m256d acc[kYmmChains];
-#pragma GCC unroll 32
-  for (int c = 0; c < kYmmChains; ++c) acc[c] = _mm256_set1_pd(c);
-  for (long it = 0; it < kFmaBurstIters; ++it) {
-#pragma GCC unroll 32
-    for (int c = 0; c < kYmmChains; ++c) acc[c] = _mm256_fmadd_pd(acc[c], a, b);
-  }
-#pragma GCC unroll 32
-  for (int c = 1; c < kYmmChains; ++c) acc[0] = _mm256_add_pd(acc[0], acc[c]);
-  return _mm256_cvtsd_f64(acc[0]);
-}
-
-__attribute__((target("avx2,fma,avx512f"))) double fma_burst_avx512() {
-  const __m512d a = _mm512_set1_pd(1.0000001), b = _mm512_set1_pd(1e-9);
-  __m512d acc[kZmmChains];
-#pragma GCC unroll 32
-  for (int c = 0; c < kZmmChains; ++c) acc[c] = _mm512_set1_pd(c);
-  for (long it = 0; it < kFmaBurstIters; ++it) {
-#pragma GCC unroll 32
-    for (int c = 0; c < kZmmChains; ++c) acc[c] = _mm512_fmadd_pd(acc[c], a, b);
-  }
-#pragma GCC unroll 32
-  for (int c = 1; c < kZmmChains; ++c) acc[0] = _mm512_add_pd(acc[0], acc[c]);
-  double lanes[8];
-  _mm512_storeu_pd(lanes, acc[0]);
-  return lanes[0];
-}
-#endif
-
+// The measured ceiling a row is rated against (bench_common.hpp): the
+// FMA peak for the (+, x) kernels, the add+min peak for min-plus and
+// max-min; or-and on bytes has none measured (nullopt, pct_peak 0).
 struct KernelCase {
   std::string name;
   double flops;        // per invocation, for the gflops column
   double updates;      // m^3 update count, 0 when GF/s is the native unit
   std::function<void()> run;
+  std::optional<gep::bench::Burst> peak = gep::bench::Burst::Fma;
 };
 
 // Adds one steady-state run row (seconds = best per-call time).
@@ -230,15 +192,17 @@ void add_run(gep::bench::BenchReport& report, double peak,
   std::printf("  %-28s %10.3e s  %7.2f GF/s\n", label.c_str(), dt, flops / dt / 1e9);
 }
 
-// Benchmarks one case on every measurable path, annotating the AVX2 run
-// with its speedup over the scalar run.
-void bench_case(gep::bench::BenchReport& report, double peak,
-                const KernelCase& c, index_t n) {
+// Benchmarks one case on every measurable path, each row rated against
+// its level's peak, annotating the vector runs with their speedup over
+// the scalar run.
+void bench_case(gep::bench::BenchReport& report, const KernelCase& c,
+                index_t n) {
   double scalar_dt = 0;
   for (gep::simd::Level level : measurable_paths()) {
     gep::simd::force_level(level);
     const double dt = time_per_call(c.run);
-    add_run(report, peak, c.name + " " + path_name(level), n, c.flops, dt);
+    add_run(report, c.peak ? gep::bench::peak_gflops(level, *c.peak) : 0.0,
+            c.name + " " + path_name(level), n, c.flops, dt);
     if (c.updates > 0)
       report.annotate("gupdates_per_s", c.updates / dt / 1e9);
     if (level == gep::simd::Level::Scalar) {
@@ -249,6 +213,46 @@ void bench_case(gep::bench::BenchReport& report, double peak,
   }
   gep::simd::clear_forced_level();
 }
+
+#if GEP_SIMD_X86
+// Bare micro-kernel of semiring SR at a vector level: one register tile
+// per call, kc = 64 (the typed leaves' k-extent) with both packed panels
+// and the C tile in L1, rated against the level's `kind` peak, which is
+// timed alternately with the kernel so host drift hits both alike.
+template <template <class> class SR>
+void bare_ukr_row(gep::bench::BenchReport& report, gep::simd::Level level,
+                  const std::string& semiring, gep::bench::Burst kind) {
+  using namespace gep;
+  simd::force_level(level);
+  simd::with_ukr<SR, double>([&](auto tile, simd::UkrFn<double> ukr) {
+    constexpr index_t MR = decltype(tile)::MR;
+    constexpr index_t NR = decltype(tile)::NR;
+    constexpr index_t kc = 64;
+    const auto pa = random_buf(MR * kc, 70), pb = random_buf(NR * kc, 71);
+    std::vector<double> c(static_cast<std::size_t>(MR * NR), 0.0);
+    const simd::GemmDest<double> dst{c.data(), 1.0};
+    double t_ukr = 1e300, peak = 0;
+    for (int r = 0; r < 3; ++r) {
+      t_ukr = std::min(t_ukr, time_per_call([&] {
+                         ukr(kc, 1.0, pa.data(), pb.data(), &dst, 1, NR, MR,
+                             NR);
+                       }));
+      peak = std::max(peak, bench::burst_gflops(level, kind));
+    }
+    const double flops = 2.0 * MR * NR * kc;
+    add_run(report, peak,
+            "ukr " + semiring + std::to_string(MR) + "x" +
+                std::to_string(NR) + " kc=64 " + path_name(level),
+            kc, flops, t_ukr);
+    report.annotate(kind == bench::Burst::Fma ? "fma_peak_gflops"
+                                              : "addmin_peak_gflops",
+                    peak);
+    std::printf("  %-28s %7.2f%% of its %.1f GF/s peak\n", "",
+                100.0 * flops / t_ukr / 1e9 / peak, peak);
+  });
+  simd::clear_forced_level();
+}
+#endif
 
 // Paired timing: alternates the two runners `rounds` times and keeps
 // each side's best per-call time — back-to-back alternation cancels the
@@ -383,55 +387,37 @@ int main(int argc, char** argv) {
     const double mmf = 2.0 * m * m * m;
     const double upd = static_cast<double>(m) * m * m;
 
-    bench_case(report, peak,
+    bench_case(report,
                {"kernel_mm m=" + std::to_string(m), mmf, 0,
                 [&] { kernel_mm(x.data(), u.data(), v.data(), m, m, m, m); }},
                m);
-    bench_case(report, peak,
+    bench_case(report,
                {"kernel_ge_D m=" + std::to_string(m), mmf, 0,
                 [&] {
                   kernel_ge(x.data(), u.data(), v.data(), w.data(), m, m, m,
                             m, m, false, false);
                 }},
                m);
-    bench_case(report, peak,
+    bench_case(report,
                {"kernel_lu_D m=" + std::to_string(m), mmf, 0,
                 [&] {
                   kernel_lu(x.data(), u.data(), v.data(), w.data(), m, m, m,
                             m, m, false, false);
                 }},
                m);
-    // The semiring rows measure the explicit simd:: kernels against the
-    // scalar templates directly: in an AVX-512 TU the gep::kernel_*
-    // wrappers deliberately keep fw/bottleneck/tc on the autovectorized
-    // scalar path (GEP_SIMD_ROUTE_SEMIRING), so forcing the level at
-    // the wrapper would measure the same code twice. The end-to-end run
-    // below reflects what the wrappers actually route.
-    bench_case(report, peak,
+    // The semiring rows run D-kind boxes (x, u, v distinct), which take
+    // the packed micro-kernel of their semiring at the vector levels.
+    bench_case(report,
                {"kernel_fw m=" + std::to_string(m), mmf, upd,
-                [&, m] {
-#if GEP_SIMD_X86
-                  if (simd::active() >= simd::Level::Avx2) {
-                    simd::fw_avx2(x.data(), u.data(), v.data(), m, m, m, m);
-                    return;
-                  }
-#endif
-                  scalar::kernel_fw(x.data(), u.data(), v.data(), m, m, m, m);
-                }},
+                [&] { kernel_fw(x.data(), u.data(), v.data(), m, m, m, m); },
+                bench::Burst::AddMin},
                m);
-    bench_case(report, peak,
+    bench_case(report,
                {"kernel_bottleneck m=" + std::to_string(m), mmf, upd,
-                [&, m] {
-#if GEP_SIMD_X86
-                  if (simd::active() >= simd::Level::Avx2) {
-                    simd::bottleneck_avx2(x.data(), u.data(), v.data(), m, m,
-                                          m, m);
-                    return;
-                  }
-#endif
-                  scalar::kernel_bottleneck(x.data(), u.data(), v.data(), m,
-                                            m, m, m);
-                }},
+                [&] {
+                  kernel_bottleneck(x.data(), u.data(), v.data(), m, m, m, m);
+                },
+                bench::Burst::AddMin},
                m);
 
     // A-kind LU (the aliased diagonal box): restore the tile before
@@ -453,7 +439,7 @@ int main(int argc, char** argv) {
         });
         const double dt_restore = time_per_call(restore);
         const double dt = std::max(dt_both - dt_restore, 1e-12);
-        add_run(report, peak,
+        add_run(report, bench::peak_gflops(level),
                 "kernel_lu_A m=" + std::to_string(m) + " " + path_name(level),
                 m, bench::flops_lu(m), dt);
         if (level == simd::Level::Scalar) {
@@ -465,7 +451,7 @@ int main(int argc, char** argv) {
       simd::clear_forced_level();
     }
 
-    // Transitive closure on bytes (bit-exact OR kernel).
+    // Transitive closure on bytes (the or-and micro-kernel).
     {
       SplitMix64 g(40);
       std::vector<std::uint8_t> bx(static_cast<std::size_t>(m * m)),
@@ -473,59 +459,27 @@ int main(int argc, char** argv) {
           bv(static_cast<std::size_t>(m * m));
       for (auto& b : bu) b = g.chance(0.3);
       for (auto& b : bv) b = g.chance(0.3);
-      bench_case(report, peak,
+      bench_case(report,
                  {"kernel_tc m=" + std::to_string(m), upd, upd,
-                  [&, m] {
-#if GEP_SIMD_X86
-                    if (simd::active() >= simd::Level::Avx2) {
-                      simd::tc_avx2(bx.data(), bu.data(), bv.data(), m, m, m,
-                                    m);
-                      return;
-                    }
-#endif
-                    scalar::kernel_tc(bx.data(), bu.data(), bv.data(), m, m,
-                                      m, m);
-                  }},
+                  [&] {
+                    kernel_tc(bx.data(), bu.data(), bv.data(), m, m, m, m);
+                  },
+                  std::nullopt},
                  m);
     }
   }
 
 #if GEP_SIMD_X86
-  // Bare micro-kernel per vector level: one register tile per call, kc =
-  // 64 (the typed leaves' k-extent) with both packed panels and the C
-  // tile in L1, as a share of the same register width's FMA peak (timed
-  // alternately with the kernel, so host drift hits both alike). The
-  // scalar level gets no row: its template autovectorizes at whatever
-  // width the build allows, so it has no peak of its own.
+  // Bare micro-kernels per vector level: (+, x) against the level's FMA
+  // peak, min-plus against its add+min peak. The scalar
+  // level gets no row: its template autovectorizes at whatever width the
+  // build allows, so it has no register tile of its own.
   for (simd::Level level : measurable_paths()) {
     if (level == simd::Level::Scalar) continue;
-    const bool zmm = level == simd::Level::Avx512;
-    simd::force_level(level);
-    simd::with_gemm_kernel<double>([&](auto tile, simd::UkrFn<double> ukr) {
-      constexpr index_t MR = decltype(tile)::MR;
-      constexpr index_t NR = decltype(tile)::NR;
-      constexpr index_t kc = 64;
-      const auto pa = random_buf(MR * kc, 70), pb = random_buf(NR * kc, 71);
-      std::vector<double> c(static_cast<std::size_t>(MR * NR), 0.0);
-      const simd::GemmDest<double> dst{c.data(), 1.0};
-      volatile double sink = 0;
-      const auto [t_ukr, t_fma] = paired_time(
-          [&] { ukr(kc, 1.0, pa.data(), pb.data(), &dst, 1, NR, MR, NR); },
-          [&] { sink = sink + (zmm ? fma_burst_avx512() : fma_burst_avx2()); },
-          3);
-      const double level_peak = 2.0 * (zmm ? 8 * kZmmChains : 4 * kYmmChains) *
-                                kFmaBurstIters / t_fma / 1e9;
-      add_run(report, level_peak,
-              "ukr " + std::to_string(MR) + "x" + std::to_string(NR) +
-                  " kc=64 " + path_name(level),
-              kc, 2.0 * MR * NR * kc, t_ukr);
-      report.annotate("fma_peak_gflops", level_peak);
-      std::printf("  %-28s %7.2f%% of the %s FMA peak, %.1f GF/s\n", "",
-                  100.0 * 2.0 * MR * NR * kc / t_ukr / 1e9 / level_peak,
-                  path_name(level), level_peak);
-    });
+    bare_ukr_row<simd::PlusTimes>(report, level, "", bench::Burst::Fma);
+    bare_ukr_row<simd::MinPlus>(report, level, "minplus ",
+                                bench::Burst::AddMin);
   }
-  simd::clear_forced_level();
 #endif
 
   // Cache-aware blocked GEMM through the shared micro-kernel layer.
@@ -533,7 +487,7 @@ int main(int argc, char** argv) {
     const index_t n = 256;
     auto a = random_buf(n * n, 11), b = random_buf(n * n, 12),
          c = random_buf(n * n, 13);
-    bench_case(report, peak,
+    bench_case(report,
                {"dgemm n=" + std::to_string(n), 2.0 * n * n * n, 0,
                 [&] {
                   blas::dgemm(n, n, n, 1.0, a.data(), n, b.data(), n,

@@ -12,12 +12,13 @@ namespace gep::blas {
 // Runs on the shared BLIS-style micro-kernel layer (simd/microkernel.hpp):
 // A packed into MR-row column panels, B into NR-column row panels, with
 // the register tile and micro-kernel of the active dispatch level
-// (simd::with_gemm_kernel) selected once per call.
+// (simd::with_ukr) selected once per call.
 void dgemm_blocked(index_t m, index_t n, index_t k, double alpha,
                    const double* a, index_t lda, const double* b, index_t ldb,
                    double* c, index_t ldc, const GemmBlocking& bl) {
   if (m <= 0 || n <= 0 || k <= 0) return;
-  simd::with_gemm_kernel<double>([&](auto tile, simd::UkrFn<double> ukr) {
+  simd::with_ukr<simd::PlusTimes, double>([&](auto tile,
+                                                simd::UkrFn<double> ukr) {
     constexpr index_t MR = decltype(tile)::MR;
     constexpr index_t NR = decltype(tile)::NR;
     const index_t mc = bl.mc, kc = bl.kc, nc = bl.nc;

@@ -1,20 +1,28 @@
 // Base-case kernels for the typed I-GEP engine: runtime-dispatched.
 //
-// The portable reference kernels live in gep::scalar (below, unchanged
-// from the original iterative base cases). The gep::kernel_* entry
-// points every engine calls are thin dispatch wrappers: for double /
-// float (and byte tiles for TC) they consult simd::active() once per
-// leaf and route to the explicit AVX2/FMA implementations in
-// simd/kernels_avx2.cpp; D-kind (fully disjoint) GE/LU/MM leaves of at
-// least simd::kGemmMinM rows additionally route through the
-// packed-panel GEMM in simd/gemm_leaf.cpp. Everything else — other
-// element types, non-x86 hosts, $GEP_FORCE_SCALAR=1, and the semiring
-// kernels in AVX-512 TUs (GEP_SIMD_ROUTE_SEMIRING below) — runs the
-// scalar templates exactly as before. See docs/KERNELS.md.
+// The portable reference kernels live in gep::scalar (below). The
+// gep::kernel_* entry points every engine calls are thin dispatch
+// wrappers that consult simd::active() once per leaf:
+//   - ge / lu / mm over double / float route to the explicit AVX2/FMA
+//     kernels in simd/kernels_avx2.cpp; their D-kind (fully disjoint)
+//     leaves of at least simd::gemm_min_m() rows route through the
+//     packed (+, x) micro-kernel in simd/gemm_leaf.cpp.
+//   - fw / bottleneck / tc (the min-plus, max-min and or-and semirings)
+//     route their D-kind leaves of at least gemm_min_m() rows, over
+//     double / float resp. bytes, through the same packed micro-kernel
+//     instantiated for their semiring. The kernels' contract is that
+//     tiles are either identical or disjoint, so `x != u && x != v` is
+//     the D-kind test. Every other semiring leaf runs one straight-line
+//     template over the same semiring policy (scalar::kernel_semiring),
+//     which is also G's update order.
+// Everything else — other element types, non-x86 hosts and
+// $GEP_FORCE_SCALAR=1 — runs the scalar templates. See docs/KERNELS.md.
 //
 // Numeric contract of the dispatch (tests/test_simd_kernels.cpp):
-//   - fw / bottleneck / tc: AVX2 results are BIT-IDENTICAL to scalar
-//     (same elementwise min/max/or/add, same tie resolution).
+//   - fw / bottleneck / tc: BIT-IDENTICAL to G at every level (same
+//     elementwise add / min / max / and / or, the old value winning
+//     ties; min, max and or are exact, so grouping a D box's k-chunk
+//     first changes no bit).
 //   - ge / lu / mm: AVX2 uses FMA and a different summation order in
 //     the packed path, so results are tolerance-equivalent to scalar
 //     and deterministic run-to-run at a fixed dispatch level.
@@ -47,45 +55,29 @@
 #include "simd/dispatch.hpp"
 #include "simd/gemm_leaf.hpp"
 #include "simd/kernels_avx2.hpp"
-
-// The semiring kernels (fw / bottleneck / tc) are pure elementwise
-// sweeps with no reductions across the vector lanes — exactly the shape
-// compilers autovectorize well. In a TU compiled with AVX-512 enabled
-// (e.g. -march=native on a 512-bit host, the GEP_NATIVE_ARCH=ON
-// default) the autovectorized scalar template is 512 bits wide: GCC 12
-// emits zmm vaddpd/vminpd for the min-plus sweep (checked by
-// disassembly on an AVX-512 Xeon), and it runs 1.0-1.7x the explicit
-// 256-bit kernels at m <= 128 (BENCH_kernels.json), so routing there
-// would be a de-optimization. Route them to AVX2 only where the TU's
-// own codegen cannot already match it; portable (non-native) builds —
-// the reason runtime dispatch exists — still route and win. All TUs of
-// one build share arch flags, so this compile-time fork is
-// ODR-consistent. The FMA kernels (ge / lu / mm) always route: packing
-// and register blocking beat autovectorization at any ISA width.
-#if GEP_SIMD_X86 && !defined(__AVX512F__)
-#define GEP_SIMD_ROUTE_SEMIRING 1
-#else
-#define GEP_SIMD_ROUTE_SEMIRING 0
-#endif
+#include "simd/microkernel.hpp"
 
 namespace gep {
 namespace scalar {
 
-// Floyd-Warshall relaxation over one box; Σ is the full cube, so the
-// flags are irrelevant. Aliasing (A/B/C boxes) is benign: with a
-// zero-diagonal metric, the k-row and k-column are fixed points of
-// iteration k, so the hoisted u_ik stays valid across the j sweep.
-template <class T>
-void kernel_fw(T* x, const T* u, const T* v, index_t m, index_t sx,
-               index_t su, index_t sv) {
+// One box of a semiring update x[i][j] = x[i][j] (+) u[i][k] (x) v[k][j]
+// in G's k/i/j order, SR::step being G's update (simd/microkernel.hpp):
+// min-plus for Floyd-Warshall, max-min for bottleneck paths, or-and for
+// transitive closure. Σ is the full cube, so the flags are irrelevant.
+// Aliasing (A/B/C boxes) is benign: the k-row and k-column are fixed
+// points of iteration k — Floyd-Warshall's diagonal is 0, bottleneck's
+// +inf capacity, and x[i][k] |= x[i][k] & w never changes x[i][k] — so
+// the hoisted u[i][k] stays valid across the j sweep.
+template <template <class> class SR, class T>
+void kernel_semiring(T* x, const T* u, const T* v, index_t m, index_t sx,
+                     index_t su, index_t sv) {
+  using S = SR<simd::ScalarVec<T>>;
   for (index_t k = 0; k < m; ++k) {
     const T* vk = v + k * sv;
     for (index_t i = 0; i < m; ++i) {
       const T uik = u[i * su + k];
       T* xi = x + i * sx;
-      for (index_t j = 0; j < m; ++j) {
-        xi[j] = std::min(xi[j], static_cast<T>(uik + vk[j]));
-      }
+      for (index_t j = 0; j < m; ++j) xi[j] = S::step(xi[j], uik, vk[j]);
     }
   }
 }
@@ -113,12 +105,26 @@ void kernel_ge(T* x, const T* u, const T* v, const T* w, index_t m,
 // LU decomposition without pivoting (multipliers stored in place).
 // When J == K the j == k update computes the multiplier x[i][k] /= w[k][k]
 // before the row sweep; when J != K the multipliers already live in u.
+// With a pivot guard, every pivot consulted while J == K runs through
+// PivotGuard::admit before the division. Boosting is only legal where
+// the pivot is being CREATED — the A-kind diagonal boxes
+// (diag_i && diag_j), where w aliases the write-pinned x tile, so the
+// floored value persists and every later reader (B/C/D boxes) sees it.
+// k_base is the box's global elimination offset (error messages and
+// reports index pivots in matrix coordinates). w is non-const because
+// Boost rewrites the slot; guard == nullptr (unguarded), Throw and
+// Report never write through it. One code path keeps guarded and
+// unguarded runs bit-identical on healthy input.
 template <class T>
-void kernel_lu(T* x, const T* u, const T* v, const T* w, index_t m,
-               index_t sx, index_t su, index_t sv, index_t sw, bool diag_i,
-               bool diag_j) {
+void kernel_lu(T* x, const T* u, const T* v, T* w, index_t m, index_t sx,
+               index_t su, index_t sv, index_t sw, bool diag_i, bool diag_j,
+               const PivotGuard* guard, index_t k_base) {
   for (index_t k = 0; k < m; ++k) {
-    const T wkk = w[k * sw + k];
+    T wkk = w[k * sw + k];
+    if (guard != nullptr && diag_j) {
+      wkk = guard->admit(&w[k * sw + k], k_base + k,
+                         /*boostable=*/diag_i && diag_j);
+    }
     const T* vk = v + k * sv;
     const index_t ilo = diag_i ? k + 1 : 0;
     const index_t jlo = diag_j ? k + 1 : 0;
@@ -127,42 +133,6 @@ void kernel_lu(T* x, const T* u, const T* v, const T* w, index_t m,
       T uik;
       if (diag_j) {
         xi[k] /= wkk;  // <i,k,k>: store multiplier (x aliases u here)
-        uik = xi[k];
-      } else {
-        uik = u[i * su + k];
-      }
-      for (index_t j = jlo; j < m; ++j) xi[j] -= uik * vk[j];
-    }
-  }
-}
-
-// kernel_lu with a pivot guard: every pivot consulted while J == K runs
-// through PivotGuard::admit before the division. Boosting is only legal
-// where the pivot is being CREATED — the A-kind diagonal boxes
-// (diag_i && diag_j), where w aliases the write-pinned x tile, so the
-// floored value persists and every later reader (B/C/D boxes) sees it.
-// k_base is the box's global elimination offset (error messages and
-// reports index pivots in matrix coordinates). w is non-const because
-// Boost rewrites the slot; Throw/Report never write through it.
-template <class T>
-void kernel_lu_guarded(T* x, const T* u, const T* v, T* w, index_t m,
-                       index_t sx, index_t su, index_t sv, index_t sw,
-                       bool diag_i, bool diag_j, const PivotGuard& guard,
-                       index_t k_base) {
-  for (index_t k = 0; k < m; ++k) {
-    T wkk = w[k * sw + k];
-    if (diag_j) {
-      wkk = guard.admit(&w[k * sw + k], k_base + k,
-                        /*boostable=*/diag_i && diag_j);
-    }
-    const T* vk = v + k * sv;
-    const index_t ilo = diag_i ? k + 1 : 0;
-    const index_t jlo = diag_j ? k + 1 : 0;
-    for (index_t i = ilo; i < m; ++i) {
-      T* xi = x + i * sx;
-      T uik;
-      if (diag_j) {
-        xi[k] /= wkk;
         uik = xi[k];
       } else {
         uik = u[i * su + k];
@@ -200,44 +170,6 @@ void kernel_fw_paths(T* x, const T* u, const T* v, I* sx_succ,
   }
 }
 
-// Maximum-capacity (bottleneck) paths over the (max, min) semiring:
-// x[i][j] = max(x[i][j], min(u[i][k], v[k][j])). Idempotent like min-plus,
-// so it is an I-GEP-legal instance; the aliasing argument mirrors
-// kernel_fw (the diagonal is +infinity capacity, a fixed point).
-template <class T>
-void kernel_bottleneck(T* x, const T* u, const T* v, index_t m, index_t sx,
-                       index_t su, index_t sv) {
-  for (index_t k = 0; k < m; ++k) {
-    const T* vk = v + k * sv;
-    for (index_t i = 0; i < m; ++i) {
-      const T uik = u[i * su + k];
-      T* xi = x + i * sx;
-      for (index_t j = 0; j < m; ++j) {
-        xi[j] = std::max(xi[j], std::min(uik, vk[j]));
-      }
-    }
-  }
-}
-
-// Transitive closure over the boolean or-and semiring:
-// x[i][j] |= u[i][k] & v[k][j]. The u[i][k] test hoists to a row skip —
-// and stays valid under aliasing, because the j == k update
-// x[i][k] |= x[i][k] & w never changes x[i][k].
-template <class T>
-void kernel_tc(T* x, const T* u, const T* v, index_t m, index_t sx,
-               index_t su, index_t sv) {
-  for (index_t k = 0; k < m; ++k) {
-    const T* vk = v + k * sv;
-    for (index_t i = 0; i < m; ++i) {
-      if (!u[i * su + k]) continue;
-      T* xi = x + i * sx;
-      for (index_t j = 0; j < m; ++j) {
-        xi[j] = static_cast<T>(xi[j] | vk[j]);
-      }
-    }
-  }
-}
-
 // Matrix multiplication accumulate: x += u * v. Only ever called on
 // disjoint tiles, so restrict is sound and the compiler can vectorize
 // and unroll freely.
@@ -263,45 +195,75 @@ template <class T>
 inline constexpr bool simd_vec_type =
     std::is_same_v<T, double> || std::is_same_v<T, float>;
 
-// True for 1-byte integral types the TC byte kernel serves.
-template <class T>
-inline constexpr bool simd_byte_type =
-    std::is_integral_v<T> && sizeof(T) == 1;
-
-// One dispatch decision per leaf call, with the obs tick. Every level
-// from Avx2 up runs the AVX2 leaf kernels; only the packed-GEMM tile
-// behind simd::gemm_tile widens at Avx512.
+// One dispatch decision per leaf call: true when the active level runs
+// the vector kernels (every level from Avx2 up), which it then ticks;
+// a caller that falls through to the scalar templates ticks Scalar.
 inline bool leaf_use_avx2() {
 #if GEP_SIMD_X86
   const simd::Level l = simd::active();
-  simd::note_leaf(l);
-  return l >= simd::Level::Avx2;
-#else
-  simd::note_leaf(simd::Level::Scalar);
-  return false;
+  if (l >= simd::Level::Avx2) {
+    simd::note_leaf(l);
+    return true;
+  }
 #endif
+  return false;
+}
+
+// A semiring leaf: D-kind boxes (x disjoint from u and v) of at least
+// gemm_min_m() rows through the packed micro-kernel when the element
+// type has one (Vectorized), every other box through the straight-line
+// template.
+template <template <class> class SR, bool Vectorized, class T>
+void semiring_leaf(T* x, const T* u, const T* v, index_t m, index_t sx,
+                   index_t su, index_t sv) {
+#if GEP_SIMD_X86
+  if constexpr (Vectorized) {
+    if (x != u && x != v && m >= simd::gemm_min_m() && leaf_use_avx2()) {
+      simd::semiring_tile<SR>(x, u, v, m, sx, su, sv);
+      return;
+    }
+  }
+#endif
+  simd::note_leaf(simd::Level::Scalar);
+  scalar::kernel_semiring<SR>(x, u, v, m, sx, su, sv);
+}
+
+// LU leaf with an optional pivot guard (nullptr = unguarded). D-kind
+// leaves never consult the guard (diag_j is false), so guarded and
+// unguarded calls route identically and stay bitwise equal.
+template <class T>
+void lu_leaf(T* x, const T* u, const T* v, T* w, index_t m, index_t sx,
+             index_t su, index_t sv, index_t sw, bool diag_i, bool diag_j,
+             const PivotGuard* guard, index_t k_base) {
+#if GEP_SIMD_X86
+  if constexpr (simd_vec_type<T>) {
+    if (leaf_use_avx2()) {
+      if (!diag_i && !diag_j && m >= simd::gemm_min_m()) {
+        // D-kind leaf: multipliers already live in u — pure schur GEMM.
+        simd::gemm_tile(x, u, v, m, sx, su, sv, T{-1});
+      } else {
+        simd::lu_avx2(x, u, v, w, m, sx, su, sv, sw, diag_i, diag_j, guard,
+                      k_base);
+      }
+      return;
+    }
+  }
+#endif
+  simd::note_leaf(simd::Level::Scalar);
+  scalar::kernel_lu(x, u, v, w, m, sx, su, sv, sw, diag_i, diag_j, guard,
+                    k_base);
 }
 
 }  // namespace detail
 
 // --- dispatch wrappers (the names every engine calls) ----------------------
 
+// Floyd-Warshall relaxation over the (min, +) semiring.
 template <class T>
 void kernel_fw(T* x, const T* u, const T* v, index_t m, index_t sx,
                index_t su, index_t sv) {
-#if GEP_SIMD_ROUTE_SEMIRING
-  if constexpr (detail::simd_vec_type<T>) {
-    if (detail::leaf_use_avx2()) {
-      simd::fw_avx2(x, u, v, m, sx, su, sv);
-      return;
-    }
-  } else {
-    simd::note_leaf(simd::Level::Scalar);
-  }
-#else
-  simd::note_leaf(simd::Level::Scalar);
-#endif
-  scalar::kernel_fw(x, u, v, m, sx, su, sv);
+  detail::semiring_leaf<simd::MinPlus, detail::simd_vec_type<T>>(
+      x, u, v, m, sx, su, sv);
 }
 
 template <class T>
@@ -319,40 +281,19 @@ void kernel_ge(T* x, const T* u, const T* v, const T* w, index_t m,
       }
       return;
     }
-  } else {
-    simd::note_leaf(simd::Level::Scalar);
   }
-#else
-  simd::note_leaf(simd::Level::Scalar);
 #endif
+  simd::note_leaf(simd::Level::Scalar);
   scalar::kernel_ge(x, u, v, w, m, sx, su, sv, sw, diag_i, diag_j);
 }
 
+// The unguarded leaf never writes through w.
 template <class T>
 void kernel_lu(T* x, const T* u, const T* v, const T* w, index_t m,
                index_t sx, index_t su, index_t sv, index_t sw, bool diag_i,
                bool diag_j) {
-#if GEP_SIMD_X86
-  if constexpr (detail::simd_vec_type<T>) {
-    if (detail::leaf_use_avx2()) {
-      if (!diag_i && !diag_j && m >= simd::gemm_min_m()) {
-        // D-kind leaf: multipliers already live in u — pure schur GEMM.
-        simd::gemm_tile(x, u, v, m, sx, su, sv, T{-1});
-      } else {
-        // lu_avx2 takes w mutable for the guarded variant; the
-        // unguarded call (guard == nullptr) never writes through it.
-        simd::lu_avx2(x, u, v, const_cast<T*>(w), m, sx, su, sv, sw, diag_i,
-                      diag_j, /*guard=*/nullptr, /*k_base=*/0);
-      }
-      return;
-    }
-  } else {
-    simd::note_leaf(simd::Level::Scalar);
-  }
-#else
-  simd::note_leaf(simd::Level::Scalar);
-#endif
-  scalar::kernel_lu(x, u, v, w, m, sx, su, sv, sw, diag_i, diag_j);
+  detail::lu_leaf(x, u, v, const_cast<T*>(w), m, sx, su, sv, sw, diag_i,
+                  diag_j, nullptr, 0);
 }
 
 template <class T>
@@ -360,27 +301,8 @@ void kernel_lu_guarded(T* x, const T* u, const T* v, T* w, index_t m,
                        index_t sx, index_t su, index_t sv, index_t sw,
                        bool diag_i, bool diag_j, const PivotGuard& guard,
                        index_t k_base) {
-#if GEP_SIMD_X86
-  if constexpr (detail::simd_vec_type<T>) {
-    if (detail::leaf_use_avx2()) {
-      if (!diag_i && !diag_j && m >= simd::gemm_min_m()) {
-        // D-kind never consults the guard (diag_j is false) — identical
-        // routing to kernel_lu keeps guarded == unguarded bitwise.
-        simd::gemm_tile(x, u, v, m, sx, su, sv, T{-1});
-      } else {
-        simd::lu_avx2(x, u, v, w, m, sx, su, sv, sw, diag_i, diag_j, &guard,
-                      k_base);
-      }
-      return;
-    }
-  } else {
-    simd::note_leaf(simd::Level::Scalar);
-  }
-#else
-  simd::note_leaf(simd::Level::Scalar);
-#endif
-  scalar::kernel_lu_guarded(x, u, v, w, m, sx, su, sv, sw, diag_i, diag_j,
-                            guard, k_base);
+  detail::lu_leaf(x, u, v, w, m, sx, su, sv, sw, diag_i, diag_j, &guard,
+                  k_base);
 }
 
 // Successor tracking is branchy per element (data-dependent stores), so
@@ -394,42 +316,21 @@ void kernel_fw_paths(T* x, const T* u, const T* v, I* sx_succ,
                           ssu);
 }
 
+// Maximum-capacity (bottleneck) paths over the (max, min) semiring.
 template <class T>
 void kernel_bottleneck(T* x, const T* u, const T* v, index_t m, index_t sx,
                        index_t su, index_t sv) {
-#if GEP_SIMD_ROUTE_SEMIRING
-  if constexpr (detail::simd_vec_type<T>) {
-    if (detail::leaf_use_avx2()) {
-      simd::bottleneck_avx2(x, u, v, m, sx, su, sv);
-      return;
-    }
-  } else {
-    simd::note_leaf(simd::Level::Scalar);
-  }
-#else
-  simd::note_leaf(simd::Level::Scalar);
-#endif
-  scalar::kernel_bottleneck(x, u, v, m, sx, su, sv);
+  detail::semiring_leaf<simd::MaxMin, detail::simd_vec_type<T>>(
+      x, u, v, m, sx, su, sv);
 }
 
+// Transitive closure over the boolean (or, and) semiring:
+// x[i][j] |= u[i][k] & v[k][j].
 template <class T>
 void kernel_tc(T* x, const T* u, const T* v, index_t m, index_t sx,
                index_t su, index_t sv) {
-#if GEP_SIMD_ROUTE_SEMIRING
-  if constexpr (detail::simd_byte_type<T>) {
-    if (detail::leaf_use_avx2()) {
-      simd::tc_avx2(reinterpret_cast<std::uint8_t*>(x),
-                    reinterpret_cast<const std::uint8_t*>(u),
-                    reinterpret_cast<const std::uint8_t*>(v), m, sx, su, sv);
-      return;
-    }
-  } else {
-    simd::note_leaf(simd::Level::Scalar);
-  }
-#else
-  simd::note_leaf(simd::Level::Scalar);
-#endif
-  scalar::kernel_tc(x, u, v, m, sx, su, sv);
+  detail::semiring_leaf<simd::OrAnd, std::is_same_v<T, std::uint8_t>>(
+      x, u, v, m, sx, su, sv);
 }
 
 template <class T>
@@ -445,12 +346,9 @@ void kernel_mm(T* x, const T* u, const T* v, index_t m, index_t sx,
       }
       return;
     }
-  } else {
-    simd::note_leaf(simd::Level::Scalar);
   }
-#else
-  simd::note_leaf(simd::Level::Scalar);
 #endif
+  simd::note_leaf(simd::Level::Scalar);
   scalar::kernel_mm(x, u, v, m, sx, su, sv);
 }
 

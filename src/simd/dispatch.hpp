@@ -34,6 +34,12 @@
 #define GEP_SIMD_X86 0
 #endif
 
+// The target attributes of the AVX2 and AVX-512 code. A function
+// template must carry its attribute on every declaration: GCC drops one
+// that appears only on the definition.
+#define GEP_AVX2_FN __attribute__((target("avx2,fma")))
+#define GEP_AVX512_FN __attribute__((target("avx2,fma,avx512f")))
+
 namespace gep::simd {
 
 enum class Level { Scalar = 0, Avx2 = 1, Avx512 = 2 };

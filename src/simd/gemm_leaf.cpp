@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 
 #include "simd/microkernel.hpp"
 #include "simd/strassen.hpp"
@@ -18,12 +19,13 @@ constexpr index_t kGemmKc = kMaxPanelK;
 static_assert(kGemmKc <= kMaxPanelK,
               "pack_a_scaled's reciprocal buffer is sized for kMaxPanelK");
 
-// Shared macro-loop: x += alpha * packed(u') * v, where u' is either u
-// or u scaled by 1/diag(w) (Scaled = GE multiplier fold).
-template <class T, bool Scaled>
+// Shared macro-loop: x (+)= alpha * packed(u') (x) v over semiring SR,
+// where u' is either u or u scaled by 1/diag(w) (Scaled = GE multiplier
+// fold; alpha only matters to PlusTimes).
+template <template <class> class SR, class T, bool Scaled>
 void gemm_impl(T* x, const T* u, const T* v, const T* w, index_t m,
                index_t sx, index_t su, index_t sv, index_t sw, T alpha) {
-  with_gemm_kernel<T>([&](auto tile, UkrFn<T> ukr) {
+  with_ukr<SR, T>([&](auto tile, UkrFn<T> ukr) {
     constexpr index_t MR = decltype(tile)::MR;
     constexpr index_t NR = decltype(tile)::NR;
     const index_t kc = std::min(m, kGemmKc);
@@ -61,25 +63,42 @@ void gemm_impl(T* x, const T* u, const T* v, const T* w, index_t m,
 void gemm_tile(double* x, const double* u, const double* v, index_t m,
                index_t sx, index_t su, index_t sv, double alpha) {
   if (strassen_gemm(m, m, m, alpha, u, su, v, sv, x, sx)) return;
-  gemm_impl<double, false>(x, u, v, nullptr, m, sx, su, sv, 0, alpha);
+  gemm_impl<PlusTimes, double, false>(x, u, v, nullptr, m, sx, su, sv, 0,
+                                      alpha);
 }
 void gemm_tile(float* x, const float* u, const float* v, index_t m,
                index_t sx, index_t su, index_t sv, float alpha) {
   if (strassen_gemm(m, m, m, alpha, u, su, v, sv, x, sx)) return;
-  gemm_impl<float, false>(x, u, v, nullptr, m, sx, su, sv, 0, alpha);
+  gemm_impl<PlusTimes, float, false>(x, u, v, nullptr, m, sx, su, sv, 0,
+                                     alpha);
 }
 
 void gemm_tile_scaled(double* x, const double* u, const double* v,
                       const double* w, index_t m, index_t sx, index_t su,
                       index_t sv, index_t sw) {
   if (strassen_gemm_scaled(x, u, v, w, m, sx, su, sv, sw)) return;
-  gemm_impl<double, true>(x, u, v, w, m, sx, su, sv, sw, -1.0);
+  gemm_impl<PlusTimes, double, true>(x, u, v, w, m, sx, su, sv, sw, -1.0);
 }
 void gemm_tile_scaled(float* x, const float* u, const float* v,
                       const float* w, index_t m, index_t sx, index_t su,
                       index_t sv, index_t sw) {
   if (strassen_gemm_scaled(x, u, v, w, m, sx, su, sv, sw)) return;
-  gemm_impl<float, true>(x, u, v, w, m, sx, su, sv, sw, -1.0f);
+  gemm_impl<PlusTimes, float, true>(x, u, v, w, m, sx, su, sv, sw, -1.0f);
 }
+
+template <template <class> class SR, class T>
+void semiring_tile(T* x, const T* u, const T* v, index_t m, index_t sx,
+                   index_t su, index_t sv) {
+  gemm_impl<SR, T, false>(x, u, v, nullptr, m, sx, su, sv, 0, T{1});
+}
+#define GEP_INSTANTIATE_SEMIRING_TILE(SR, T)                              \
+  template void semiring_tile<SR>(T*, const T*, const T*, index_t, index_t, \
+                                  index_t, index_t)
+GEP_INSTANTIATE_SEMIRING_TILE(MinPlus, double);
+GEP_INSTANTIATE_SEMIRING_TILE(MinPlus, float);
+GEP_INSTANTIATE_SEMIRING_TILE(MaxMin, double);
+GEP_INSTANTIATE_SEMIRING_TILE(MaxMin, float);
+GEP_INSTANTIATE_SEMIRING_TILE(OrAnd, std::uint8_t);
+#undef GEP_INSTANTIATE_SEMIRING_TILE
 
 }  // namespace gep::simd

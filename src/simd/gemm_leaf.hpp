@@ -1,17 +1,19 @@
-// Packed-panel GEMM routing for D-kind leaves.
+// Packed-panel routing for D-kind leaves.
 //
 // A D-kind box updates a tile disjoint from its u/v/w inputs, so the
-// k-i-j leaf loop is a pure rank-m update and can run through the
-// BLIS-style packed micro-kernel (simd/microkernel.hpp) instead of the
-// strided axpy form. The B panel (v) is packed once per k-chunk and
-// reused across every A row panel — the "B-panel reuse across the
-// k-sweep" that makes the leaf compute-bound.
+// k-i-j leaf loop is a pure rank-m update over its semiring and can run
+// through the BLIS-style packed micro-kernel (simd/microkernel.hpp)
+// instead of the strided row sweep. The B panel (v) is packed once per
+// k-chunk and reused across every A row panel — the "B-panel reuse
+// across the k-sweep" that makes the leaf compute-bound.
 //
 // gep/kernels.hpp routes here only for tiles with m >= gemm_min_m();
 // below that the packing overhead loses to the plain vectorized sweep.
 // The threshold depends only on m, so a run's numeric path is
 // deterministic.
 #pragma once
+
+#include <cstdint>
 
 #include "matrix/matrix.hpp"
 
@@ -44,5 +46,13 @@ void gemm_tile_scaled(double* x, const double* u, const double* v,
 void gemm_tile_scaled(float* x, const float* u, const float* v,
                       const float* w, index_t m, index_t sx, index_t su,
                       index_t sv, index_t sw);
+
+// D-kind semiring leaf: x(m x m) (+)= u (x) v over SR, bit-identical to
+// G's k-i-j order (see the semirings in simd/microkernel.hpp). Defined
+// for MinPlus and MaxMin over double and float and OrAnd over bytes; x
+// must not alias u or v. Callers must have checked active() >= Avx2.
+template <template <class> class SR, class T>
+void semiring_tile(T* x, const T* u, const T* v, index_t m, index_t sx,
+                   index_t su, index_t sv);
 
 }  // namespace gep::simd

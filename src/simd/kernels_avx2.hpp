@@ -4,16 +4,14 @@
 // `__attribute__((target("avx2,fma")))` so the library builds — and the
 // scalar path stays runnable — without any -march flags; callers must
 // check simd::active() >= Level::Avx2 (gep/kernels.hpp wrappers do)
-// before invoking. The GEMM micro-kernels are declared in
-// simd/microkernel.hpp. Argument conventions (x/u/v/w, strides, diag flags)
-// match the scalar templates in gep/kernels.hpp exactly; semiring
-// kernels (fw, bottleneck, tc) are bit-identical to scalar, the FMA
-// kernels (ge, lu, mm) are tolerance-equivalent and
+// before invoking. The semiring micro-kernels, which every packed leaf
+// (GEMM, min-plus, max-min, or-and) runs, are declared in
+// simd/microkernel.hpp. Argument conventions (x/u/v/w, strides, diag
+// flags) match the scalar templates in gep/kernels.hpp exactly; these
+// FMA kernels (ge, lu, mm) are tolerance-equivalent to them and
 // deterministic run-to-run. None of these use `restrict` across
 // x/u/v/w — A/B/C-kind boxes alias.
 #pragma once
-
-#include <cstdint>
 
 #include "matrix/matrix.hpp"
 #include "simd/dispatch.hpp"
@@ -28,22 +26,6 @@ namespace simd {
 
 // --- Leaf kernels ----------------------------------------------------------
 
-// min-plus: x[i][j] = min(x[i][j], u[i][k] + v[k][j])   (bit-exact)
-void fw_avx2(double* x, const double* u, const double* v, index_t m,
-             index_t sx, index_t su, index_t sv);
-void fw_avx2(float* x, const float* u, const float* v, index_t m, index_t sx,
-             index_t su, index_t sv);
-
-// max-min: x[i][j] = max(x[i][j], min(u[i][k], v[k][j]))   (bit-exact)
-void bottleneck_avx2(double* x, const double* u, const double* v, index_t m,
-                     index_t sx, index_t su, index_t sv);
-void bottleneck_avx2(float* x, const float* u, const float* v, index_t m,
-                     index_t sx, index_t su, index_t sv);
-
-// or-and over bytes: x[i][j] |= u[i][k] & v[k][j]   (bit-exact)
-void tc_avx2(std::uint8_t* x, const std::uint8_t* u, const std::uint8_t* v,
-             index_t m, index_t sx, index_t su, index_t sv);
-
 // Gaussian elimination box (A/B/C kinds; D-kind routes through
 // gemm_leaf): x[i][j] -= (u[i][k] / w[k][k]) * v[k][j].
 void ge_avx2(double* x, const double* u, const double* v, const double* w,
@@ -56,7 +38,7 @@ void ge_avx2(float* x, const float* u, const float* v, const float* w,
 // LU box with in-place multipliers. guard == nullptr is the unguarded
 // kernel; otherwise every diag_j pivot runs through guard->admit
 // (k_base = box's global elimination offset) exactly as
-// scalar::kernel_lu_guarded does — one code path keeps guarded and
+// scalar::kernel_lu does — one code path keeps guarded and
 // unguarded runs bit-identical on healthy input. w is written only by
 // an admitting guard with policy Boost.
 void lu_avx2(double* x, const double* u, const double* v, double* w,

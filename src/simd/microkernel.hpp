@@ -1,24 +1,26 @@
-// Shared register-blocked GEMM micro-kernel layer (BLIS-style).
+// Shared register-blocked micro-kernel layer (BLIS-style).
 //
-// One packing format and one micro-kernel template serve the
-// cache-aware BLAS baseline (blas/dgemm.cpp), the typed engine's D-kind
-// leaves (simd/gemm_leaf.*) and the Strassen layer (simd/strassen.*):
-// A blocks are packed into MR-row column panels, B blocks into
-// NR-column row panels, both zero-padded to full micro-tile width so the
-// accumulation loop never sees a fringe.
+// One packing format and one micro-kernel template, over a semiring,
+// serve the cache-aware BLAS baseline (blas/dgemm.cpp), the typed
+// engine's D-kind leaves of every semiring (simd/gemm_leaf.*) and the
+// Strassen layer (simd/strassen.*): A blocks are packed into MR-row
+// column panels, B blocks into NR-column row panels, both zero-padded
+// to full micro-tile width so the accumulation loop never sees a fringe.
 //
-// The register tile is shaped to the ISA (with_gemm_kernel picks it from
-// the active dispatch level):
+// The register tile is shaped to the ISA (with_ukr picks it from the
+// active dispatch level):
 //   - scalar / AVX2: MR x NR = 6 x 8 double, 6 x 16 float — 12 ymm
 //     accumulators + 2 B vectors + 1 broadcast, the AVX2 analogue of
-//     BLIS's Haswell dgemm kernel;
+//     BLIS's Haswell dgemm kernel — and 6 x 32 bytes;
 //   - AVX-512: 8 x 16 double, 8 x 32 float — 16 zmm accumulators, which
-//     tile the 64-wide typed leaves exactly.
+//     tile the 64-wide typed leaves exactly; bytes keep the AVX2 tile.
 // The pack functions therefore take MR / NR as template parameters.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 
 #include "matrix/matrix.hpp"
 #include "simd/dispatch.hpp"
@@ -32,13 +34,6 @@ struct Tile {
   static constexpr index_t MR = MR_;
   static constexpr index_t NR = NR_;
 };
-
-// Two vectors of B per k-step on each ISA: 2 x 256 bits for scalar and
-// AVX2, 2 x 512 bits for AVX-512.
-template <class T>
-using Avx2Tile = Tile<6, 64 / sizeof(T)>;
-template <class T>
-using Avx512Tile = Tile<8, 128 / sizeof(T)>;
 
 // Packs an mc x kc block of row-major A (leading dimension lda) into
 // MR-wide column panels: panel p0 holds rows [p0*MR, p0*MR+MR) laid out
@@ -285,33 +280,111 @@ void pack_b_multi(const PackSrc<T>* s, int ns, index_t ldb, index_t kc,
   }
 }
 
+// --- semirings ---------------------------------------------------------------
+//
+// A semiring policy SR<Vec> is written once over a vector trait Vec (the
+// members ukr_tile also uses, plus add / min / max / bit_or / bit_and)
+// and supplies the three things the micro-kernel varies on:
+//   id()               the accumulator identity
+//   step(acc, a, b)    one k-step, acc (+)= a (x) b
+//   combine(s, acc, c) the writeback of a finished accumulator into c
+// Vec::min(p, q) is `p < q ? p : q` and Vec::max(p, q) is `p > q ? p : q`
+// (the x86 minp / maxp operand order), so in every step and combine
+// below the old value (acc, then c) wins ties, as in G's update
+// std::min(x, u + v). A box whose x is disjoint from u and v can thus
+// take the min / max / or over a k-chunk first and fold it into x once:
+// each u + v rounds as in G, and min, max and or are exact, so the bits
+// equal G's order. step(x, u, v) is G's update itself, which is what the
+// straight-line scalar template (gep::scalar::kernel_semiring) runs.
+//
+// The policies and ukr_tile have no target attribute of their own: a
+// vector instantiation is only ever inlined into a wrapper that has one
+// (kernels_avx2.cpp), and the trait calls inline there. Portable builds
+// would still note that their vector returns "change the ABI"
+// (-Wpsabi): no such call survives inlining, so the note is silenced.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wpsabi"
+
+// (+, x): the GEMM, with one rounding per k-step (explicit fma).
+template <class Vec>
+struct PlusTimes {
+  using V = typename Vec::V;
+  [[gnu::always_inline]] static V id() { return Vec::zero(); }
+  [[gnu::always_inline]] static V step(V acc, V a, V b) {
+    return Vec::fma(a, b, acc);
+  }
+  [[gnu::always_inline]] static V combine(V s, V acc, V c) {
+    return Vec::fma(s, acc, c);
+  }
+};
+
+// (min, +): Floyd-Warshall.
+template <class Vec>
+struct MinPlus {
+  using V = typename Vec::V;
+  [[gnu::always_inline]] static V id() {
+    return Vec::set1(std::numeric_limits<typename Vec::E>::infinity());
+  }
+  [[gnu::always_inline]] static V step(V acc, V a, V b) {
+    return Vec::min(Vec::add(a, b), acc);
+  }
+  [[gnu::always_inline]] static V combine(V, V acc, V c) {
+    return Vec::min(acc, c);
+  }
+};
+
+// (max, min): bottleneck paths. The identity is -inf, not lowest(): a
+// chunk whose every candidate is -inf must leave an x of -inf alone.
+template <class Vec>
+struct MaxMin {
+  using V = typename Vec::V;
+  [[gnu::always_inline]] static V id() {
+    return Vec::set1(-std::numeric_limits<typename Vec::E>::infinity());
+  }
+  [[gnu::always_inline]] static V step(V acc, V a, V b) {
+    return Vec::max(Vec::min(b, a), acc);
+  }
+  [[gnu::always_inline]] static V combine(V, V acc, V c) {
+    return Vec::max(acc, c);
+  }
+};
+
+// (or, and) over bytes: transitive closure.
+template <class Vec>
+struct OrAnd {
+  using V = typename Vec::V;
+  [[gnu::always_inline]] static V id() { return Vec::zero(); }
+  [[gnu::always_inline]] static V step(V acc, V a, V b) {
+    return Vec::bit_or(acc, Vec::bit_and(a, b));
+  }
+  [[gnu::always_inline]] static V combine(V, V acc, V c) {
+    return Vec::bit_or(c, acc);
+  }
+};
+
 // --- the micro-kernel template ---------------------------------------------
 //
-// One micro-tile product, streamed to every destination q < nd as
-// c_q += alpha * coeff_q * pa^T * pb; only the valid mr x nr corner of
-// each destination is read or written. `Vec` is a per-ISA vector trait:
-//   V, kLanes                       register type and its element count
+// One micro-tile product over semiring SR, streamed to every destination
+// q < nd as c_q = combine(alpha * coeff_q, acc, c_q) with acc the SR-sum
+// over p of pa^T (x) pb; only the valid mr x nr corner of each
+// destination is read or written (the packed panels' zero padding never
+// reaches c). `Vec` is a per-ISA vector trait:
+//   V, E, kLanes                    register type, element type, lanes
 //   zero(), set1(s), broadcast(p)   splats
 //   load(p), store(p, v)            unaligned full-width access
 //   load_n(p, n), store_n(p, v, n)  the first n < kLanes lanes only
 //   fma(a, b, c)                    a * b + c, one rounding (explicit
 //                                   FMA) in the vector traits
+//   add, min, max, bit_or, bit_and  as the semirings above use them
 // Every loop over the tile is fully unrolled (`#pragma GCC unroll`), so
 // each accumulator index is a compile-time constant and acc[][] lives in
 // registers: a runtime index (say an `i < mr` loop over acc) would force
 // the array onto the stack and make every k-step store all of it.
-// Per element the result is fma(alpha * coeff, fma chain over p, c) with
-// the same chain for every shape, so instantiations that see the same kc
-// agree bit for bit whenever alpha * coeff is ±1.
-//
-// ukr_tile has no target attribute of its own; a vector instantiation is
-// only ever inlined into a wrapper that has one (kernels_avx2.cpp), and
-// the trait calls inline there. Portable builds would
-// still note that vector returns from the trait calls "change the ABI"
-// (-Wpsabi): no such call survives inlining, so the note is silenced.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wpsabi"
-template <class Vec, index_t MR, index_t NR, class T>
+// Per element the result is combine(alpha * coeff, step chain over p, c)
+// with the same chain for every shape, so instantiations that see the
+// same kc agree bit for bit (for PlusTimes whenever alpha * coeff is ±1).
+template <class Vec, template <class> class SR, index_t MR, index_t NR,
+          class T>
 [[gnu::always_inline]] inline void ukr_tile(index_t kc, T alpha,
                                             const T* __restrict pa,
                                             const T* __restrict pb,
@@ -319,6 +392,7 @@ template <class Vec, index_t MR, index_t NR, class T>
                                             index_t ldc, index_t mr,
                                             index_t nr) {
   using V = typename Vec::V;
+  using S = SR<Vec>;
   constexpr index_t L = Vec::kLanes;
   constexpr index_t NV = NR / L;
   static_assert(NR % L == 0, "NR must be a whole number of vectors");
@@ -332,7 +406,7 @@ template <class Vec, index_t MR, index_t NR, class T>
 #pragma GCC unroll 16
   for (index_t i = 0; i < MR; ++i) {
 #pragma GCC unroll 16
-    for (index_t v = 0; v < NV; ++v) acc[i][v] = Vec::zero();
+    for (index_t v = 0; v < NV; ++v) acc[i][v] = S::id();
   }
   for (index_t p = 0; p < kc; ++p) {
     V b[NV];
@@ -344,7 +418,7 @@ template <class Vec, index_t MR, index_t NR, class T>
       const V ai = Vec::broadcast(a + i);
 #pragma GCC unroll 16
       for (index_t v = 0; v < NV; ++v) {
-        acc[i][v] = Vec::fma(ai, b[v], acc[i][v]);
+        acc[i][v] = S::step(acc[i][v], ai, b[v]);
       }
     }
   }
@@ -360,9 +434,9 @@ template <class Vec, index_t MR, index_t NR, class T>
         const index_t n = full ? L : nr - v * L;
         T* cv = ci + v * L;
         if (n >= L) {
-          Vec::store(cv, Vec::fma(s, acc[i][v], Vec::load(cv)));
+          Vec::store(cv, S::combine(s, acc[i][v], Vec::load(cv)));
         } else if (n > 0) {
-          Vec::store_n(cv, Vec::fma(s, acc[i][v], Vec::load_n(cv, n)), n);
+          Vec::store_n(cv, S::combine(s, acc[i][v], Vec::load_n(cv, n)), n);
         }
       }
     }
@@ -371,11 +445,13 @@ template <class Vec, index_t MR, index_t NR, class T>
 #pragma GCC diagnostic pop
 
 // One-lane trait: the scalar reference instantiation, for hosts without
-// AVX2 and the $GEP_FORCE_SCALAR leg. Its fma is a plain multiply-add
-// that the compiler may contract, like the scalar leaf templates.
+// AVX2 and the $GEP_FORCE_SCALAR leg, and the trait of the straight-line
+// semiring template. Its fma is a plain multiply-add that the compiler
+// may contract, like the scalar leaf templates.
 template <class T>
 struct ScalarVec {
   using V = T;
+  using E = T;
   static constexpr index_t kLanes = 1;
   static V zero() { return T{}; }
   static V set1(T s) { return s; }
@@ -385,59 +461,80 @@ struct ScalarVec {
   static void store(T* p, V v) { *p = v; }
   static void store_n(T* p, V v, index_t) { *p = v; }
   static V fma(V a, V b, V c) { return a * b + c; }
+  static V add(V a, V b) { return a + b; }
+  static V min(V p, V q) { return p < q ? p : q; }
+  static V max(V p, V q) { return p > q ? p : q; }
+  static V bit_or(V a, V b) { return static_cast<T>(a | b); }
+  static V bit_and(V a, V b) { return static_cast<T>(a & b); }
 };
 
-// The signature of every micro-kernel instantiation.
+// The signature of every micro-kernel instantiation (alpha and the
+// destination coefficients only matter to PlusTimes).
 template <class T>
 using UkrFn = void (*)(index_t kc, T alpha, const T* pa, const T* pb,
                        const GemmDest<T>* dst, int nd, index_t ldc,
                        index_t mr, index_t nr);
 
-template <class T>
+// Register tile per (ISA, semiring, element type): two vectors of B per
+// k-step unless specialized. Min-plus and max-min need a temporary per
+// update beside the 12 ymm accumulators of the AVX2 6 x 8 tile;
+// tools/check_ukr_spills.py confirms the k-loops stay in registers.
+template <template <class> class SR, class T>
+struct Avx2Shape : Tile<6, 64 / sizeof(T)> {};
+template <template <class> class SR, class T>
+struct Avx512Shape : Tile<8, 128 / sizeof(T)> {};
+// Or-and's 6 x 64 byte tile spilled once GCC unrolled its k-loop, so it
+// keeps one ymm of B, at Avx512 too (bytes stay 256-bit there).
+template <>
+struct Avx2Shape<OrAnd, std::uint8_t> : Tile<6, 32> {};
+template <>
+struct Avx512Shape<OrAnd, std::uint8_t> : Avx2Shape<OrAnd, std::uint8_t> {};
+
+template <template <class> class SR, class T>
 void ukr_scalar(index_t kc, T alpha, const T* pa, const T* pb,
                 const GemmDest<T>* dst, int nd, index_t ldc, index_t mr,
                 index_t nr) {
-  ukr_tile<ScalarVec<T>, Avx2Tile<T>::MR, Avx2Tile<T>::NR>(
-      kc, alpha, pa, pb, dst, nd, ldc, mr, nr);
+  using Sh = Avx2Shape<SR, T>;
+  ukr_tile<ScalarVec<T>, SR, Sh::MR, Sh::NR>(kc, alpha, pa, pb, dst, nd, ldc,
+                                             mr, nr);
 }
 
 #if GEP_SIMD_X86
-// The AVX2 (Avx2Tile) and AVX-512 (Avx512Tile) instantiations, compiled
-// with target attributes in kernels_avx2.cpp; callers must have checked
-// the dispatch level, as with_gemm_kernel does.
-void ukr_avx2(index_t kc, double alpha, const double* pa, const double* pb,
-              const GemmDest<double>* dst, int nd, index_t ldc, index_t mr,
-              index_t nr);
-void ukr_avx2(index_t kc, float alpha, const float* pa, const float* pb,
-              const GemmDest<float>* dst, int nd, index_t ldc, index_t mr,
-              index_t nr);
-void ukr_avx512(index_t kc, double alpha, const double* pa, const double* pb,
-                const GemmDest<double>* dst, int nd, index_t ldc, index_t mr,
-                index_t nr);
-void ukr_avx512(index_t kc, float alpha, const float* pa, const float* pb,
-                const GemmDest<float>* dst, int nd, index_t ldc, index_t mr,
-                index_t nr);
+// The AVX2 (Avx2Shape) and AVX-512 (Avx512Shape) instantiations,
+// compiled with target attributes in kernels_avx2.cpp for PlusTimes over
+// double and float, MinPlus and MaxMin over double and float, and OrAnd
+// over bytes; callers must have checked the dispatch level, as with_ukr
+// does.
+template <template <class> class SR, class T>
+GEP_AVX2_FN void ukr_avx2(index_t kc, T alpha, const T* pa, const T* pb,
+                          const GemmDest<T>* dst, int nd, index_t ldc,
+                          index_t mr, index_t nr);
+template <template <class> class SR, class T>
+GEP_AVX512_FN void ukr_avx512(index_t kc, T alpha, const T* pa, const T* pb,
+                              const GemmDest<T>* dst, int nd, index_t ldc,
+                              index_t mr, index_t nr);
 #endif
 
-// Calls f(tile, ukr) with the active dispatch level's micro-kernel and
-// its register-tile shape (a Tile<MR, NR> value): the one place the GEMM
-// macro loops (gemm_leaf.cpp, strassen.cpp, blas/dgemm.cpp) consult the
-// level. The scalar kernel uses the AVX2 shape.
-template <class T, class F>
-void with_gemm_kernel(F&& f) {
+// Calls f(tile, ukr) with the active dispatch level's micro-kernel for
+// semiring SR and its register-tile shape (a Tile<MR, NR> value): the
+// one place the packed macro loops (gemm_leaf.cpp, strassen.cpp,
+// blas/dgemm.cpp) consult the level. The scalar kernel uses the AVX2
+// shape.
+template <template <class> class SR, class T, class F>
+void with_ukr(F&& f) {
 #if GEP_SIMD_X86
   switch (active()) {
     case Level::Avx512:
-      f(Avx512Tile<T>{}, static_cast<UkrFn<T>>(&ukr_avx512));
+      f(Avx512Shape<SR, T>{}, static_cast<UkrFn<T>>(&ukr_avx512<SR, T>));
       return;
     case Level::Avx2:
-      f(Avx2Tile<T>{}, static_cast<UkrFn<T>>(&ukr_avx2));
+      f(Avx2Shape<SR, T>{}, static_cast<UkrFn<T>>(&ukr_avx2<SR, T>));
       return;
     case Level::Scalar:
       break;
   }
 #endif
-  f(Avx2Tile<T>{}, &ukr_scalar<T>);
+  f(Avx2Shape<SR, T>{}, &ukr_scalar<SR, T>);
 }
 
 // Grow-on-demand thread-local packing panels (index 0 = A, 1 = B),

@@ -66,7 +66,7 @@ void gemm_packed_multi(index_t m, index_t n, index_t k, T alpha,
                        const PackSrc<T>* bs, int nb, index_t ldb,
                        const GemmDest<T>* cs, int nd, index_t ldc) {
   if (m <= 0 || n <= 0 || k <= 0) return;
-  with_gemm_kernel<T>([&](auto tile, UkrFn<T> ukr) {
+  with_ukr<PlusTimes, T>([&](auto tile, UkrFn<T> ukr) {
     constexpr index_t MR = decltype(tile)::MR;
     constexpr index_t NR = decltype(tile)::NR;
     const index_t mc = std::min(m, kStrassenMc);

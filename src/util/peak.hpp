@@ -10,7 +10,10 @@
 
 namespace gep {
 
-// Returns measured peak in GFLOP/s (double precision multiply-add).
+// Returns measured peak in GFLOP/s (double precision multiply-add) of a
+// portable C burst, vectorized as the build allows: the ceiling of the
+// scalar dispatch level. The vector levels time explicit ymm / zmm FMA
+// bursts instead (bench::fma_peak_gflops, the "% of peak" denominator).
 // Runs for roughly `seconds` wall time; result is cached after first call.
 double measured_peak_gflops(double seconds = 0.25);
 

@@ -1,27 +1,27 @@
 // SIMD-vs-scalar contract of the dispatched base-case kernels.
 //
-// Semiring kernels (fw, bottleneck, tc) must be BIT-EXACT against the
-// scalar templates; the FMA kernels (ge, lu, mm) must agree within
-// tolerance across every box kind (including the aliased A/B/C-kind
-// operand patterns the typed engine produces) and be deterministic
-// run-to-run at a fixed dispatch level. The guarded LU kernel must be
-// bit-identical to the unguarded one on healthy input, per level.
-//
-// The semiring comparisons call the simd::*_avx2 kernels directly
-// rather than through the gep::kernel_* wrappers: in TUs compiled with
-// AVX-512 the wrappers deliberately keep those kernels on the (wider)
-// autovectorized scalar path (GEP_SIMD_ROUTE_SEMIRING in
-// gep/kernels.hpp), and the explicit kernels must stay covered either
-// way. The FMA kernels route unconditionally, so their tests exercise
-// the real wrapper dispatch.
+// Semiring kernels (fw, bottleneck, tc) must be BIT-EXACT against G's
+// update, applied element by element in k/i/j order, at every dispatch
+// level, for D-kind (disjoint) and aliased boxes alike, and whole
+// Floyd-Warshall solves must be bitwise equal across levels and to G.
+// The FMA kernels (ge, lu, mm) must agree within tolerance across every
+// box kind (including the aliased A/B/C-kind operand patterns the typed
+// engine produces) and be deterministic run-to-run at a fixed dispatch
+// level. The guarded LU kernel must be bit-identical to the unguarded
+// one on healthy input, per level. Every test goes through the
+// gep::kernel_* wrappers, i.e. the real dispatch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <vector>
 
+#include "apps/apps.hpp"
+#include "gep/functors.hpp"
 #include "gep/kernels.hpp"
 #include "gep/numeric_guard.hpp"
 #include "obs/registry.hpp"
@@ -167,91 +167,280 @@ TEST_F(SimdKernels, DispatchCountersTick) {
   EXPECT_EQ(scalar.value(), s0 + 1);
 }
 
-// --- semiring kernels: bit-exact -------------------------------------------
+// --- semiring kernels: bit-exact against G ---------------------------------
+
+// Every level, in order; a test runs the ones this host (and
+// $GEP_FORCE_SCALAR) allows.
+const simd::Level kLevels[] = {simd::Level::Scalar, simd::Level::Avx2,
+                               simd::Level::Avx512};
+
+bool runnable(simd::Level l) {
+  if (l == simd::Level::Scalar) return true;
+  if (simd::forced_scalar_env()) return false;
+  return l == simd::Level::Avx2 ? simd::avx2_available()
+                                : simd::avx512_available();
+}
+
+// Reports the levels a semiring test could not run as a skip, after
+// every runnable level was checked (a failure above still fails).
+#define SKIP_ABSENT_LEVELS()                                        \
+  do {                                                              \
+    for (simd::Level l : kLevels)                                   \
+      if (!runnable(l))                                             \
+        GTEST_SKIP() << "level " << simd::level_name(l)             \
+                     << " absent; the lower levels were checked";   \
+  } while (0)
+
+// Sizes below, at and above the packed-leaf threshold and every tile
+// fringe; strides exceed m by a non-multiple of the vector width.
+const index_t kSemiringSizes[] = {1, 7, 16, 33, 64, 100, 128};
+
+template <class T>
+bool same_bits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+// A tile of small integers, so sums tie exactly, salted with +inf, -inf
+// (max-min only) and signed zeros, whose order a wrong tie rule flips.
+template <class T>
+std::vector<T> tie_tile(index_t m, index_t stride, std::uint64_t seed,
+                        bool neg_inf) {
+  SplitMix64 g(seed);
+  std::vector<T> t(static_cast<std::size_t>(m * stride), T{7});
+  for (index_t i = 0; i < m; ++i)
+    for (index_t j = 0; j < m; ++j) {
+      const std::uint64_t r = g.next() % 16;
+      T e = static_cast<T>(r % 5);
+      if (r == 13) e = std::numeric_limits<T>::infinity();
+      if (r == 14) e = neg_inf ? -std::numeric_limits<T>::infinity() : T{0};
+      if (r == 15) e = -T{0};
+      t[static_cast<std::size_t>(i * stride + j)] = e;
+    }
+  return t;
+}
+
+// G's update f over one m x m box, in k/i/j order, every operand read
+// at its use: the oracle. x, u, v may alias.
+template <class T, class F>
+void g_box(T* x, const T* u, const T* v, index_t m, index_t s, F f) {
+  for (index_t k = 0; k < m; ++k)
+    for (index_t i = 0; i < m; ++i)
+      for (index_t j = 0; j < m; ++j)
+        x[i * s + j] = f(x[i * s + j], u[i * s + k], v[k * s + j], T{});
+}
+
+// Runs `kernel` on a D-kind box (x, u, v distinct) at every runnable
+// level and compares it bitwise with g_box. Row 0 of u and of x hold
+// the semiring's zero (+inf for min-plus, -inf for max-min), so every
+// candidate of x's row 0 is that zero too: the accumulator identity
+// must not leak into it.
+template <class T, class F, class K>
+void expect_disjoint_boxes_match_g(F f, K kernel, T zero) {
+  const bool neg_inf = zero < T{0};
+  for (simd::Level level : kLevels) {
+    if (!runnable(level)) continue;
+    for (index_t m : kSemiringSizes) {
+      const index_t s = m + 5;
+      auto u = tie_tile<T>(m, s, 10 + m, neg_inf);
+      const auto v = tie_tile<T>(m, s, 20 + m, neg_inf);
+      auto want = tie_tile<T>(m, s, 30 + m, neg_inf);
+      std::fill_n(u.begin(), m, zero);
+      std::fill_n(want.begin(), m, zero);
+      auto got = want;
+      g_box(want.data(), u.data(), v.data(), m, s, f);
+      simd::force_level(level);
+      kernel(got.data(), u.data(), v.data(), m, s);
+      simd::clear_forced_level();
+      EXPECT_TRUE(same_bits(want, got))
+          << "level=" << simd::level_name(level) << " m=" << m;
+    }
+  }
+}
+
+template <class T>
+void expect_fw_matches_g() {
+  expect_disjoint_boxes_match_g<T>(
+      MinPlusF{},
+      [](T* x, const T* u, const T* v, index_t m, index_t s) {
+        kernel_fw(x, u, v, m, s, s, s);
+      },
+      std::numeric_limits<T>::infinity());
+}
+
+template <class T>
+void expect_bottleneck_matches_g() {
+  expect_disjoint_boxes_match_g<T>(
+      MaxMinF{},
+      [](T* x, const T* u, const T* v, index_t m, index_t s) {
+        kernel_bottleneck(x, u, v, m, s, s, s);
+      },
+      -std::numeric_limits<T>::infinity());
+}
 
 TEST_F(SimdKernels, FloydWarshallBitExact) {
-  REQUIRE_AVX2();
-  for (index_t m : kSizes) {
-    for (index_t stride : {m, m + 3}) {
-      auto u = random_tile(m, stride, 10 + static_cast<std::uint64_t>(m), 0.0,
-                           10.0);
-      auto v = random_tile(m, stride, 20 + static_cast<std::uint64_t>(m), 0.0,
-                           10.0);
-      auto x_s = random_tile(m, stride, 30 + static_cast<std::uint64_t>(m),
-                             0.0, 10.0);
-      auto x_v = x_s;
-      scalar::kernel_fw(x_s.data(), u.data(), v.data(), m, stride, stride,
-                        stride);
-#if GEP_SIMD_X86
-      simd::fw_avx2(x_v.data(), u.data(), v.data(), m, stride, stride, stride);
-#endif
-      EXPECT_TRUE(bitwise_equal(x_s, x_v)) << "m=" << m << " s=" << stride;
+  expect_fw_matches_g<double>();
+  expect_fw_matches_g<float>();
+  SKIP_ABSENT_LEVELS();
+}
+
+TEST_F(SimdKernels, BottleneckBitExact) {
+  expect_bottleneck_matches_g<double>();
+  expect_bottleneck_matches_g<float>();
+  SKIP_ABSENT_LEVELS();
+}
+
+// Arbitrary bytes, not just 0/1: G's or-and is x | (u & v) bitwise.
+TEST_F(SimdKernels, TransitiveClosureBitExact) {
+  for (simd::Level level : kLevels) {
+    if (!runnable(level)) continue;
+    for (index_t m : kSemiringSizes) {
+      const index_t s = m + 5;
+      auto bytes = [&](std::uint64_t seed) {
+        SplitMix64 g(seed);
+        std::vector<std::uint8_t> t(static_cast<std::size_t>(m * s));
+        for (auto& b : t) b = static_cast<std::uint8_t>(g.next());
+        return t;
+      };
+      const auto u = bytes(40 + m), v = bytes(50 + m);
+      auto want = bytes(60 + m);
+      auto got = want;
+      g_box(want.data(), u.data(), v.data(), m, s, OrAndF{});
+      simd::force_level(level);
+      kernel_tc(got.data(), u.data(), v.data(), m, s, s, s);
+      simd::clear_forced_level();
+      EXPECT_TRUE(same_bits(want, got))
+          << "level=" << simd::level_name(level) << " m=" << m;
+    }
+  }
+  SKIP_ABSENT_LEVELS();
+}
+
+// Aliased boxes as the typed engine produces them — A: x = u = v,
+// B: x = v, C: x = u — on tiles that meet the kernels' fixed-point
+// contract (a zero diagonal for min-plus, +inf for max-min, no such
+// need for or-and): they take the straight-line path at every level
+// and still match G, which re-reads every operand at its use.
+template <class T, class F, class K>
+void expect_aliased_boxes_match_g(F f, K kernel, T diag) {
+  for (simd::Level level : kLevels) {
+    if (!runnable(level)) continue;
+    for (index_t m : {7, 16, 33, 64}) {
+      const index_t s = m + 5;
+      auto tile = [&](std::uint64_t seed) {
+        auto t = tie_tile<T>(m, s, seed, false);
+        for (auto& e : t) e = e < T{0} ? -e : e;  // non-negative
+        for (index_t i = 0; i < m; ++i) t[i * s + i] = diag;
+        return t;
+      };
+      const auto other = tile(70 + m);
+      for (const char* kind : {"A", "B", "C"}) {
+        auto want = tile(80 + m);
+        auto got = want;
+        auto run = [&](T* x, auto box) {
+          const char k = kind[0];
+          const T* u = k == 'B' ? other.data() : x;
+          const T* v = k == 'C' ? other.data() : x;
+          box(x, u, v);
+        };
+        run(want.data(), [&](T* x, const T* u, const T* v) {
+          g_box(x, u, v, m, s, f);
+        });
+        simd::force_level(level);
+        run(got.data(), [&](T* x, const T* u, const T* v) {
+          kernel(x, u, v, m, s);
+        });
+        simd::clear_forced_level();
+        EXPECT_TRUE(same_bits(want, got))
+            << "level=" << simd::level_name(level) << " kind=" << kind
+            << " m=" << m;
+      }
     }
   }
 }
 
 TEST_F(SimdKernels, FloydWarshallBitExactAliasedAKind) {
-  REQUIRE_AVX2();
-  for (index_t m : {5, 16, 33, 64}) {
-    // A-kind box: x, u, v are the same tile (zero diagonal metric).
-    auto a = random_tile(m, m, 40 + static_cast<std::uint64_t>(m), 0.1, 10.0);
-    for (index_t i = 0; i < m; ++i) a[static_cast<std::size_t>(i * m + i)] = 0.0;
-    auto b = a;
-    scalar::kernel_fw(a.data(), a.data(), a.data(), m, m, m, m);
-#if GEP_SIMD_X86
-    simd::fw_avx2(b.data(), b.data(), b.data(), m, m, m, m);
-#endif
-    EXPECT_TRUE(bitwise_equal(a, b)) << "m=" << m;
-  }
+  expect_aliased_boxes_match_g<double>(
+      MinPlusF{},
+      [](double* x, const double* u, const double* v, index_t m, index_t s) {
+        kernel_fw(x, u, v, m, s, s, s);
+      },
+      0.0);
+  SKIP_ABSENT_LEVELS();
 }
 
-TEST_F(SimdKernels, BottleneckBitExact) {
-  REQUIRE_AVX2();
-  for (index_t m : kSizes) {
-    for (index_t stride : {m, m + 3}) {
-      auto u = random_tile(m, stride, 50 + static_cast<std::uint64_t>(m), 0.0,
-                           5.0);
-      auto v = random_tile(m, stride, 60 + static_cast<std::uint64_t>(m), 0.0,
-                           5.0);
-      auto x_s = random_tile(m, stride, 70 + static_cast<std::uint64_t>(m),
-                             0.0, 5.0);
-      auto x_v = x_s;
-      scalar::kernel_bottleneck(x_s.data(), u.data(), v.data(), m, stride,
-                                stride, stride);
-#if GEP_SIMD_X86
-      simd::bottleneck_avx2(x_v.data(), u.data(), v.data(), m, stride, stride,
-                            stride);
-#endif
-      EXPECT_TRUE(bitwise_equal(x_s, x_v)) << "m=" << m << " s=" << stride;
-    }
-  }
+TEST_F(SimdKernels, BottleneckAndClosureAliasedBoxesMatchG) {
+  expect_aliased_boxes_match_g<float>(
+      MaxMinF{},
+      [](float* x, const float* u, const float* v, index_t m, index_t s) {
+        kernel_bottleneck(x, u, v, m, s, s, s);
+      },
+      std::numeric_limits<float>::infinity());
+  expect_aliased_boxes_match_g<std::uint8_t>(
+      OrAndF{},
+      [](std::uint8_t* x, const std::uint8_t* u, const std::uint8_t* v,
+         index_t m, index_t s) { kernel_tc(x, u, v, m, s, s, s); },
+      std::uint8_t{1});
+  SKIP_ABSENT_LEVELS();
 }
 
-TEST_F(SimdKernels, TransitiveClosureBitExact) {
+// D-kind leaves run the level's packed micro-kernel, A/B/C-kind ones
+// the straight-line template (ticked as scalar).
+TEST_F(SimdKernels, SemiringDispatchTicksThePathThatRan) {
+  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   REQUIRE_AVX2();
-  SplitMix64 g(7);
-  for (index_t m : kSizes) {
-    for (index_t stride : {m, m + 3}) {
-      std::vector<std::uint8_t> u(static_cast<std::size_t>(m * stride), 0);
-      std::vector<std::uint8_t> v(static_cast<std::size_t>(m * stride), 0);
-      std::vector<std::uint8_t> x_s(static_cast<std::size_t>(m * stride), 0);
-      for (index_t i = 0; i < m; ++i)
-        for (index_t j = 0; j < m; ++j) {
-          const auto at = static_cast<std::size_t>(i * stride + j);
-          u[at] = static_cast<std::uint8_t>(g.next() & 1);
-          v[at] = static_cast<std::uint8_t>(g.next() & 1);
-          x_s[at] = static_cast<std::uint8_t>(g.next() & 1);
-        }
-      auto x_v = x_s;
-      scalar::kernel_tc(x_s.data(), u.data(), v.data(), m, stride, stride,
-                        stride);
-#if GEP_SIMD_X86
-      simd::tc_avx2(x_v.data(), u.data(), v.data(), m, stride, stride, stride);
-#endif
-      EXPECT_EQ(0, std::memcmp(x_s.data(), x_v.data(), x_s.size()))
-          << "m=" << m << " s=" << stride;
+  obs::Counter avx2 = obs::counter("kernels.dispatch.avx2");
+  obs::Counter scalar = obs::counter("kernels.dispatch.scalar");
+  const index_t m = 64;
+  auto x = random_tile(m, m, 1, 0, 1), u = random_tile(m, m, 2, 0, 1),
+       v = random_tile(m, m, 3, 0, 1);
+  simd::force_level(simd::Level::Avx2);
+  const std::uint64_t a0 = avx2.value(), s0 = scalar.value();
+  kernel_fw(x.data(), u.data(), v.data(), m, m, m, m);  // D
+  kernel_fw(x.data(), x.data(), v.data(), m, m, m, m);  // C
+  EXPECT_EQ(avx2.value(), a0 + 1);
+  EXPECT_EQ(scalar.value(), s0 + 1);
+}
+
+// Whole Floyd-Warshall solves: every engine that runs the typed leaves
+// (row-major I-GEP on the fork-join and DAG runtimes, Z-Morton I-GEP),
+// at every level, bitwise equal to G, with +inf for missing edges and a
+// non-power-of-two n (padded) beside a power of two.
+TEST_F(SimdKernels, FloydWarshallSolvesBitwiseEqualAcrossLevelsAndG) {
+  for (index_t n : {1000, 2048}) {
+    SplitMix64 g(static_cast<std::uint64_t>(n));
+    Matrix<double> init(n, n);
+    for (index_t i = 0; i < n; ++i)
+      for (index_t j = 0; j < n; ++j)
+        init(i, j) = i == j          ? 0.0
+                     : g.chance(0.3) ? std::numeric_limits<double>::infinity()
+                                     : static_cast<double>(1 + g.next() % 64);
+    Matrix<double> want = init;
+    apps::floyd_warshall(want, apps::Engine::Iterative);
+    struct Run {
+      apps::Engine engine;
+      apps::Runtime runtime;
+      const char* name;
+    };
+    for (const Run& r : {Run{apps::Engine::IGep, apps::Runtime::ForkJoin,
+                             "igep"},
+                         Run{apps::Engine::IGepZ, apps::Runtime::ForkJoin,
+                             "igepz"},
+                         Run{apps::Engine::IGep, apps::Runtime::Dag, "dag"}}) {
+      for (simd::Level level : kLevels) {
+        if (!runnable(level)) continue;
+        Matrix<double> got = init;
+        simd::force_level(level);
+        apps::floyd_warshall(got, r.engine, {64, 4, r.runtime});
+        simd::clear_forced_level();
+        EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                                 static_cast<std::size_t>(n * n) *
+                                     sizeof(double)))
+            << r.name << " level=" << simd::level_name(level) << " n=" << n;
+      }
     }
   }
+  SKIP_ABSENT_LEVELS();
 }
 
 // --- FMA kernels: tolerance + determinism across every box kind ------------

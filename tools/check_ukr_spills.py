@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Fail when a GEMM micro-kernel spills vector registers in its k-loop.
+"""Fail when a micro-kernel spills vector registers in its k-loop.
 
 Usage: tools/check_ukr_spills.py LIBRARY [--objdump PATH]
 
 Disassembles every vector micro-kernel of LIBRARY (e.g.
 build/src/libgep_simd.a), that is every function whose name contains
-`ukr_avx` (ukr_avx2, ukr_avx512), finds its k-loops (innermost loops,
-i.e. backward branches enclosing no other one, that contain an FMA), and
+`ukr_avx` (ukr_avx2, ukr_avx512, one instantiation per semiring), finds
+its k-loops (innermost loops, i.e. backward branches enclosing no other
+one, that contain a semiring op: an FMA for (+, x), a vector min for
+min-plus, a max for max-min, an or / and / ternary-logic op for or-and),
+and
 reports any k-loop that stores an xmm/ymm/zmm register to the stack (an
 address based on %rsp or %rbp). Such a store means the
 accumulator tile did not stay in registers, so every k-step writes the
@@ -24,6 +27,8 @@ FUNC = re.compile(r"^([0-9a-f]+) <(.+)>:$")
 INSN = re.compile(r"^\s*([0-9a-f]+):\s+(\S+)\s*(.*)$")
 BRANCH_TARGET = re.compile(r"^([0-9a-f]+) <")
 STACK_STORE = re.compile(r"%[xyz]mm\d+,.*\(%r[sb]p\)")
+SEMIRING_OPS = ("vfmadd", "vfnmadd", "vminp", "vmaxp", "vpor", "vpand",
+                "vpternlog")
 
 
 def functions(text):
@@ -44,7 +49,8 @@ def functions(text):
 
 
 def k_loops(body):
-    """(head, tail) address ranges of the innermost loops holding an FMA."""
+    """(head, tail) address ranges of the innermost loops holding a
+    semiring op."""
     loops = []
     for addr, mnem, ops in body:
         t = BRANCH_TARGET.match(ops) if mnem.startswith("j") else None
@@ -54,7 +60,7 @@ def k_loops(body):
                  if not any(h <= h2 and t2 <= t and (h2, t2) != (h, t)
                             for h2, t2 in loops)]
     return [(h, t) for h, t in innermost
-            if any(h <= a <= t and m.startswith(("vfmadd", "vfnmadd"))
+            if any(h <= a <= t and m.startswith(SEMIRING_OPS)
                    for a, m, _ in body)]
 
 
