@@ -2,12 +2,12 @@
 
 #include <stdexcept>
 
+#include "apps/padding.hpp"
 #include "apps/runtime_select.hpp"
 #include "blas/blas.hpp"
 #include "gep/cgep.hpp"
 #include "gep/functors.hpp"
 #include "gep/typed.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace gep::apps {
 
@@ -40,21 +40,6 @@ void fw_iterative(double* c, index_t n) {
   }
 }
 
-// Pads to pow2 with +inf off-diagonal / 0 diagonal (isolated vertices),
-// runs fn on the padded matrix, unpads. No-op padding when n is pow2.
-template <class Fn>
-void with_fw_padding(Matrix<double>& d, Fn&& fn) {
-  const index_t n = d.rows();
-  if (is_pow2(n)) {
-    fn(d);
-    return;
-  }
-  Matrix<double> p = pad_to_pow2(d, kInfDist);
-  for (index_t i = n; i < p.rows(); ++i) p(i, i) = 0.0;
-  fn(p);
-  d = unpad(p, n, n);
-}
-
 }  // namespace
 
 void floyd_warshall(Matrix<double>& d, Engine engine, RunOptions opts) {
@@ -66,53 +51,43 @@ void floyd_warshall(Matrix<double>& d, Engine engine, RunOptions opts) {
     case Engine::Blocked:
       blas::fw_tiled(d.rows(), d.data(), d.cols(), opts.base_size);
       return;
-    case Engine::IGep:
-      with_fw_padding(d, [&](Matrix<double>& m) {
-        RowMajorStore<double> st{m.data(), m.rows(),
-                                 std::min(opts.base_size, m.rows())};
-        if (detail::use_dag(opts)) {
-          detail::with_dag_pool(opts, [&](WorkStealingPool* pool) {
-            igep_floyd_warshall_dag(pool, st, m.rows(), {opts.base_size});
+    case Engine::IGep: {
+      const index_t n = d.rows();
+      RowMajorStore<double> st{d.data(), n, leaf_side(opts.base_size, n)};
+      detail::run_igep(
+          opts,
+          [&](WorkStealingPool* pool) {
+            igep_floyd_warshall_dag(pool, st, n, {opts.base_size});
+          },
+          [&](auto& inv) {
+            igep_floyd_warshall(inv, st, n, {opts.base_size});
           });
-        } else if (opts.threads > 1) {
-          ThreadPool pool(opts.threads);
-          ParInvoker inv{&pool};
-          igep_floyd_warshall(inv, st, m.rows(), {opts.base_size});
-        } else {
-          SeqInvoker inv;
-          igep_floyd_warshall(inv, st, m.rows(), {opts.base_size});
-        }
-      });
       return;
+    }
     case Engine::IGepZ:
-      with_fw_padding(d, [&](Matrix<double>& m) {
+      // Padded vertices are isolated: +inf off the diagonal, 0 on it.
+      detail::with_pow2_padding(d, kInfDist, 0.0, [&](Matrix<double>& m) {
         const index_t bs = std::min(opts.base_size, m.rows());
         ZBlocked<double> z(m.rows(), bs);
         z.load(m);  // conversion cost included, as in the paper
         ZStore<double> st{&z};
-        if (detail::use_dag(opts)) {
-          detail::with_dag_pool(opts, [&](WorkStealingPool* pool) {
-            igep_floyd_warshall_dag(pool, st, m.rows(), {bs});
-          });
-        } else if (opts.threads > 1) {
-          ThreadPool pool(opts.threads);
-          ParInvoker inv{&pool};
-          igep_floyd_warshall(inv, st, m.rows(), {bs});
-        } else {
-          SeqInvoker inv;
-          igep_floyd_warshall(inv, st, m.rows(), {bs});
-        }
+        detail::run_igep(
+            opts,
+            [&](WorkStealingPool* pool) {
+              igep_floyd_warshall_dag(pool, st, m.rows(), {bs});
+            },
+            [&](auto& inv) { igep_floyd_warshall(inv, st, m.rows(), {bs}); });
         z.store(m);
       });
       return;
     case Engine::CGep:
-      with_fw_padding(d, [&](Matrix<double>& m) {
+      detail::with_pow2_padding(d, kInfDist, 0.0, [&](Matrix<double>& m) {
         run_cgep(m, MinPlusF{}, FloydWarshallSet{m.rows()},
                  {opts.base_size});
       });
       return;
     case Engine::CGepCompact:
-      with_fw_padding(d, [&](Matrix<double>& m) {
+      detail::with_pow2_padding(d, kInfDist, 0.0, [&](Matrix<double>& m) {
         run_cgep_compact(m, MinPlusF{}, FloydWarshallSet{m.rows()},
                          {opts.base_size});
       });

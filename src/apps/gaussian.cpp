@@ -2,12 +2,12 @@
 
 #include <stdexcept>
 
+#include "apps/padding.hpp"
 #include "apps/runtime_select.hpp"
 #include "blas/blas.hpp"
 #include "gep/cgep.hpp"
 #include "gep/functors.hpp"
 #include "gep/typed.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace gep::apps {
 namespace {
@@ -39,36 +39,6 @@ void lu_iterative(double* c, index_t n) {
   }
 }
 
-// Identity padding keeps elimination on the padded block inert: padded
-// pivots are 1 and padded off-diagonal entries 0, so no padded update
-// changes an original entry.
-template <class Fn>
-void with_identity_padding(Matrix<double>& a, Fn&& fn) {
-  const index_t n = a.rows();
-  if (is_pow2(n)) {
-    fn(a);
-    return;
-  }
-  Matrix<double> p = pad_to_pow2(a, 0.0);
-  for (index_t i = n; i < p.rows(); ++i) p(i, i) = 1.0;
-  fn(p);
-  a = unpad(p, n, n);
-}
-
-template <class TypedRun>
-void run_typed(Matrix<double>& m, const RunOptions& opts, TypedRun&& run) {
-  RowMajorStore<double> st{m.data(), m.rows(),
-                           std::min(opts.base_size, m.rows())};
-  if (opts.threads > 1) {
-    ThreadPool pool(opts.threads);
-    ParInvoker inv{&pool};
-    run(inv, st);
-  } else {
-    SeqInvoker inv;
-    run(inv, st);
-  }
-}
-
 }  // namespace
 
 void gaussian_eliminate(Matrix<double>& a, Engine engine, RunOptions opts) {
@@ -85,49 +55,41 @@ void gaussian_eliminate(Matrix<double>& a, Engine engine, RunOptions opts) {
       blas::lu_nopivot(a.rows(), a.data(), a.cols());
       return;
     }
-    case Engine::IGep:
-      with_identity_padding(a, [&](Matrix<double>& m) {
-        if (detail::use_dag(opts)) {
-          RowMajorStore<double> st{m.data(), m.rows(),
-                                   std::min(opts.base_size, m.rows())};
-          detail::with_dag_pool(opts, [&](WorkStealingPool* pool) {
-            igep_gaussian_dag(pool, st, m.rows(), {opts.base_size});
-          });
-          return;
-        }
-        run_typed(m, opts, [&](auto& inv, auto& st) {
-          igep_gaussian(inv, st, m.rows(), {opts.base_size});
-        });
-      });
+    case Engine::IGep: {
+      const index_t n = a.rows();
+      RowMajorStore<double> st{a.data(), n, leaf_side(opts.base_size, n)};
+      detail::run_igep(
+          opts,
+          [&](WorkStealingPool* pool) {
+            igep_gaussian_dag(pool, st, n, {opts.base_size});
+          },
+          [&](auto& inv) { igep_gaussian(inv, st, n, {opts.base_size}); });
       return;
+    }
     case Engine::IGepZ:
-      with_identity_padding(a, [&](Matrix<double>& m) {
+      // Identity padding keeps elimination on the padded block inert:
+      // padded pivots are 1 and padded off-diagonal entries 0.
+      detail::with_pow2_padding(a, 0.0, 1.0, [&](Matrix<double>& m) {
         const index_t bs = std::min(opts.base_size, m.rows());
         ZBlocked<double> z(m.rows(), bs);
         z.load(m);
         ZStore<double> st{&z};
-        if (detail::use_dag(opts)) {
-          detail::with_dag_pool(opts, [&](WorkStealingPool* pool) {
-            igep_gaussian_dag(pool, st, m.rows(), {bs});
-          });
-        } else if (opts.threads > 1) {
-          ThreadPool pool(opts.threads);
-          ParInvoker inv{&pool};
-          igep_gaussian(inv, st, m.rows(), {bs});
-        } else {
-          SeqInvoker inv;
-          igep_gaussian(inv, st, m.rows(), {bs});
-        }
+        detail::run_igep(
+            opts,
+            [&](WorkStealingPool* pool) {
+              igep_gaussian_dag(pool, st, m.rows(), {bs});
+            },
+            [&](auto& inv) { igep_gaussian(inv, st, m.rows(), {bs}); });
         z.store(m);
       });
       return;
     case Engine::CGep:
-      with_identity_padding(a, [&](Matrix<double>& m) {
+      detail::with_pow2_padding(a, 0.0, 1.0, [&](Matrix<double>& m) {
         run_cgep(m, GaussF{}, GaussianSet{m.rows()}, {opts.base_size});
       });
       return;
     case Engine::CGepCompact:
-      with_identity_padding(a, [&](Matrix<double>& m) {
+      detail::with_pow2_padding(a, 0.0, 1.0, [&](Matrix<double>& m) {
         run_cgep_compact(m, GaussF{}, GaussianSet{m.rows()},
                          {opts.base_size});
       });
@@ -146,23 +108,19 @@ void lu_decompose(Matrix<double>& a, Engine engine, RunOptions opts) {
     case Engine::Blocked:
       blas::lu_nopivot(a.rows(), a.data(), a.cols());
       return;
-    case Engine::IGep:
-      with_identity_padding(a, [&](Matrix<double>& m) {
-        if (detail::use_dag(opts)) {
-          RowMajorStore<double> st{m.data(), m.rows(),
-                                   std::min(opts.base_size, m.rows())};
-          detail::with_dag_pool(opts, [&](WorkStealingPool* pool) {
-            igep_lu_dag(pool, st, m.rows(), {opts.base_size});
-          });
-          return;
-        }
-        run_typed(m, opts, [&](auto& inv, auto& st) {
-          igep_lu(inv, st, m.rows(), {opts.base_size});
-        });
-      });
+    case Engine::IGep: {
+      const index_t n = a.rows();
+      RowMajorStore<double> st{a.data(), n, leaf_side(opts.base_size, n)};
+      detail::run_igep(
+          opts,
+          [&](WorkStealingPool* pool) {
+            igep_lu_dag(pool, st, n, {opts.base_size});
+          },
+          [&](auto& inv) { igep_lu(inv, st, n, {opts.base_size}); });
       return;
+    }
     case Engine::IGepZ:
-      with_identity_padding(a, [&](Matrix<double>& m) {
+      detail::with_pow2_padding(a, 0.0, 1.0, [&](Matrix<double>& m) {
         const index_t bs = std::min(opts.base_size, m.rows());
         ZBlocked<double> z(m.rows(), bs);
         z.load(m);
@@ -179,12 +137,12 @@ void lu_decompose(Matrix<double>& a, Engine engine, RunOptions opts) {
       });
       return;
     case Engine::CGep:
-      with_identity_padding(a, [&](Matrix<double>& m) {
+      detail::with_pow2_padding(a, 0.0, 1.0, [&](Matrix<double>& m) {
         run_cgep(m, LUIndexedF{}, LUSet{m.rows()}, {opts.base_size});
       });
       return;
     case Engine::CGepCompact:
-      with_identity_padding(a, [&](Matrix<double>& m) {
+      detail::with_pow2_padding(a, 0.0, 1.0, [&](Matrix<double>& m) {
         run_cgep_compact(m, LUIndexedF{}, LUSet{m.rows()}, {opts.base_size});
       });
       return;

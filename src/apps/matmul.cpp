@@ -5,11 +5,11 @@
 #include <stdexcept>
 #include <vector>
 
+#include "apps/padding.hpp"
 #include "apps/runtime_select.hpp"
 #include "blas/blas.hpp"
 #include "gep/numeric_guard.hpp"
 #include "gep/typed.hpp"
-#include "parallel/thread_pool.hpp"
 #include "util/prng.hpp"
 
 namespace gep::apps {
@@ -45,39 +45,25 @@ void multiply_add(Matrix<double>& c, const Matrix<double>& a,
       blas::dgemm(n, n, n, 1.0, a.data(), n, b.data(), n, c.data(), n);
       return;
     case Engine::IGep: {
-      if (!is_pow2(n)) {  // zero padding is neutral for +=a*b
-        Matrix<double> cp = pad_to_pow2(c, 0.0);
-        Matrix<double> ap = pad_to_pow2(a, 0.0);
-        Matrix<double> bp = pad_to_pow2(b, 0.0);
-        multiply_add(cp, ap, bp, engine, opts);
-        c = unpad(cp, n, n);
-        return;
-      }
-      const index_t bs = std::min(opts.base_size, n);
+      const index_t bs = leaf_side(opts.base_size, n);
       RowMajorStore<double> cst{c.data(), n, bs};
       RowMajorStore<const double> ast{a.data(), n, bs};
       RowMajorStore<const double> bst{b.data(), n, bs};
-      if (detail::use_dag(opts)) {
-        detail::with_dag_pool(opts, [&](WorkStealingPool* pool) {
-          igep_matmul_dag(pool, cst, ast, bst, n, {bs});
-        });
-      } else if (opts.threads > 1) {
-        ThreadPool pool(opts.threads);
-        ParInvoker inv{&pool};
-        igep_matmul(inv, cst, ast, bst, n, {bs});
-      } else {
-        SeqInvoker inv;
-        igep_matmul(inv, cst, ast, bst, n, {bs});
-      }
+      detail::run_igep(
+          opts,
+          [&](WorkStealingPool* pool) {
+            igep_matmul_dag(pool, cst, ast, bst, n, {bs});
+          },
+          [&](auto& inv) { igep_matmul(inv, cst, ast, bst, n, {bs}); });
       return;
     }
     case Engine::IGepZ: {
-      if (!is_pow2(n)) {
-        Matrix<double> cp = pad_to_pow2(c, 0.0);
-        Matrix<double> ap = pad_to_pow2(a, 0.0);
-        Matrix<double> bp = pad_to_pow2(b, 0.0);
-        multiply_add(cp, ap, bp, engine, opts);
-        c = unpad(cp, n, n);
+      if (!is_pow2(n)) {  // zero padding is neutral for += a * b
+        const Matrix<double> ap = pad_to_pow2(a, 0.0);
+        const Matrix<double> bp = pad_to_pow2(b, 0.0);
+        detail::with_pow2_padding(c, 0.0, 0.0, [&](Matrix<double>& cp) {
+          multiply_add(cp, ap, bp, engine, opts);
+        });
         return;
       }
       const index_t bs = std::min(opts.base_size, n);
@@ -86,18 +72,12 @@ void multiply_add(Matrix<double>& c, const Matrix<double>& a,
       az.load(a);
       bz.load(b);
       ZStore<double> cst{&cz}, ast{&az}, bst{&bz};
-      if (detail::use_dag(opts)) {
-        detail::with_dag_pool(opts, [&](WorkStealingPool* pool) {
-          igep_matmul_dag(pool, cst, ast, bst, n, {bs});
-        });
-      } else if (opts.threads > 1) {
-        ThreadPool pool(opts.threads);
-        ParInvoker inv{&pool};
-        igep_matmul(inv, cst, ast, bst, n, {bs});
-      } else {
-        SeqInvoker inv;
-        igep_matmul(inv, cst, ast, bst, n, {bs});
-      }
+      detail::run_igep(
+          opts,
+          [&](WorkStealingPool* pool) {
+            igep_matmul_dag(pool, cst, ast, bst, n, {bs});
+          },
+          [&](auto& inv) { igep_matmul(inv, cst, ast, bst, n, {bs}); });
       cz.store(c);
       return;
     }

@@ -5,11 +5,11 @@
 #include <limits>
 #include <stdexcept>
 
+#include "apps/padding.hpp"
 #include "apps/runtime_select.hpp"
 #include "gep/cgep.hpp"
 #include "gep/functors.hpp"
 #include "gep/typed.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace gep::apps {
 namespace {
@@ -66,24 +66,17 @@ void floyd_warshall_paths(Matrix<double>& d, Matrix<std::int32_t>& succ,
       fw_paths_iterative(d.data(), succ.data(), n);
       return;
     case Engine::IGep: {
-      // Pad both matrices (isolated extra vertices).
-      const index_t np = next_pow2(n);
-      Matrix<double> dp = pad_to_pow2(d, kInfDist);
-      for (index_t i = n; i < np; ++i) dp(i, i) = 0.0;
-      Matrix<std::int32_t> sp = pad_to_pow2(succ, std::int32_t{-1});
-      const index_t bs = std::min(opts.base_size, np);
-      RowMajorStore<double> dst{dp.data(), np, bs};
-      RowMajorStore<std::int32_t> sst{sp.data(), np, bs};
+      const index_t bs = leaf_side(opts.base_size, n);
+      RowMajorStore<double> dst{d.data(), n, bs};
+      RowMajorStore<std::int32_t> sst{succ.data(), n, bs};
       if (opts.threads > 1) {
         ThreadPool pool(opts.threads);
         ParInvoker inv{&pool};
-        igep_floyd_warshall_paths(inv, dst, sst, np, {bs});
+        igep_floyd_warshall_paths(inv, dst, sst, n, {bs});
       } else {
         SeqInvoker inv;
-        igep_floyd_warshall_paths(inv, dst, sst, np, {bs});
+        igep_floyd_warshall_paths(inv, dst, sst, n, {bs});
       }
-      d = unpad(dp, n, n);
-      succ = unpad(sp, n, n);
       return;
     }
     default:
@@ -118,42 +111,23 @@ void bottleneck_paths(Matrix<double>& cap, Engine engine, RunOptions opts) {
   }
   // Padding with zero capacity (no edges) is neutral under (max, min);
   // padded diagonals get +inf like real vertices.
-  auto with_padding = [&](auto&& fn) {
-    if (is_pow2(n)) {
-      fn(cap);
-      return;
-    }
-    Matrix<double> p = pad_to_pow2(cap, 0.0);
-    for (index_t i = n; i < p.rows(); ++i) {
-      p(i, i) = std::numeric_limits<double>::infinity();
-    }
-    fn(p);
-    cap = unpad(p, n, n);
-  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   switch (engine) {
     case Engine::Iterative:
       bottleneck_iterative(cap.data(), n);
       return;
-    case Engine::IGep:
-      with_padding([&](Matrix<double>& m) {
-        const index_t bs = std::min(opts.base_size, m.rows());
-        RowMajorStore<double> st{m.data(), m.rows(), bs};
-        if (detail::use_dag(opts)) {
-          detail::with_dag_pool(opts, [&](WorkStealingPool* pool) {
-            igep_bottleneck_dag(pool, st, m.rows(), {bs});
-          });
-        } else if (opts.threads > 1) {
-          ThreadPool pool(opts.threads);
-          ParInvoker inv{&pool};
-          igep_bottleneck(inv, st, m.rows(), {bs});
-        } else {
-          SeqInvoker inv;
-          igep_bottleneck(inv, st, m.rows(), {bs});
-        }
-      });
+    case Engine::IGep: {
+      RowMajorStore<double> st{cap.data(), n, leaf_side(opts.base_size, n)};
+      detail::run_igep(
+          opts,
+          [&](WorkStealingPool* pool) {
+            igep_bottleneck_dag(pool, st, n, {opts.base_size});
+          },
+          [&](auto& inv) { igep_bottleneck(inv, st, n, {opts.base_size}); });
       return;
+    }
     case Engine::IGepZ:
-      with_padding([&](Matrix<double>& m) {
+      detail::with_pow2_padding(cap, 0.0, kInf, [&](Matrix<double>& m) {
         const index_t bs = std::min(opts.base_size, m.rows());
         ZBlocked<double> z(m.rows(), bs);
         z.load(m);
@@ -170,12 +144,12 @@ void bottleneck_paths(Matrix<double>& cap, Engine engine, RunOptions opts) {
       });
       return;
     case Engine::CGep:
-      with_padding([&](Matrix<double>& m) {
+      detail::with_pow2_padding(cap, 0.0, kInf, [&](Matrix<double>& m) {
         run_cgep(m, MaxMinF{}, FullSet{m.rows()}, {opts.base_size});
       });
       return;
     case Engine::CGepCompact:
-      with_padding([&](Matrix<double>& m) {
+      detail::with_pow2_padding(cap, 0.0, kInf, [&](Matrix<double>& m) {
         run_cgep_compact(m, MaxMinF{}, FullSet{m.rows()}, {opts.base_size});
       });
       return;

@@ -8,6 +8,7 @@
 #include "apps/apps.hpp"
 #include "obs/stat_server.hpp"
 #include "parallel/task_graph.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace gep::apps::detail {
 
@@ -46,6 +47,23 @@ void with_dag_pool(const RunOptions& opts, Fn&& fn) {
     fn(&pool);
   } else {
     fn(static_cast<WorkStealingPool*>(nullptr));
+  }
+}
+
+// Runs one typed I-GEP solve under the selected runtime: dag(pool) on
+// the DAG runtime, else fork_join(inv) with the Fig. 6 invoker over a
+// ThreadPool at opts.threads > 1, or the sequential one.
+template <class Dag, class ForkJoin>
+void run_igep(const RunOptions& opts, Dag&& dag, ForkJoin&& fork_join) {
+  if (use_dag(opts)) {
+    with_dag_pool(opts, dag);
+  } else if (opts.threads > 1) {
+    ThreadPool pool(opts.threads);
+    ParInvoker inv{&pool};
+    fork_join(inv);
+  } else {
+    SeqInvoker inv;
+    fork_join(inv);
   }
 }
 

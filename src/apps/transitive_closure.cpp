@@ -2,11 +2,11 @@
 
 #include <stdexcept>
 
+#include "apps/padding.hpp"
 #include "apps/runtime_select.hpp"
 #include "gep/cgep.hpp"
 #include "gep/functors.hpp"
 #include "gep/typed.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace gep::apps {
 namespace {
@@ -26,19 +26,6 @@ void tc_iterative(std::uint8_t* c, index_t n) {
   }
 }
 
-// Zero padding is neutral: padded vertices have no edges.
-template <class Fn>
-void with_zero_padding(Matrix<std::uint8_t>& r, Fn&& fn) {
-  const index_t n = r.rows();
-  if (is_pow2(n)) {
-    fn(r);
-    return;
-  }
-  Matrix<std::uint8_t> p = pad_to_pow2(r, std::uint8_t{0});
-  fn(p);
-  r = unpad(p, n, n);
-}
-
 }  // namespace
 
 void transitive_closure(Matrix<std::uint8_t>& reach, Engine engine,
@@ -50,51 +37,54 @@ void transitive_closure(Matrix<std::uint8_t>& reach, Engine engine,
     case Engine::Iterative:
       tc_iterative(reach.data(), reach.rows());
       return;
-    case Engine::IGep:
-      with_zero_padding(reach, [&](Matrix<std::uint8_t>& m) {
-        RowMajorStore<std::uint8_t> st{m.data(), m.rows(),
-                                       std::min(opts.base_size, m.rows())};
-        if (detail::use_dag(opts)) {
-          detail::with_dag_pool(opts, [&](WorkStealingPool* pool) {
-            igep_transitive_closure_dag(pool, st, m.rows(),
-                                        {opts.base_size});
+    case Engine::IGep: {
+      const index_t n = reach.rows();
+      RowMajorStore<std::uint8_t> st{reach.data(), n,
+                                     leaf_side(opts.base_size, n)};
+      detail::run_igep(
+          opts,
+          [&](WorkStealingPool* pool) {
+            igep_transitive_closure_dag(pool, st, n, {opts.base_size});
+          },
+          [&](auto& inv) {
+            igep_transitive_closure(inv, st, n, {opts.base_size});
           });
-        } else if (opts.threads > 1) {
-          ThreadPool pool(opts.threads);
-          ParInvoker inv{&pool};
-          igep_transitive_closure(inv, st, m.rows(), {opts.base_size});
-        } else {
-          SeqInvoker inv;
-          igep_transitive_closure(inv, st, m.rows(), {opts.base_size});
-        }
-      });
       return;
+    }
     case Engine::IGepZ:
-      with_zero_padding(reach, [&](Matrix<std::uint8_t>& m) {
-        const index_t bs = std::min(opts.base_size, m.rows());
-        ZBlocked<std::uint8_t> z(m.rows(), bs);
-        z.load(m);
-        ZStore<std::uint8_t> st{&z};
-        if (detail::use_dag(opts)) {
-          detail::with_dag_pool(opts, [&](WorkStealingPool* pool) {
-            igep_transitive_closure_dag(pool, st, m.rows(), {bs});
+      // Zero padding is neutral: padded vertices have no edges.
+      detail::with_pow2_padding(
+          reach, std::uint8_t{0}, std::uint8_t{0},
+          [&](Matrix<std::uint8_t>& m) {
+            const index_t bs = std::min(opts.base_size, m.rows());
+            ZBlocked<std::uint8_t> z(m.rows(), bs);
+            z.load(m);
+            ZStore<std::uint8_t> st{&z};
+            if (detail::use_dag(opts)) {
+              detail::with_dag_pool(opts, [&](WorkStealingPool* pool) {
+                igep_transitive_closure_dag(pool, st, m.rows(), {bs});
+              });
+            } else {
+              SeqInvoker inv;
+              igep_transitive_closure(inv, st, m.rows(), {bs});
+            }
+            z.store(m);
           });
-        } else {
-          SeqInvoker inv;
-          igep_transitive_closure(inv, st, m.rows(), {bs});
-        }
-        z.store(m);
-      });
       return;
     case Engine::CGep:
-      with_zero_padding(reach, [&](Matrix<std::uint8_t>& m) {
-        run_cgep(m, OrAndF{}, FullSet{m.rows()}, {opts.base_size});
-      });
+      detail::with_pow2_padding(
+          reach, std::uint8_t{0}, std::uint8_t{0},
+          [&](Matrix<std::uint8_t>& m) {
+            run_cgep(m, OrAndF{}, FullSet{m.rows()}, {opts.base_size});
+          });
       return;
     case Engine::CGepCompact:
-      with_zero_padding(reach, [&](Matrix<std::uint8_t>& m) {
-        run_cgep_compact(m, OrAndF{}, FullSet{m.rows()}, {opts.base_size});
-      });
+      detail::with_pow2_padding(
+          reach, std::uint8_t{0}, std::uint8_t{0},
+          [&](Matrix<std::uint8_t>& m) {
+            run_cgep_compact(m, OrAndF{}, FullSet{m.rows()},
+                             {opts.base_size});
+          });
       return;
     case Engine::Blocked:
       throw std::invalid_argument("tc: no blocked baseline; use IGep");

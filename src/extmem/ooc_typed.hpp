@@ -156,7 +156,7 @@ void ooc_igep_floyd_warshall(OocTiledMatrix<T>& m, Inv& inv,
   const index_t bs = m.tile_side();
   CheckpointCoordinator* ck = opts.ckpt;
   if (ck != nullptr) ck->bind(DagProblem::FloydWarshall, n, bs, false);
-  auto leaf = [&](index_t i0, index_t j0, index_t k0, index_t mm, BoxKind) {
+  auto leaf = [&](index_t i0, index_t j0, index_t k0, LeafDims d, BoxKind) {
     // Cooperative SIGINT/SIGTERM: unwind before pinning so the bench can
     // flush write-behind instead of dying mid-update.
     obs::throw_if_stop_requested();
@@ -164,7 +164,7 @@ void ooc_igep_floyd_warshall(OocTiledMatrix<T>& m, Inv& inv,
       auto x = m.pin_tile(i0 / bs, j0 / bs, /*for_write=*/true);
       auto u = m.pin_tile(i0 / bs, k0 / bs, /*for_write=*/false);
       auto v = m.pin_tile(k0 / bs, j0 / bs, /*for_write=*/false);
-      kernel_fw(x.ptr, u.ptr, v.ptr, mm, bs, bs, bs);
+      kernel_fw(x.ptr, u.ptr, v.ptr, d.m, bs, bs, bs);
     });
   };
   auto prune = [](index_t, index_t, index_t, index_t) { return false; };
@@ -183,9 +183,9 @@ void ooc_igep_floyd_warshall(OocTiledMatrix<T>& m, Inv& inv,
       if (dedupe.should_hint(0, k0 / bs, j0 / bs))
         m.prefetch_tile(k0 / bs, j0 / bs);
     };
-    detail::typed_rec(inv, 0, 0, 0, n, bs, leaf, prune, hint);
+    detail::typed_rec(inv, n, 0, 0, 0, n, bs, leaf, prune, hint);
   } else {
-    detail::typed_rec(inv, 0, 0, 0, n, bs, leaf, prune);
+    detail::typed_rec(inv, n, 0, 0, 0, n, bs, leaf, prune);
   }
 }
 
@@ -200,7 +200,7 @@ void ooc_igep_lu(OocTiledMatrix<T>& m, Inv& inv, OocTypedOptions opts = {}) {
   if (ck != nullptr) {
     ck->bind(DagProblem::LU, n, bs, opts.lu_guard != nullptr);
   }
-  auto leaf = [&](index_t i0, index_t j0, index_t k0, index_t mm,
+  auto leaf = [&](index_t i0, index_t j0, index_t k0, LeafDims d,
                   BoxKind kind) {
     obs::throw_if_stop_requested();
     detail::ckpt_leaf(ck, i0, j0, k0, [&] {
@@ -211,10 +211,10 @@ void ooc_igep_lu(OocTiledMatrix<T>& m, Inv& inv, OocTypedOptions opts = {}) {
       const bool di = (kind == BoxKind::A || kind == BoxKind::B);
       const bool dj = (kind == BoxKind::A || kind == BoxKind::C);
       if (opts.lu_guard != nullptr) {
-        kernel_lu_guarded(x.ptr, u.ptr, v.ptr, w.ptr, mm, bs, bs, bs, bs, di,
+        kernel_lu_guarded(x.ptr, u.ptr, v.ptr, w.ptr, d.m, bs, bs, bs, bs, di,
                           dj, *opts.lu_guard, k0);
       } else {
-        kernel_lu(x.ptr, u.ptr, v.ptr, w.ptr, mm, bs, bs, bs, bs, di, dj);
+        kernel_lu(x.ptr, u.ptr, v.ptr, w.ptr, d.m, bs, bs, bs, bs, di, dj);
       }
     });
   };
@@ -234,9 +234,9 @@ void ooc_igep_lu(OocTiledMatrix<T>& m, Inv& inv, OocTypedOptions opts = {}) {
       if (dedupe.should_hint(0, k0 / bs, k0 / bs))
         m.prefetch_tile(k0 / bs, k0 / bs);
     };
-    detail::typed_rec(inv, 0, 0, 0, n, bs, leaf, prune, hint);
+    detail::typed_rec(inv, n, 0, 0, 0, n, bs, leaf, prune, hint);
   } else {
-    detail::typed_rec(inv, 0, 0, 0, n, bs, leaf, prune);
+    detail::typed_rec(inv, n, 0, 0, 0, n, bs, leaf, prune);
   }
 }
 
@@ -257,13 +257,13 @@ void ooc_igep_matmul(OocTiledMatrix<T>& c, OocTiledMatrix<T>& a,
   }
   CheckpointCoordinator* ck = opts.ckpt;
   if (ck != nullptr) ck->bind(DagProblem::MatMul, n, bs, false);
-  auto leaf = [&](index_t i0, index_t j0, index_t k0, index_t mm) {
+  auto leaf = [&](index_t i0, index_t j0, index_t k0, LeafDims d) {
     obs::throw_if_stop_requested();
     detail::ckpt_leaf(ck, i0, j0, k0, [&] {
       auto x = c.pin_tile(i0 / bs, j0 / bs, /*for_write=*/true);
       auto u = a.pin_tile(i0 / bs, k0 / bs, /*for_write=*/false);
       auto v = b.pin_tile(k0 / bs, j0 / bs, /*for_write=*/false);
-      kernel_mm(x.ptr, u.ptr, v.ptr, mm, bs, bs, bs);
+      kernel_mm(x.ptr, u.ptr, v.ptr, d.m, bs, bs, bs);
     });
   };
   if (opts.prefetch) {
@@ -277,9 +277,9 @@ void ooc_igep_matmul(OocTiledMatrix<T>& c, OocTiledMatrix<T>& a,
       if (dedupe.should_hint(2, k0 / bs, j0 / bs))
         b.prefetch_tile(k0 / bs, j0 / bs);
     };
-    detail::mm_rec(inv, 0, 0, 0, n, bs, leaf, hint);
+    detail::mm_rec(inv, n, 0, 0, 0, n, bs, leaf, hint);
   } else {
-    detail::mm_rec(inv, 0, 0, 0, n, bs, leaf);
+    detail::mm_rec(inv, n, 0, 0, 0, n, bs, leaf);
   }
 }
 

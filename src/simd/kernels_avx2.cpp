@@ -259,27 +259,27 @@ GEP_AVX2_FN inline void fmadd_row(T* x, const T* v, T t, index_t len) {
 // --- ge / lu / mm leaf bodies ----------------------------------------------
 
 template <class T>
-GEP_AVX2_FN void ge_impl(T* x, const T* u, const T* v, const T* w, index_t m,
-                         index_t sx, index_t su, index_t sv, index_t sw,
-                         bool diag_i, bool diag_j) {
-  for (index_t k = 0; k < m; ++k) {
+GEP_AVX2_FN void ge_impl(T* x, const T* u, const T* v, const T* w, index_t mi,
+                         index_t mj, index_t mk, index_t sx, index_t su,
+                         index_t sv, index_t sw, bool diag_i, bool diag_j) {
+  for (index_t k = 0; k < mk; ++k) {
     const T wkk = w[k * sw + k];
     const T* vk = v + k * sv;
     const index_t ilo = diag_i ? k + 1 : 0;
     const index_t jlo = diag_j ? k + 1 : 0;
-    for (index_t i = ilo; i < m; ++i) {
+    for (index_t i = ilo; i < mi; ++i) {
       const T t = u[i * su + k] / wkk;
-      fmadd_row(x + i * sx + jlo, vk + jlo, -t, m - jlo);
+      fmadd_row(x + i * sx + jlo, vk + jlo, -t, mj - jlo);
     }
   }
 }
 
 template <class T>
-GEP_AVX2_FN void lu_impl(T* x, const T* u, const T* v, T* w, index_t m,
-                         index_t sx, index_t su, index_t sv, index_t sw,
-                         bool diag_i, bool diag_j, const PivotGuard* guard,
-                         index_t k_base) {
-  for (index_t k = 0; k < m; ++k) {
+GEP_AVX2_FN void lu_impl(T* x, const T* u, const T* v, T* w, index_t mi,
+                         index_t mj, index_t mk, index_t sx, index_t su,
+                         index_t sv, index_t sw, bool diag_i, bool diag_j,
+                         const PivotGuard* guard, index_t k_base) {
+  for (index_t k = 0; k < mk; ++k) {
     T wkk = w[k * sw + k];
     if (guard != nullptr && diag_j) {
       wkk = guard->admit(&w[k * sw + k], k_base + k,
@@ -288,7 +288,7 @@ GEP_AVX2_FN void lu_impl(T* x, const T* u, const T* v, T* w, index_t m,
     const T* vk = v + k * sv;
     const index_t ilo = diag_i ? k + 1 : 0;
     const index_t jlo = diag_j ? k + 1 : 0;
-    for (index_t i = ilo; i < m; ++i) {
+    for (index_t i = ilo; i < mi; ++i) {
       T* xi = x + i * sx;
       T uik;
       if (diag_j) {
@@ -297,18 +297,18 @@ GEP_AVX2_FN void lu_impl(T* x, const T* u, const T* v, T* w, index_t m,
       } else {
         uik = u[i * su + k];
       }
-      fmadd_row(xi + jlo, vk + jlo, -uik, m - jlo);
+      fmadd_row(xi + jlo, vk + jlo, -uik, mj - jlo);
     }
   }
 }
 
 template <class T>
-GEP_AVX2_FN void mm_impl(T* x, const T* u, const T* v, index_t m, index_t sx,
-                         index_t su, index_t sv) {
-  for (index_t k = 0; k < m; ++k) {
+GEP_AVX2_FN void mm_impl(T* x, const T* u, const T* v, index_t mi, index_t mj,
+                         index_t mk, index_t sx, index_t su, index_t sv) {
+  for (index_t k = 0; k < mk; ++k) {
     const T* vk = v + k * sv;
-    for (index_t i = 0; i < m; ++i) {
-      fmadd_row(x + i * sx, vk, u[i * su + k], m);
+    for (index_t i = 0; i < mi; ++i) {
+      fmadd_row(x + i * sx, vk, u[i * su + k], mj);
     }
   }
 }
@@ -352,36 +352,44 @@ GEP_INSTANTIATE_UKR(OrAnd, std::uint8_t);
 // --- leaf kernels ----------------------------------------------------------
 
 GEP_AVX2_FN void ge_avx2(double* x, const double* u, const double* v,
-                         const double* w, index_t m, index_t sx, index_t su,
-                         index_t sv, index_t sw, bool diag_i, bool diag_j) {
-  ge_impl(x, u, v, w, m, sx, su, sv, sw, diag_i, diag_j);
+                         const double* w, index_t mi, index_t mj, index_t mk,
+                         index_t sx, index_t su, index_t sv, index_t sw,
+                         bool diag_i, bool diag_j) {
+  ge_impl(x, u, v, w, mi, mj, mk, sx, su, sv, sw, diag_i, diag_j);
 }
 GEP_AVX2_FN void ge_avx2(float* x, const float* u, const float* v,
-                         const float* w, index_t m, index_t sx, index_t su,
-                         index_t sv, index_t sw, bool diag_i, bool diag_j) {
-  ge_impl(x, u, v, w, m, sx, su, sv, sw, diag_i, diag_j);
+                         const float* w, index_t mi, index_t mj, index_t mk,
+                         index_t sx, index_t su, index_t sv, index_t sw,
+                         bool diag_i, bool diag_j) {
+  ge_impl(x, u, v, w, mi, mj, mk, sx, su, sv, sw, diag_i, diag_j);
 }
 
 GEP_AVX2_FN void lu_avx2(double* x, const double* u, const double* v,
-                         double* w, index_t m, index_t sx, index_t su,
-                         index_t sv, index_t sw, bool diag_i, bool diag_j,
-                         const PivotGuard* guard, index_t k_base) {
-  lu_impl(x, u, v, w, m, sx, su, sv, sw, diag_i, diag_j, guard, k_base);
+                         double* w, index_t mi, index_t mj, index_t mk,
+                         index_t sx, index_t su, index_t sv, index_t sw,
+                         bool diag_i, bool diag_j, const PivotGuard* guard,
+                         index_t k_base) {
+  lu_impl(x, u, v, w, mi, mj, mk, sx, su, sv, sw, diag_i, diag_j, guard,
+          k_base);
 }
 GEP_AVX2_FN void lu_avx2(float* x, const float* u, const float* v, float* w,
-                         index_t m, index_t sx, index_t su, index_t sv,
-                         index_t sw, bool diag_i, bool diag_j,
-                         const PivotGuard* guard, index_t k_base) {
-  lu_impl(x, u, v, w, m, sx, su, sv, sw, diag_i, diag_j, guard, k_base);
+                         index_t mi, index_t mj, index_t mk, index_t sx,
+                         index_t su, index_t sv, index_t sw, bool diag_i,
+                         bool diag_j, const PivotGuard* guard,
+                         index_t k_base) {
+  lu_impl(x, u, v, w, mi, mj, mk, sx, su, sv, sw, diag_i, diag_j, guard,
+          k_base);
 }
 
 GEP_AVX2_FN void mm_avx2(double* x, const double* u, const double* v,
-                         index_t m, index_t sx, index_t su, index_t sv) {
-  mm_impl(x, u, v, m, sx, su, sv);
+                         index_t mi, index_t mj, index_t mk, index_t sx,
+                         index_t su, index_t sv) {
+  mm_impl(x, u, v, mi, mj, mk, sx, su, sv);
 }
-GEP_AVX2_FN void mm_avx2(float* x, const float* u, const float* v, index_t m,
-                         index_t sx, index_t su, index_t sv) {
-  mm_impl(x, u, v, m, sx, su, sv);
+GEP_AVX2_FN void mm_avx2(float* x, const float* u, const float* v,
+                         index_t mi, index_t mj, index_t mk, index_t sx,
+                         index_t su, index_t sv) {
+  mm_impl(x, u, v, mi, mj, mk, sx, su, sv);
 }
 
 }  // namespace gep::simd

@@ -7,7 +7,10 @@
 // before invoking. The semiring micro-kernels, which every packed leaf
 // (GEMM, min-plus, max-min, or-and) runs, are declared in
 // simd/microkernel.hpp. Argument conventions (x/u/v/w, strides, diag
-// flags) match the scalar templates in gep/kernels.hpp exactly; these
+// flags, mi x mj x mk extents) match the scalar templates in
+// gep/kernels.hpp exactly; every row sweep's column tail runs the same
+// fused op as its vector body, so a column keeps its bits whatever its
+// offset from the edge. These
 // FMA kernels (ge, lu, mm) are tolerance-equivalent to them and
 // deterministic run-to-run. None of these use `restrict` across
 // x/u/v/w — A/B/C-kind boxes alias.
@@ -29,11 +32,11 @@ namespace simd {
 // Gaussian elimination box (A/B/C kinds; D-kind routes through
 // gemm_leaf): x[i][j] -= (u[i][k] / w[k][k]) * v[k][j].
 void ge_avx2(double* x, const double* u, const double* v, const double* w,
-             index_t m, index_t sx, index_t su, index_t sv, index_t sw,
-             bool diag_i, bool diag_j);
+             index_t mi, index_t mj, index_t mk, index_t sx, index_t su,
+             index_t sv, index_t sw, bool diag_i, bool diag_j);
 void ge_avx2(float* x, const float* u, const float* v, const float* w,
-             index_t m, index_t sx, index_t su, index_t sv, index_t sw,
-             bool diag_i, bool diag_j);
+             index_t mi, index_t mj, index_t mk, index_t sx, index_t su,
+             index_t sv, index_t sw, bool diag_i, bool diag_j);
 
 // LU box with in-place multipliers. guard == nullptr is the unguarded
 // kernel; otherwise every diag_j pivot runs through guard->admit
@@ -42,19 +45,20 @@ void ge_avx2(float* x, const float* u, const float* v, const float* w,
 // unguarded runs bit-identical on healthy input. w is written only by
 // an admitting guard with policy Boost.
 void lu_avx2(double* x, const double* u, const double* v, double* w,
-             index_t m, index_t sx, index_t su, index_t sv, index_t sw,
-             bool diag_i, bool diag_j, const PivotGuard* guard,
+             index_t mi, index_t mj, index_t mk, index_t sx, index_t su,
+             index_t sv, index_t sw, bool diag_i, bool diag_j,
+             const PivotGuard* guard, index_t k_base);
+void lu_avx2(float* x, const float* u, const float* v, float* w, index_t mi,
+             index_t mj, index_t mk, index_t sx, index_t su, index_t sv,
+             index_t sw, bool diag_i, bool diag_j, const PivotGuard* guard,
              index_t k_base);
-void lu_avx2(float* x, const float* u, const float* v, float* w, index_t m,
-             index_t sx, index_t su, index_t sv, index_t sw, bool diag_i,
-             bool diag_j, const PivotGuard* guard, index_t k_base);
 
 // Small-tile matmul accumulate x += u * v (axpy form, for tiles below
 // the packing threshold; larger D-kind tiles use gemm_leaf).
-void mm_avx2(double* x, const double* u, const double* v, index_t m,
-             index_t sx, index_t su, index_t sv);
-void mm_avx2(float* x, const float* u, const float* v, index_t m, index_t sx,
-             index_t su, index_t sv);
+void mm_avx2(double* x, const double* u, const double* v, index_t mi,
+             index_t mj, index_t mk, index_t sx, index_t su, index_t sv);
+void mm_avx2(float* x, const float* u, const float* v, index_t mi,
+             index_t mj, index_t mk, index_t sx, index_t su, index_t sv);
 
 }  // namespace simd
 }  // namespace gep
