@@ -57,7 +57,7 @@ int main() {
     for (index_t bs : {8, 16, 32, 64, 128, 256}) {
       Matrix<double> d = init;
       WallTimer w;
-      apps::floyd_warshall(d, Engine::IGep, {bs, 1});
+      apps::floyd_warshall(d, Engine::IGep, {bs, 1, Runtime::ForkJoin});
       double dt = w.seconds();
       t.add_row({Table::integer(bs), Table::num(dt, 3),
                  Table::num(bench::flops_fw(n) / dt / 1e9, 2)});
@@ -76,10 +76,10 @@ int main() {
       Matrix<double> init = bench::random_dist_matrix(n, 2);
       Matrix<double> a = init, b = init;
       WallTimer w1;
-      apps::floyd_warshall(a, Engine::IGep, {64, 1});
+      apps::floyd_warshall(a, Engine::IGep, {64, 1, Runtime::ForkJoin});
       double t_rm = w1.seconds();
       WallTimer w2;
-      apps::floyd_warshall(b, Engine::IGepZ, {64, 1});
+      apps::floyd_warshall(b, Engine::IGepZ, {64, 1, Runtime::ForkJoin});
       double t_z = w2.seconds();
       t.add_row({Table::integer(n), Table::num(t_rm, 3), Table::num(t_z, 3),
                  Table::num(t_z / t_rm, 2)});

@@ -29,8 +29,7 @@
 #include "extmem/ooc_typed.hpp"
 #include "gep/functors.hpp"
 #include "gep/igep.hpp"
-#include "gep/typed.hpp"
-#include "parallel/work_stealing.hpp"
+#include "parallel/task_graph.hpp"
 
 namespace {
 
@@ -40,24 +39,24 @@ using apps::Engine;
 double time_engine(const Matrix<double>& init, Engine e, index_t base) {
   Matrix<double> a = init;
   WallTimer t;
-  apps::lu_decompose(a, e, {base, 1});
+  apps::lu_decompose(a, e, {base, 1, apps::Runtime::ForkJoin});
   double dt = t.seconds();
   volatile double sink = a(a.rows() - 1, a.cols() - 1);
   (void)sink;
   return dt;
 }
 
-// Typed I-GEP LU on the Cilk-style work-stealing pool: the parallel leg
-// of the figure, and the producer of the "parallel.ws.*" metrics.
+// Typed I-GEP LU, Fig. 6's fork-join schedule on the Cilk-style work-
+// stealing pool: the parallel leg of the figure, and the producer of the
+// "parallel.ws.*" metrics.
 double time_parallel(const Matrix<double>& init, index_t base, int threads,
                      long* steals_out) {
   Matrix<double> a = init;
   const index_t n = a.rows();
   WorkStealingPool pool(threads);
-  WsParInvoker inv{&pool};
   RowMajorStore<double> st{a.data(), n, base};
   WallTimer t;
-  igep_lu(inv, st, n, {base});
+  igep_lu(&pool, st, n, {base, Runtime::ForkJoin});
   double dt = t.seconds();
   *steals_out = pool.steal_count();
   volatile double sink = a(n - 1, n - 1);
@@ -78,7 +77,7 @@ double time_ooc(const Matrix<double>& init, index_t base,
   cache.reset_stats();
   WallTimer t;
   try {
-    ooc_igep_lu(m);
+    ooc_igep_lu_dag(m, nullptr, {.prefetch = false});
   } catch (const obs::JobCancelled&) {
     // SIGINT/SIGTERM mid-leg: flush write-behind so the backing file is
     // consistent, leave a flight dump, and exit with the SIGINT code.

@@ -22,7 +22,7 @@ double time_engine(const Matrix<double>& a, const Matrix<double>& b,
                    Engine e, index_t base) {
   Matrix<double> c(a.rows(), a.cols(), 0.0);
   WallTimer t;
-  apps::multiply_add(c, a, b, e, {base, 1});
+  apps::multiply_add(c, a, b, e, {base, 1, apps::Runtime::ForkJoin});
   double dt = t.seconds();
   volatile double sink = c(0, 0);
   (void)sink;

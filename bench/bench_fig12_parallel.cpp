@@ -80,19 +80,20 @@ int main() {
   auto time_fw = [&](int threads) {
     Matrix<double> d = fw_init;
     WallTimer t;
-    apps::floyd_warshall(d, Engine::IGep, {base, threads});
+    apps::floyd_warshall(d, Engine::IGep, {base, threads, Runtime::ForkJoin});
     return t.seconds();
   };
   auto time_lu = [&](int threads) {
     Matrix<double> m = lu_init;
     WallTimer t;
-    apps::lu_decompose(m, Engine::IGep, {base, threads});
+    apps::lu_decompose(m, Engine::IGep, {base, threads, Runtime::ForkJoin});
     return t.seconds();
   };
   auto time_mm = [&](int threads) {
     Matrix<double> c(n_real, n_real, 0.0);
     WallTimer t;
-    apps::multiply_add(c, a, b, Engine::IGep, {base, threads});
+    apps::multiply_add(c, a, b, Engine::IGep,
+                       {base, threads, Runtime::ForkJoin});
     return t.seconds();
   };
 

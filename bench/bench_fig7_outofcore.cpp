@@ -199,12 +199,12 @@ int main(int argc, char** argv) {
     tc.print(std::cout);
     tc.write_csv("fig7_layout_ablation.csv");
   }
-  // --- typed engine: sequential vs parallel vs parallel+prefetch --------
-  // The block-granular typed engine (pinned tiles, raw-pointer kernels)
-  // on the work-stealing pool, with and without recursion-driven prefetch
-  // through the cache's async I/O worker. Same (n, M, B) across legs; all
-  // legs must produce identical results (invoke() barriers keep stages'
-  // X tiles disjoint).
+  // --- typed engine: sequential vs DAG + prefetch -----------------------
+  // The block-granular typed engine (pinned tiles, raw-pointer kernels):
+  // sequential and synchronous, then on the work-stealing pool with the
+  // scheduler's lookahead prefetch through the cache's async I/O worker.
+  // Same (n, M, B) across legs; all legs must produce identical results
+  // (the task graph keeps every tile's update order).
   {
     bench::BenchReport report(fault_rate > 0 ? "fig7_outofcore_faults"
                               : ckpt_on      ? "fig7_outofcore_ckpt"
@@ -238,11 +238,13 @@ int main(int argc, char** argv) {
     // Realize 1% of the modeled disk latency as actual sleep so there is
     // wall-clock latency for the async worker to hide (page faults on
     // NVMe-backed temp files are otherwise near-instant and the overlap
-    // would be unmeasurable). Identical for all three legs.
+    // would be unmeasurable). Identical for both legs.
     DiskModel disk;
     disk.realize_fraction = 0.01;
-    auto leg = [&](const char* label, bool parallel, bool prefetch,
-                   bool dag = false) {
+    // One driver: with no pool it is the sequential out-of-core I-GEP;
+    // on `threads` workers the scheduler's ready frontier IS the
+    // prefetch stream (lookahead tasks -> page hints).
+    auto leg = [&](const char* label, bool parallel, bool prefetch) {
       PageCache cache(M, B, disk, robust);
       OocTiledMatrix<double> m(cache, n, n);
       m.load(init);
@@ -279,21 +281,11 @@ int main(int argc, char** argv) {
       try {
         dt = report.timed(label, n, bench::flops_fw(n), [&] {
           const std::uint64_t io0 = cache.stats().io();
-          if (dag) {
-            // DAG runtime: the scheduler's ready frontier IS the
-            // prefetch stream (lookahead tasks -> page hints).
-            WorkStealingPool pool(threads);
-            ooc_igep_floyd_warshall_dag(
-                m, &pool,
-                {.lookahead = dag_lookahead_from_env(),
-                 .prefetch = prefetch});
-          } else if (parallel) {
-            WorkStealingPool pool(threads);
-            WsParInvoker inv{&pool};
-            ooc_igep_floyd_warshall(m, inv, {.prefetch = prefetch});
-          } else {
-            ooc_igep_floyd_warshall(m);
-          }
+          std::unique_ptr<WorkStealingPool> pool;
+          if (parallel) pool = std::make_unique<WorkStealingPool>(threads);
+          ooc_igep_floyd_warshall_dag(
+              m, pool.get(),
+              {.lookahead = dag_lookahead_from_env(), .prefetch = prefetch});
           io_pass = cache.stats().io() - io0;
         });
       } catch (const obs::JobCancelled&) {
@@ -315,8 +307,8 @@ int main(int argc, char** argv) {
       report.annotate("page_ios", static_cast<double>(s.io()));
       report.annotate("prefetch_hits", static_cast<double>(s.prefetch_hits));
       report.annotate("prefetch_hit_rate", s.prefetch_hit_rate());
-      report.annotate("threads", parallel || dag ? threads : 1);
-      if (dag) {
+      report.annotate("threads", parallel ? threads : 1);
+      if (prefetch) {
         report.annotate("dag_lookahead",
                         static_cast<double>(dag_lookahead_from_env()));
       }
@@ -359,9 +351,7 @@ int main(int argc, char** argv) {
       return dt;
     };
     t_sync = leg("typed sync seq", false, false);
-    leg("typed parallel", true, false);
-    leg("typed parallel+prefetch", true, true);
-    leg("typed dag+prefetch", true, true, /*dag=*/true);
+    leg("typed dag+prefetch", true, true);
     // --- checkpointed leg (--ckpt-every / --ckpt-interval) --------------
     // Same job as "typed sync seq" with crash-consistent snapshots cut by
     // the requested triggers; SIGTERM/SIGINT checkpoints before exiting
@@ -436,10 +426,8 @@ int main(int argc, char** argv) {
             make_coordinator();
           }
           resumed = false;
-          SeqInvoker inv;
-          OocTypedOptions o;
-          o.ckpt = ck.get();
-          ooc_igep_floyd_warshall(m, inv, o);
+          ooc_igep_floyd_warshall_dag(
+              m, nullptr, {.prefetch = false, .ckpt = ck.get()});
         });
       } catch (const obs::JobCancelled&) {
         // Checkpoint-then-exit: flush write-behind, cut a final snapshot
@@ -518,7 +506,7 @@ int main(int argc, char** argv) {
       try {
         report.timed("typed sync seq", n2, bench::flops_fw(n2), [&] {
           const std::uint64_t io0 = cache.stats().io();
-          ooc_igep_floyd_warshall(m);
+          ooc_igep_floyd_warshall_dag(m, nullptr, {.prefetch = false});
           io_pass = cache.stats().io() - io0;
         });
       } catch (const obs::JobCancelled&) {

@@ -16,7 +16,7 @@ using apps::Engine;
 double time_engine(const Matrix<double>& init, Engine e, index_t base) {
   Matrix<double> d = init;
   WallTimer t;
-  apps::floyd_warshall(d, e, {base, 1});
+  apps::floyd_warshall(d, e, {base, 1, apps::Runtime::ForkJoin});
   double dt = t.seconds();
   // Fold a checksum into stderr-free output to defeat dead-code elision.
   volatile double sink = d(0, d.cols() - 1);

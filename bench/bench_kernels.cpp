@@ -23,7 +23,7 @@
 #include "bench_common.hpp"
 #include "blas/blas.hpp"
 #include "gep/kernels.hpp"
-#include "gep/typed.hpp"
+#include "parallel/task_graph.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/gemm_leaf.hpp"
 #include "simd/microkernel.hpp"
@@ -543,10 +543,10 @@ int main(int argc, char** argv) {
       simd::force_level(level);
       Matrix<double> m = init;
       RowMajorStore<double> st{m.data(), n, base};
-      SeqInvoker inv;
       const double dt = report.timed(
           "igep_lu_typed n=" + std::to_string(n) + " " + path_name(level), n,
-          bench::flops_lu(n), [&] { igep_lu(inv, st, n, {base}); });
+          bench::flops_lu(n),
+          [&] { igep_lu(nullptr, st, n, {base, Runtime::ForkJoin}); });
       std::printf("  igep_lu_typed n=%lld %s: %.3f s  %.2f GF/s\n",
                   static_cast<long long>(n), path_name(level), dt,
                   bench::flops_lu(n) / dt / 1e9);

@@ -56,7 +56,7 @@ void usage() {
       "  --out FILE    write the result matrix\n"
       "  --engine E    iter|igep|igepz|cgep|cgepc|blocked (default igep)\n"
       "  --base B      base-case size (default 64)\n"
-      "  --threads T   fork-join threads (default 1)\n"
+      "  --threads T   worker threads (default 1)\n"
       "  --seed S      RNG seed for random instances (default 1)\n");
 }
 

@@ -16,8 +16,8 @@
 // identical to a run on the Σ-neutrally padded matrix (GE/LU with
 // Strassen-sized leaves: equal to rounding). IGepZ, CGep and
 // CGepCompact still pad to the next power of two and unpad on return.
-// opts.threads > 1 runs the multithreaded I-GEP of Fig. 6 (IGep/IGepZ
-// engines only; other engines are sequential by construction).
+// opts.threads > 1 runs IGep/IGepZ on that many workers under
+// opts.runtime (other engines are sequential by construction).
 #pragma once
 
 #include <cstdint>
@@ -33,19 +33,17 @@ enum class Engine { Iterative, IGep, IGepZ, CGep, CGepCompact, Blocked };
 
 std::string engine_name(Engine e);
 
-// Scheduler for the IGep/IGepZ engines. ForkJoin is the strict Fig. 6
-// invoker; Dag the dependency-driven block-task runtime
-// (parallel/task_graph.hpp) — bit-identical results, fewer barriers.
-// Auto resolves $GEP_DAG_RUNTIME (=1 forces Dag, =0 ForkJoin, unset
-// ForkJoin), so a whole test/bench process can be pinned from the
-// environment. Engines other than IGep/IGepZ ignore the field; so do
-// the drivers without a DAG mirror yet (fw_paths, gap alignment).
-enum class Runtime { Auto, ForkJoin, Dag };
+// Scheduler for the IGep/IGepZ engines (gep::Runtime, matrix.hpp): Dag,
+// the default, is the dependency-driven block-task runtime
+// (parallel/task_graph.hpp); ForkJoin the strict Fig. 6 recursion.
+// Same leaves, bit-identical results. Every IGep/IGepZ app runs under
+// either; the other engines ignore the field.
+using Runtime = gep::Runtime;
 
 struct RunOptions {
   index_t base_size = 64;
   int threads = 1;
-  Runtime runtime = Runtime::Auto;
+  Runtime runtime = Runtime::Dag;
   // Leaf-GEMM tuning (Strassen levels / crossover) for the engines that
   // route D-kind leaves through the packed GEMM (IGep/IGepZ with large
   // base_size, Blocked). Defaults inherit $GEP_STRASSEN_LEVELS /

@@ -54,14 +54,9 @@ void floyd_warshall(Matrix<double>& d, Engine engine, RunOptions opts) {
     case Engine::IGep: {
       const index_t n = d.rows();
       RowMajorStore<double> st{d.data(), n, leaf_side(opts.base_size, n)};
-      detail::run_igep(
-          opts,
-          [&](WorkStealingPool* pool) {
-            igep_floyd_warshall_dag(pool, st, n, {opts.base_size});
-          },
-          [&](auto& inv) {
-            igep_floyd_warshall(inv, st, n, {opts.base_size});
-          });
+      detail::run_igep(opts, [&](WorkStealingPool* pool, TypedOptions t) {
+        igep_floyd_warshall(pool, st, n, t);
+      });
       return;
     }
     case Engine::IGepZ:
@@ -71,12 +66,9 @@ void floyd_warshall(Matrix<double>& d, Engine engine, RunOptions opts) {
         ZBlocked<double> z(m.rows(), bs);
         z.load(m);  // conversion cost included, as in the paper
         ZStore<double> st{&z};
-        detail::run_igep(
-            opts,
-            [&](WorkStealingPool* pool) {
-              igep_floyd_warshall_dag(pool, st, m.rows(), {bs});
-            },
-            [&](auto& inv) { igep_floyd_warshall(inv, st, m.rows(), {bs}); });
+        detail::run_igep(opts, [&](WorkStealingPool* pool, TypedOptions t) {
+          igep_floyd_warshall(pool, st, m.rows(), t);
+        });
         z.store(m);
       });
       return;

@@ -58,12 +58,9 @@ void gaussian_eliminate(Matrix<double>& a, Engine engine, RunOptions opts) {
     case Engine::IGep: {
       const index_t n = a.rows();
       RowMajorStore<double> st{a.data(), n, leaf_side(opts.base_size, n)};
-      detail::run_igep(
-          opts,
-          [&](WorkStealingPool* pool) {
-            igep_gaussian_dag(pool, st, n, {opts.base_size});
-          },
-          [&](auto& inv) { igep_gaussian(inv, st, n, {opts.base_size}); });
+      detail::run_igep(opts, [&](WorkStealingPool* pool, TypedOptions t) {
+        igep_gaussian(pool, st, n, t);
+      });
       return;
     }
     case Engine::IGepZ:
@@ -74,12 +71,9 @@ void gaussian_eliminate(Matrix<double>& a, Engine engine, RunOptions opts) {
         ZBlocked<double> z(m.rows(), bs);
         z.load(m);
         ZStore<double> st{&z};
-        detail::run_igep(
-            opts,
-            [&](WorkStealingPool* pool) {
-              igep_gaussian_dag(pool, st, m.rows(), {bs});
-            },
-            [&](auto& inv) { igep_gaussian(inv, st, m.rows(), {bs}); });
+        detail::run_igep(opts, [&](WorkStealingPool* pool, TypedOptions t) {
+          igep_gaussian(pool, st, m.rows(), t);
+        });
         z.store(m);
       });
       return;
@@ -111,12 +105,9 @@ void lu_decompose(Matrix<double>& a, Engine engine, RunOptions opts) {
     case Engine::IGep: {
       const index_t n = a.rows();
       RowMajorStore<double> st{a.data(), n, leaf_side(opts.base_size, n)};
-      detail::run_igep(
-          opts,
-          [&](WorkStealingPool* pool) {
-            igep_lu_dag(pool, st, n, {opts.base_size});
-          },
-          [&](auto& inv) { igep_lu(inv, st, n, {opts.base_size}); });
+      detail::run_igep(opts, [&](WorkStealingPool* pool, TypedOptions t) {
+        igep_lu(pool, st, n, t);
+      });
       return;
     }
     case Engine::IGepZ:
@@ -125,14 +116,9 @@ void lu_decompose(Matrix<double>& a, Engine engine, RunOptions opts) {
         ZBlocked<double> z(m.rows(), bs);
         z.load(m);
         ZStore<double> st{&z};
-        if (detail::use_dag(opts)) {
-          detail::with_dag_pool(opts, [&](WorkStealingPool* pool) {
-            igep_lu_dag(pool, st, m.rows(), {bs});
-          });
-        } else {
-          SeqInvoker inv;
-          igep_lu(inv, st, m.rows(), {bs});
-        }
+        detail::run_igep(opts, [&](WorkStealingPool* pool, TypedOptions t) {
+          igep_lu(pool, st, m.rows(), t);
+        });
         z.store(m);
       });
       return;

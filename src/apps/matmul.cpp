@@ -49,12 +49,9 @@ void multiply_add(Matrix<double>& c, const Matrix<double>& a,
       RowMajorStore<double> cst{c.data(), n, bs};
       RowMajorStore<const double> ast{a.data(), n, bs};
       RowMajorStore<const double> bst{b.data(), n, bs};
-      detail::run_igep(
-          opts,
-          [&](WorkStealingPool* pool) {
-            igep_matmul_dag(pool, cst, ast, bst, n, {bs});
-          },
-          [&](auto& inv) { igep_matmul(inv, cst, ast, bst, n, {bs}); });
+      detail::run_igep(opts, [&](WorkStealingPool* pool, TypedOptions t) {
+        igep_matmul(pool, cst, ast, bst, n, t);
+      });
       return;
     }
     case Engine::IGepZ: {
@@ -72,12 +69,9 @@ void multiply_add(Matrix<double>& c, const Matrix<double>& a,
       az.load(a);
       bz.load(b);
       ZStore<double> cst{&cz}, ast{&az}, bst{&bz};
-      detail::run_igep(
-          opts,
-          [&](WorkStealingPool* pool) {
-            igep_matmul_dag(pool, cst, ast, bst, n, {bs});
-          },
-          [&](auto& inv) { igep_matmul(inv, cst, ast, bst, n, {bs}); });
+      detail::run_igep(opts, [&](WorkStealingPool* pool, TypedOptions t) {
+        igep_matmul(pool, cst, ast, bst, n, t);
+      });
       cz.store(c);
       return;
     }

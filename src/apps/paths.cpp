@@ -69,14 +69,9 @@ void floyd_warshall_paths(Matrix<double>& d, Matrix<std::int32_t>& succ,
       const index_t bs = leaf_side(opts.base_size, n);
       RowMajorStore<double> dst{d.data(), n, bs};
       RowMajorStore<std::int32_t> sst{succ.data(), n, bs};
-      if (opts.threads > 1) {
-        ThreadPool pool(opts.threads);
-        ParInvoker inv{&pool};
-        igep_floyd_warshall_paths(inv, dst, sst, n, {bs});
-      } else {
-        SeqInvoker inv;
-        igep_floyd_warshall_paths(inv, dst, sst, n, {bs});
-      }
+      detail::run_igep(opts, [&](WorkStealingPool* pool, TypedOptions t) {
+        igep_floyd_warshall_paths(pool, dst, sst, n, t);
+      });
       return;
     }
     default:
@@ -118,12 +113,9 @@ void bottleneck_paths(Matrix<double>& cap, Engine engine, RunOptions opts) {
       return;
     case Engine::IGep: {
       RowMajorStore<double> st{cap.data(), n, leaf_side(opts.base_size, n)};
-      detail::run_igep(
-          opts,
-          [&](WorkStealingPool* pool) {
-            igep_bottleneck_dag(pool, st, n, {opts.base_size});
-          },
-          [&](auto& inv) { igep_bottleneck(inv, st, n, {opts.base_size}); });
+      detail::run_igep(opts, [&](WorkStealingPool* pool, TypedOptions t) {
+        igep_bottleneck(pool, st, n, t);
+      });
       return;
     }
     case Engine::IGepZ:
@@ -132,14 +124,9 @@ void bottleneck_paths(Matrix<double>& cap, Engine engine, RunOptions opts) {
         ZBlocked<double> z(m.rows(), bs);
         z.load(m);
         ZStore<double> st{&z};
-        if (detail::use_dag(opts)) {
-          detail::with_dag_pool(opts, [&](WorkStealingPool* pool) {
-            igep_bottleneck_dag(pool, st, m.rows(), {bs});
-          });
-        } else {
-          SeqInvoker inv;
-          igep_bottleneck(inv, st, m.rows(), {bs});
-        }
+        detail::run_igep(opts, [&](WorkStealingPool* pool, TypedOptions t) {
+          igep_bottleneck(pool, st, m.rows(), t);
+        });
         z.store(m);
       });
       return;

@@ -1,5 +1,5 @@
-// Internal: resolves RunOptions::runtime and owns the pool for the
-// DAG-runtime paths of the app entry points. Not installed API.
+// Internal: owns the pool for the IGep/IGepZ paths of the app entry
+// points. Not installed API.
 #pragma once
 
 #include <algorithm>
@@ -8,62 +8,38 @@
 #include "apps/apps.hpp"
 #include "obs/stat_server.hpp"
 #include "parallel/task_graph.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace gep::apps::detail {
 
-inline bool use_dag(const RunOptions& opts) {
-  switch (opts.runtime) {
-    case Runtime::ForkJoin: return false;
-    case Runtime::Dag: return true;
-    case Runtime::Auto: break;
-  }
-  return runtime_from_env() == RuntimeKind::Dag;
-}
-
-// Worker count for the DAG runtime: the request clamped to the host's
-// concurrency. A dependency-driven runtime keeps every worker busy (no
-// join barriers parking threads), so running more workers than cores
-// only interleaves their working sets in the shared cache and adds
-// context-switch thrash — unlike fork-join, oversubscription can never
-// help it. Compute tasks never block, so there is no latency to hide.
-inline int dag_workers(const RunOptions& opts) {
+// Worker count: opts.threads, and for the DAG schedule clamped to the
+// host's concurrency. A dependency-driven runtime keeps every worker
+// busy (no join barriers parking threads), so running more workers than
+// cores only interleaves their working sets in the shared cache and adds
+// context-switch thrash. Compute tasks never block, so there is no
+// latency to hide. The fork-join schedule keeps the requested count, as
+// Fig. 6 runs it.
+inline int workers(const RunOptions& opts) {
+  if (opts.runtime == Runtime::ForkJoin) return opts.threads;
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   return std::min(opts.threads, static_cast<int>(hw));
 }
 
-// Runs fn(pool) with a work-stealing pool sized by dag_workers(), or
-// fn(nullptr) for the single-threaded case (run_task_graph then
-// executes in emission order on the calling thread).
+// Runs one typed I-GEP solve: fn(pool, typed_options) with a work-
+// stealing pool of workers(opts) threads, or with no pool (sequential)
+// when that is one.
 template <class Fn>
-void with_dag_pool(const RunOptions& opts, Fn&& fn) {
-  // DAG-runtime drivers are long-running entry points: arm the embedded
-  // stat server when $GEP_STAT_PORT asks for it (no-op otherwise or when
-  // a bench banner already started it; inert stub at GEP_OBS=0).
+void run_igep(const RunOptions& opts, Fn&& fn) {
+  // Typed solves are long-running entry points: arm the embedded stat
+  // server when $GEP_STAT_PORT asks for it (no-op otherwise or when a
+  // bench banner already started it; inert stub at GEP_OBS=0).
   obs::StatServer::start_from_env();
-  const int workers = dag_workers(opts);
-  if (workers > 1) {
-    WorkStealingPool pool(workers);
-    fn(&pool);
+  const TypedOptions to{opts.base_size, opts.runtime};
+  const int n = workers(opts);
+  if (n > 1) {
+    WorkStealingPool pool(n);
+    fn(&pool, to);
   } else {
-    fn(static_cast<WorkStealingPool*>(nullptr));
-  }
-}
-
-// Runs one typed I-GEP solve under the selected runtime: dag(pool) on
-// the DAG runtime, else fork_join(inv) with the Fig. 6 invoker over a
-// ThreadPool at opts.threads > 1, or the sequential one.
-template <class Dag, class ForkJoin>
-void run_igep(const RunOptions& opts, Dag&& dag, ForkJoin&& fork_join) {
-  if (use_dag(opts)) {
-    with_dag_pool(opts, dag);
-  } else if (opts.threads > 1) {
-    ThreadPool pool(opts.threads);
-    ParInvoker inv{&pool};
-    fork_join(inv);
-  } else {
-    SeqInvoker inv;
-    fork_join(inv);
+    fn(static_cast<WorkStealingPool*>(nullptr), to);
   }
 }
 

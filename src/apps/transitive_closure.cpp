@@ -41,14 +41,9 @@ void transitive_closure(Matrix<std::uint8_t>& reach, Engine engine,
       const index_t n = reach.rows();
       RowMajorStore<std::uint8_t> st{reach.data(), n,
                                      leaf_side(opts.base_size, n)};
-      detail::run_igep(
-          opts,
-          [&](WorkStealingPool* pool) {
-            igep_transitive_closure_dag(pool, st, n, {opts.base_size});
-          },
-          [&](auto& inv) {
-            igep_transitive_closure(inv, st, n, {opts.base_size});
-          });
+      detail::run_igep(opts, [&](WorkStealingPool* pool, TypedOptions t) {
+        igep_transitive_closure(pool, st, n, t);
+      });
       return;
     }
     case Engine::IGepZ:
@@ -60,14 +55,10 @@ void transitive_closure(Matrix<std::uint8_t>& reach, Engine engine,
             ZBlocked<std::uint8_t> z(m.rows(), bs);
             z.load(m);
             ZStore<std::uint8_t> st{&z};
-            if (detail::use_dag(opts)) {
-              detail::with_dag_pool(opts, [&](WorkStealingPool* pool) {
-                igep_transitive_closure_dag(pool, st, m.rows(), {bs});
-              });
-            } else {
-              SeqInvoker inv;
-              igep_transitive_closure(inv, st, m.rows(), {bs});
-            }
+            detail::run_igep(
+                opts, [&](WorkStealingPool* pool, TypedOptions t) {
+                  igep_transitive_closure(pool, st, m.rows(), t);
+                });
             z.store(m);
           });
       return;

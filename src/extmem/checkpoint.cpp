@@ -99,12 +99,6 @@ std::atomic<bool> g_ckpt_signal{false};
 
 void on_sigusr2(int) { g_ckpt_signal.store(true, std::memory_order_relaxed); }
 
-std::uint64_t pack_box(index_t i0, index_t j0, index_t k0) {
-  return (static_cast<std::uint64_t>(i0) << 42) |
-         (static_cast<std::uint64_t>(j0) << 21) |
-         static_cast<std::uint64_t>(k0);
-}
-
 }  // namespace
 
 std::string snapshot_filename(std::uint64_t job_id, std::uint64_t seq) {
@@ -325,13 +319,8 @@ void CheckpointCoordinator::bind(DagProblem algo, index_t n, index_t base,
   if (mats_.empty()) {
     throw CheckpointError("checkpoint: bind() before add_matrix()");
   }
-  TaskGraph g = build_typed_task_graph(algo, n, bs);
-  task_count_ = static_cast<std::uint64_t>(g.size());
-  task_map_.reserve(static_cast<std::size_t>(task_count_) * 2);
-  for (int id = 0; id < g.size(); ++id) {
-    const BlockTask& t = g.task(id);
-    task_map_[pack_box(t.i0, t.j0, t.k0)] = id;
-  }
+  task_count_ =
+      static_cast<std::uint64_t>(build_typed_task_graph(algo, n, bs).size());
   word_count_ = static_cast<std::size_t>((task_count_ + 63) / 64);
   words_ = std::make_unique<std::atomic<std::uint64_t>[]>(
       std::max<std::size_t>(word_count_, 1));
@@ -345,21 +334,12 @@ void CheckpointCoordinator::bind(DagProblem algo, index_t n, index_t base,
   bound_ = true;
 }
 
-int CheckpointCoordinator::task_id(index_t i0, index_t j0, index_t k0) const {
-  const auto it = task_map_.find(pack_box(i0, j0, k0));
-  if (it == task_map_.end()) {
-    throw CheckpointError("checkpoint: leaf box not in the bound task graph");
-  }
-  return it->second;
-}
-
 std::uint64_t CheckpointCoordinator::fingerprint_hash() const {
   // Everything that must match for a snapshot to be replayable: the
   // problem, its shape, the leaf grid, element/page geometry and the
-  // matrix set. Deliberately NOT the runtime or thread count — any
-  // topological execution of the same DAG is bit-identical, so a
-  // snapshot cut under the fork-join invoker legally resumes under the
-  // DAG scheduler (and vice versa).
+  // matrix set. Deliberately NOT the worker count — any topological
+  // execution of the same DAG is bit-identical, so a snapshot cut on a
+  // pool of workers legally resumes with no pool (and vice versa).
   std::vector<std::uint64_t> buf;
   buf.push_back(static_cast<std::uint64_t>(algo_));
   buf.push_back(static_cast<std::uint64_t>(n_));

@@ -8,10 +8,8 @@
 // sequential execution order and every quiesced completed-set is a
 // dependence DOWNSET of the DAG, so "replay the pages, skip the done
 // leaves, run the rest in any topological order" reproduces the
-// uninterrupted run bit for bit — on either runtime: the fork-join
-// invoker and the DAG scheduler retire the same leaves, so one frontier
-// format serves both (a snapshot cut under one runtime resumes under
-// the other).
+// uninterrupted run bit for bit — at any worker count: a snapshot cut
+// on a pool resumes with no pool, and vice versa.
 //
 // Stream format GEPCKPT1 (host-endian, one file per snapshot):
 //   FileHeader        magic "GEPCKPT1", schema version, job id, matrix
@@ -57,7 +55,6 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "extmem/page_cache.hpp"
@@ -188,8 +185,7 @@ struct CheckpointStats {
 
 // Orchestrates quiesce + snapshot + resume for one job: one PageCache,
 // one or more OocMatrix files, one typed task graph. Thread-safe; the
-// same object serves the fork-join leaves and the DAG runtime (via
-// TaskRuntimeOptions::ckpt).
+// DAG runtime's workers all call it (via TaskRuntimeOptions::ckpt).
 class CheckpointCoordinator final : public TaskCheckpointHook {
  public:
   CheckpointCoordinator(PageCache& cache, CheckpointOptions opts);
@@ -200,8 +196,8 @@ class CheckpointCoordinator final : public TaskCheckpointHook {
                   std::uint64_t tile_side, std::uint64_t elem_bytes,
                   std::uint64_t pages);
 
-  // Binds the job's execution fingerprint and builds the leaf-id map
-  // from the typed task graph (emission order). Idempotent for equal
+  // Binds the job's execution fingerprint and sizes the frontier to the
+  // typed task graph (emission-order ids). Idempotent for equal
   // arguments — the OOC drivers re-bind on entry — and throws on a
   // mismatch (the coordinator serves exactly one job).
   void bind(DagProblem algo, index_t n, index_t base, bool lu_guarded);
@@ -214,9 +210,6 @@ class CheckpointCoordinator final : public TaskCheckpointHook {
   // throws CheckpointError on corruption — never a partial resume: no
   // page is installed unless the whole chain validated.
   bool resume();
-
-  // Emission-order task id of the leaf keyed by its box origin.
-  int task_id(index_t i0, index_t j0, index_t k0) const;
 
   // Asks for a snapshot at the next consistent point (thread-safe,
   // returns immediately).
@@ -272,7 +265,6 @@ class CheckpointCoordinator final : public TaskCheckpointHook {
   index_t n_ = 0, base_ = 0;
   bool lu_guarded_ = false;
   std::uint64_t task_count_ = 0;
-  std::unordered_map<std::uint64_t, int> task_map_;  // packed box -> id
 
   // Frontier: one bit per task, set at leaf_exit. Lock-free so markers
   // never contend with the quiesce mutex.

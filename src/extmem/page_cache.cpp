@@ -459,8 +459,11 @@ void PageCache::io_worker_loop() {
       continue;
     }
     // Idle: flush one about-to-be-evicted dirty frame so the next fault
-    // finds it clean (write-back overlapped with compute).
-    const std::size_t f = write_behind_candidate();
+    // finds it clean (write-back overlapped with compute). Not once
+    // degraded: like prefetches, write-backs are then the foreground's.
+    const std::size_t f = degraded_.load(std::memory_order_acquire)
+                              ? kNoFrame
+                              : write_behind_candidate();
     if (f != kNoFrame) {
       Frame& fr = frames_[f];
       fr.io_busy = true;
@@ -486,6 +489,11 @@ void PageCache::io_worker_loop() {
         page_cache_obs().writeback_failures.inc();
         note_worker_failure();
         io_cv_.notify_all();
+        // Back off before the next attempt: a failing store fails it just
+        // as fast, and looping straight back would hold mu_ almost
+        // without a gap, starving the workers that need it to pin tiles.
+        obs::Watchdog::set_idle(wd);
+        work_cv_.wait_for(lock, std::chrono::milliseconds(1));
         continue;
       }
       const double wait = model_.io_seconds(page_bytes_);

@@ -253,8 +253,8 @@ void run_cgep(Matrix<T>& c, const F& f, const S& sigma, CGepOptions opts = {},
 }
 
 // Multithreaded C-GEP (4n²-space) driven by a fork-join Invoker (see
-// parallel/thread_pool.hpp's ParInvoker, or SeqInvoker for sequential
-// staging). Same T_p = O(n³/p + n log² n) bound as parallel I-GEP.
+// parallel/work_stealing.hpp's WsParInvoker; without a pool it stages
+// sequentially). Same T_p = O(n³/p + n log² n) bound as parallel I-GEP.
 template <class Inv, class T, class F, UpdateSet S>
 void run_cgep_parallel(Inv& inv, Matrix<T>& c, const F& f, const S& sigma,
                        CGepOptions opts = {}) {

@@ -174,6 +174,12 @@ inline bool is_pow2(index_t n) { return n > 0 && (n & (n - 1)) == 0; }
 // whose i-, j- or k-range starts at or beyond n is pruned; a surviving
 // leaf is clipped to the n x n matrix.
 
+// The two schedules of a typed I-GEP solve (parallel/task_graph.hpp):
+// ForkJoin runs the recursion with Fig. 6's fork-join stages, Dag runs
+// its leaves as a dependency-driven task graph. Same leaves, same
+// per-block update order, so the same output bit for bit.
+enum class Runtime { ForkJoin, Dag };
+
 inline index_t leaf_side(index_t base, index_t n) {
   return std::min(base, next_pow2(n));
 }
@@ -182,13 +188,6 @@ inline index_t grid_side(index_t n, index_t bs) {
   index_t s = bs;
   while (s < n) s *= 2;
   return s;
-}
-
-// True when the box starts at or beyond n along i, j or k: it holds no
-// update of the n x n matrix. The one prune every I-GEP recursion and
-// the task-graph builder share, ahead of each problem's own Σ test.
-inline bool outside(index_t n, index_t i0, index_t j0, index_t k0) {
-  return i0 >= n || j0 >= n || k0 >= n;
 }
 
 // One leaf box: its nominal side m, on which kernels decide their

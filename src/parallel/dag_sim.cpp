@@ -31,16 +31,6 @@ struct Builder {
   index_t base;
   std::vector<LeafBox>* boxes = nullptr;
 
-  // typed_rec's two tests: the box lies outside the n x n matrix, or
-  // misses the problem's Σ.
-  bool prune(index_t i0, index_t j0, index_t k0) const {
-    if (outside(n, i0, j0, k0)) return true;
-    if (prob == DagProblem::Gaussian || prob == DagProblem::LU) {
-      return i0 < k0 || j0 < k0;
-    }
-    return false;
-  }
-
   SPNode leaf(index_t i0, index_t j0, index_t k0, index_t m) const {
     const bool di = (i0 == k0);
     const bool dj = (j0 == k0);
@@ -63,7 +53,7 @@ struct Builder {
     auto add_stage = [&](std::vector<std::array<index_t, 3>> calls) {
       std::vector<SPNode> group;
       for (auto [ii, jj, kk] : calls) {
-        if (!prune(ii, jj, kk)) group.push_back(rec(ii, jj, kk, h));
+        if (!prunes(prob, n, ii, jj, kk)) group.push_back(rec(ii, jj, kk, h));
       }
       if (!group.empty()) node.stages.push_back(std::move(group));
     };

@@ -31,6 +31,18 @@ struct SPNode {
 
 enum class DagProblem { FloydWarshall, Gaussian, LU, MatMul };
 
+// The one prune rule of the typed recursion (gep/typed.hpp), the task
+// graph and this simulator: the box (i0, j0, k0) holds no update of the
+// n x n problem when it starts at or beyond n along i, j or k, or when
+// it misses Σ. Aligned ranges are equal or disjoint, so a GE/LU box
+// misses Σ iff its i- or j-range lies strictly below its k-range.
+inline bool prunes(DagProblem prob, index_t n, index_t i0, index_t j0,
+                   index_t k0) {
+  if (i0 >= n || j0 >= n || k0 >= n) return true;
+  return (prob == DagProblem::Gaussian || prob == DagProblem::LU) &&
+         (i0 < k0 || j0 < k0);
+}
+
 // One base-case box of the recursion (element-index coordinates); its
 // extents are LeafDims::clipped(n, i0, j0, k0, m).
 struct LeafBox {

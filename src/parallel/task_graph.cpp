@@ -427,12 +427,6 @@ double task_graph_makespan(const TaskGraph& g, int p) {
   return t;
 }
 
-RuntimeKind runtime_from_env(RuntimeKind fallback) {
-  const char* v = std::getenv("GEP_DAG_RUNTIME");
-  if (v == nullptr || *v == '\0') return fallback;
-  return (*v == '0') ? RuntimeKind::ForkJoin : RuntimeKind::Dag;
-}
-
 int dag_lookahead_from_env(int fallback) {
   const char* v = std::getenv("GEP_DAG_LOOKAHEAD");
   if (v == nullptr || *v == '\0') return fallback;

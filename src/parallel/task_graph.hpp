@@ -26,9 +26,9 @@
 //    PageCache::prefetch, so the SAME scheduler state drives both the
 //    workers and the async I/O worker (extmem/ooc_typed.hpp).
 //
-// The fork-join invoker remains the default engine; the DAG runtime is
-// opted into per call site or process-wide via $GEP_DAG_RUNTIME=1
-// (apps::RunOptions::runtime). dag_sim.hpp's greedy scheduler is the
+// The DAG is the default schedule of every typed I-GEP driver below
+// (Runtime::Dag); Runtime::ForkJoin runs the same leaf body through the
+// Fig. 6 recursion instead. dag_sim.hpp's greedy scheduler is the
 // quality oracle: task_graph_makespan() on this DAG must not exceed the
 // fork-join DAG's makespan (fewer constraints, same greedy policy).
 #pragma once
@@ -36,6 +36,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "gep/typed.hpp"
@@ -185,128 +186,196 @@ void run_task_graph(const TaskGraph& g, WorkStealingPool* pool,
 // validation.
 double task_graph_makespan(const TaskGraph& g, int p);
 
-// Process-wide runtime pin: $GEP_DAG_RUNTIME=1 selects the DAG runtime,
-// =0 the fork-join invoker; unset keeps `fallback`.
-enum class RuntimeKind { ForkJoin, Dag };
-RuntimeKind runtime_from_env(RuntimeKind fallback = RuntimeKind::ForkJoin);
-
 // Lookahead depth for DAG-driven prefetch ($GEP_DAG_LOOKAHEAD).
 int dag_lookahead_from_env(int fallback = 4);
 
-// --- typed in-core drivers over the DAG runtime ----------------------------
-// Mirrors of the typed.hpp drivers: same stores, same kernels, same
-// results bit for bit; only the schedule differs. pool == nullptr (or a
-// 1-thread pool) runs the DAG sequentially.
+// --- typed I-GEP problem drivers -------------------------------------------
+// One driver per problem, one leaf body each, run under either schedule
+// (opts.runtime):
+//   Dag      — build_typed_task_graph + run_task_graph on `pool`;
+//   ForkJoin — the typed recursion (gep/typed.hpp) under WsParInvoker
+//              on `pool`: Fig. 6, and the nested (kind, depth) profile.
+// pool == nullptr (or a 1-thread pool) runs either one sequentially, in
+// the recursion's order. Any n runs in place: a store's tiles are
+// leaf_side(base_size, n) wide, so RowMajorStore{data, n, that side}
+// views the caller's n x n matrix as it is.
 
-template <class Store>
-void igep_floyd_warshall_dag(WorkStealingPool* pool, const Store& st,
-                             index_t n, TypedOptions opts = {}) {
-  obs::WatchdogThreadSource wd_src("igep-fw-dag");
-  using T = std::remove_reference_t<decltype(st.tile(0, 0)[0])>;
-  const index_t bs = leaf_side(opts.base_size, n);
-  const index_t s = st.tile_stride();
-  TaskGraph g = build_typed_task_graph(DagProblem::FloydWarshall, n, bs);
-  run_task_graph(g, pool, [&](const BlockTask& t) {
-    T* x = st.tile(t.i0 / bs, t.j0 / bs);
-    const T* u = st.tile(t.i0 / bs, t.k0 / bs);
-    const T* v = st.tile(t.k0 / bs, t.j0 / bs);
-    const LeafDims d = LeafDims::clipped(n, t.i0, t.j0, t.k0, t.m);
-    kernel_fw(x, u, v, d, s, s, s);
-  });
+struct TypedOptions {
+  index_t base_size = 64;  // paper: best 64 (Opteron) / 128 (Xeon)
+  Runtime runtime = Runtime::Dag;
+};
+
+namespace detail {
+
+// Runs `leaf(i0, j0, k0, LeafDims, BoxKind)` over every box of the
+// problem under the selected schedule.
+template <class Leaf>
+void run_typed(DagProblem prob, WorkStealingPool* pool, index_t n,
+               index_t bs, Runtime rt, const Leaf& leaf) {
+  if (rt == Runtime::Dag) {
+    const TaskGraph g = build_typed_task_graph(prob, n, bs);
+    run_task_graph(g, pool, [&](const BlockTask& t) {
+      leaf(t.i0, t.j0, t.k0, LeafDims::clipped(n, t.i0, t.j0, t.k0, t.m),
+           t.kind);
+    });
+    return;
+  }
+  WsParInvoker inv{pool};
+  if (prob == DagProblem::MatMul) {
+    mm_rec(inv, n, 0, 0, 0, grid_side(n, bs), bs,
+           [&](index_t i0, index_t j0, index_t k0, LeafDims d) {
+             leaf(i0, j0, k0, d, BoxKind::D);
+           });
+  } else {
+    typed_rec(inv, prob, n, 0, 0, 0, grid_side(n, bs), bs, leaf);
+  }
 }
 
-template <class Store>
-void igep_transitive_closure_dag(WorkStealingPool* pool, const Store& st,
-                                 index_t n, TypedOptions opts = {}) {
-  obs::WatchdogThreadSource wd_src("igep-tc-dag");
-  using T = std::remove_reference_t<decltype(st.tile(0, 0)[0])>;
-  const index_t bs = leaf_side(opts.base_size, n);
-  const index_t s = st.tile_stride();
-  TaskGraph g = build_typed_task_graph(DagProblem::FloydWarshall, n, bs);
-  run_task_graph(g, pool, [&](const BlockTask& t) {
-    T* x = st.tile(t.i0 / bs, t.j0 / bs);
-    const T* u = st.tile(t.i0 / bs, t.k0 / bs);
-    const T* v = st.tile(t.k0 / bs, t.j0 / bs);
-    const LeafDims d = LeafDims::clipped(n, t.i0, t.j0, t.k0, t.m);
-    kernel_tc(x, u, v, d, s, s, s);
-  });
-}
+// The di/dj diagonal flags GE/LU leaves derive from their kind.
+inline bool diag_i(BoxKind k) { return k == BoxKind::A || k == BoxKind::B; }
+inline bool diag_j(BoxKind k) { return k == BoxKind::A || k == BoxKind::C; }
 
+}  // namespace detail
+
+// Floyd-Warshall over a TileStore. Σ is the full cube: nothing prunes.
 template <class Store>
-void igep_bottleneck_dag(WorkStealingPool* pool, const Store& st, index_t n,
+void igep_floyd_warshall(WorkStealingPool* pool, const Store& st, index_t n,
                          TypedOptions opts = {}) {
-  obs::WatchdogThreadSource wd_src("igep-bottleneck-dag");
+  obs::WatchdogThreadSource wd_src("igep-fw");
   using T = std::remove_reference_t<decltype(st.tile(0, 0)[0])>;
   const index_t bs = leaf_side(opts.base_size, n);
   const index_t s = st.tile_stride();
-  TaskGraph g = build_typed_task_graph(DagProblem::FloydWarshall, n, bs);
-  run_task_graph(g, pool, [&](const BlockTask& t) {
-    T* x = st.tile(t.i0 / bs, t.j0 / bs);
-    const T* u = st.tile(t.i0 / bs, t.k0 / bs);
-    const T* v = st.tile(t.k0 / bs, t.j0 / bs);
-    const LeafDims d = LeafDims::clipped(n, t.i0, t.j0, t.k0, t.m);
-    kernel_bottleneck(x, u, v, d, s, s, s);
-  });
+  detail::run_typed(DagProblem::FloydWarshall, pool, n, bs, opts.runtime,
+                    [&](index_t i0, index_t j0, index_t k0, LeafDims d,
+                        BoxKind) {
+                      T* x = st.tile(i0 / bs, j0 / bs);
+                      const T* u = st.tile(i0 / bs, k0 / bs);
+                      const T* v = st.tile(k0 / bs, j0 / bs);
+                      kernel_fw(x, u, v, d, s, s, s);
+                    });
 }
 
+// Floyd-Warshall with successor tracking: dst holds distances, sst the
+// successor (next hop) indices; both advance in lockstep. The successor
+// tiles are read and written exactly where the distance tiles are, so
+// Floyd-Warshall's task graph orders them too.
+template <class StoreD, class StoreS>
+void igep_floyd_warshall_paths(WorkStealingPool* pool, const StoreD& dst,
+                               const StoreS& sst, index_t n,
+                               TypedOptions opts = {}) {
+  obs::WatchdogThreadSource wd_src("igep-fw-paths");
+  using T = std::remove_reference_t<decltype(dst.tile(0, 0)[0])>;
+  using I = std::remove_reference_t<decltype(sst.tile(0, 0)[0])>;
+  const index_t bs = leaf_side(opts.base_size, n);
+  const index_t s = dst.tile_stride();
+  const index_t ss = sst.tile_stride();
+  detail::run_typed(DagProblem::FloydWarshall, pool, n, bs, opts.runtime,
+                    [&](index_t i0, index_t j0, index_t k0, LeafDims d,
+                        BoxKind) {
+                      T* x = dst.tile(i0 / bs, j0 / bs);
+                      const T* u = dst.tile(i0 / bs, k0 / bs);
+                      const T* v = dst.tile(k0 / bs, j0 / bs);
+                      I* xs = sst.tile(i0 / bs, j0 / bs);
+                      const I* us = sst.tile(i0 / bs, k0 / bs);
+                      kernel_fw_paths(x, u, v, xs, us, d, s, s, s, ss, ss);
+                    });
+}
+
+// Maximum-capacity (bottleneck) paths over a TileStore.
 template <class Store>
-void igep_gaussian_dag(WorkStealingPool* pool, const Store& st, index_t n,
-                       TypedOptions opts = {}) {
-  obs::WatchdogThreadSource wd_src("igep-ge-dag");
-  using T = std::remove_reference_t<decltype(st.tile(0, 0)[0])>;
-  const index_t bs = leaf_side(opts.base_size, n);
-  const index_t s = st.tile_stride();
-  TaskGraph g = build_typed_task_graph(DagProblem::Gaussian, n, bs);
-  run_task_graph(g, pool, [&](const BlockTask& t) {
-    T* x = st.tile(t.i0 / bs, t.j0 / bs);
-    const T* u = st.tile(t.i0 / bs, t.k0 / bs);
-    const T* v = st.tile(t.k0 / bs, t.j0 / bs);
-    const T* w = st.tile(t.k0 / bs, t.k0 / bs);
-    const bool di = (t.kind == BoxKind::A || t.kind == BoxKind::B);
-    const bool dj = (t.kind == BoxKind::A || t.kind == BoxKind::C);
-    const LeafDims d = LeafDims::clipped(n, t.i0, t.j0, t.k0, t.m);
-    kernel_ge(x, u, v, w, d, s, s, s, s, di, dj);
-  });
-}
-
-template <class Store>
-void igep_lu_dag(WorkStealingPool* pool, const Store& st, index_t n,
-                 TypedOptions opts = {}) {
-  obs::WatchdogThreadSource wd_src("igep-lu-dag");
-  using T = std::remove_reference_t<decltype(st.tile(0, 0)[0])>;
-  const index_t bs = leaf_side(opts.base_size, n);
-  const index_t s = st.tile_stride();
-  TaskGraph g = build_typed_task_graph(DagProblem::LU, n, bs);
-  run_task_graph(g, pool, [&](const BlockTask& t) {
-    T* x = st.tile(t.i0 / bs, t.j0 / bs);
-    const T* u = st.tile(t.i0 / bs, t.k0 / bs);
-    const T* v = st.tile(t.k0 / bs, t.j0 / bs);
-    const T* w = st.tile(t.k0 / bs, t.k0 / bs);
-    const bool di = (t.kind == BoxKind::A || t.kind == BoxKind::B);
-    const bool dj = (t.kind == BoxKind::A || t.kind == BoxKind::C);
-    const LeafDims d = LeafDims::clipped(n, t.i0, t.j0, t.k0, t.m);
-    kernel_lu(x, u, v, w, d, s, s, s, s, di, dj);
-  });
-}
-
-template <class StoreC, class StoreA, class StoreB>
-void igep_matmul_dag(WorkStealingPool* pool, const StoreC& cst,
-                     const StoreA& ast, const StoreB& bst, index_t n,
+void igep_bottleneck(WorkStealingPool* pool, const Store& st, index_t n,
                      TypedOptions opts = {}) {
-  obs::WatchdogThreadSource wd_src("igep-mm-dag");
+  obs::WatchdogThreadSource wd_src("igep-bottleneck");
+  using T = std::remove_reference_t<decltype(st.tile(0, 0)[0])>;
+  const index_t bs = leaf_side(opts.base_size, n);
+  const index_t s = st.tile_stride();
+  detail::run_typed(DagProblem::FloydWarshall, pool, n, bs, opts.runtime,
+                    [&](index_t i0, index_t j0, index_t k0, LeafDims d,
+                        BoxKind) {
+                      T* x = st.tile(i0 / bs, j0 / bs);
+                      const T* u = st.tile(i0 / bs, k0 / bs);
+                      const T* v = st.tile(k0 / bs, j0 / bs);
+                      kernel_bottleneck(x, u, v, d, s, s, s);
+                    });
+}
+
+// Transitive closure (boolean or-and Floyd-Warshall) over a TileStore.
+template <class Store>
+void igep_transitive_closure(WorkStealingPool* pool, const Store& st,
+                             index_t n, TypedOptions opts = {}) {
+  obs::WatchdogThreadSource wd_src("igep-tc");
+  using T = std::remove_reference_t<decltype(st.tile(0, 0)[0])>;
+  const index_t bs = leaf_side(opts.base_size, n);
+  const index_t s = st.tile_stride();
+  detail::run_typed(DagProblem::FloydWarshall, pool, n, bs, opts.runtime,
+                    [&](index_t i0, index_t j0, index_t k0, LeafDims d,
+                        BoxKind) {
+                      T* x = st.tile(i0 / bs, j0 / bs);
+                      const T* u = st.tile(i0 / bs, k0 / bs);
+                      const T* v = st.tile(k0 / bs, j0 / bs);
+                      kernel_tc(x, u, v, d, s, s, s);
+                    });
+}
+
+// Gaussian elimination without pivoting (Σ: k < i && k < j).
+template <class Store>
+void igep_gaussian(WorkStealingPool* pool, const Store& st, index_t n,
+                   TypedOptions opts = {}) {
+  obs::WatchdogThreadSource wd_src("igep-ge");
+  using T = std::remove_reference_t<decltype(st.tile(0, 0)[0])>;
+  const index_t bs = leaf_side(opts.base_size, n);
+  const index_t s = st.tile_stride();
+  detail::run_typed(DagProblem::Gaussian, pool, n, bs, opts.runtime,
+                    [&](index_t i0, index_t j0, index_t k0, LeafDims d,
+                        BoxKind kind) {
+                      T* x = st.tile(i0 / bs, j0 / bs);
+                      const T* u = st.tile(i0 / bs, k0 / bs);
+                      const T* v = st.tile(k0 / bs, j0 / bs);
+                      const T* w = st.tile(k0 / bs, k0 / bs);
+                      kernel_ge(x, u, v, w, d, s, s, s, s,
+                                detail::diag_i(kind), detail::diag_j(kind));
+                    });
+}
+
+// LU decomposition without pivoting (Σ: k < i && k <= j); multipliers are
+// stored in the strictly lower triangle.
+template <class Store>
+void igep_lu(WorkStealingPool* pool, const Store& st, index_t n,
+             TypedOptions opts = {}) {
+  obs::WatchdogThreadSource wd_src("igep-lu");
+  using T = std::remove_reference_t<decltype(st.tile(0, 0)[0])>;
+  const index_t bs = leaf_side(opts.base_size, n);
+  const index_t s = st.tile_stride();
+  detail::run_typed(DagProblem::LU, pool, n, bs, opts.runtime,
+                    [&](index_t i0, index_t j0, index_t k0, LeafDims d,
+                        BoxKind kind) {
+                      T* x = st.tile(i0 / bs, j0 / bs);
+                      const T* u = st.tile(i0 / bs, k0 / bs);
+                      const T* v = st.tile(k0 / bs, j0 / bs);
+                      const T* w = st.tile(k0 / bs, k0 / bs);
+                      kernel_lu(x, u, v, w, d, s, s, s, s,
+                                detail::diag_i(kind), detail::diag_j(kind));
+                    });
+}
+
+// C += A·B with A, B, C in separate tile stores.
+template <class StoreC, class StoreA, class StoreB>
+void igep_matmul(WorkStealingPool* pool, const StoreC& cst, const StoreA& ast,
+                 const StoreB& bst, index_t n, TypedOptions opts = {}) {
+  obs::WatchdogThreadSource wd_src("igep-mm");
   using T = std::remove_reference_t<decltype(cst.tile(0, 0)[0])>;
   const index_t bs = leaf_side(opts.base_size, n);
   const index_t sc = cst.tile_stride();
   const index_t sa = ast.tile_stride();
   const index_t sb = bst.tile_stride();
-  TaskGraph g = build_typed_task_graph(DagProblem::MatMul, n, bs);
-  run_task_graph(g, pool, [&](const BlockTask& t) {
-    T* x = cst.tile(t.i0 / bs, t.j0 / bs);
-    const T* a = ast.tile(t.i0 / bs, t.k0 / bs);
-    const T* b = bst.tile(t.k0 / bs, t.j0 / bs);
-    const LeafDims d = LeafDims::clipped(n, t.i0, t.j0, t.k0, t.m);
-    kernel_mm(x, a, b, d, sc, sa, sb);
-  });
+  detail::run_typed(DagProblem::MatMul, pool, n, bs, opts.runtime,
+                    [&](index_t i0, index_t j0, index_t k0, LeafDims d,
+                        BoxKind) {
+                      T* x = cst.tile(i0 / bs, j0 / bs);
+                      const T* a = ast.tile(i0 / bs, k0 / bs);
+                      const T* b = bst.tile(k0 / bs, j0 / bs);
+                      kernel_mm(x, a, b, d, sc, sa, sb);
+                    });
 }
 
 }  // namespace gep

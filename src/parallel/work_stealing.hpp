@@ -4,10 +4,9 @@
 // Each worker owns a deque: it pushes and pops forked tasks at the back
 // (LIFO, preserving the sequential order's locality — the property the
 // lemma's bound rests on) and steals from the FRONT of a random victim
-// when empty (stealing the oldest, largest-granularity work). The
-// central-queue ThreadPool (thread_pool.hpp) is the simpler alternative;
-// both satisfy the same fork-join interface, so the typed I-GEP engine
-// runs on either (see WsParInvoker).
+// when empty (stealing the oldest, largest-granularity work). It is the
+// one pool: WsParInvoker runs the typed recursion's fork-join stages on
+// it (Fig. 6), and the task-graph runtime submits its ready tasks to it.
 #pragma once
 
 #include <atomic>

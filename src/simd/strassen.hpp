@@ -48,9 +48,9 @@ inline constexpr index_t kStrassenMinMDefault = 384;
 // (edge >= min_m / 2) are too small to amortize even one packing pass.
 inline constexpr index_t kStrassenMinMFloor = 16;
 
-// Per-run GEMM tuning, threaded from apps::RunOptions and
-// extmem::OocTypedOptions. -1 means "inherit" the process default
-// ($GEP_STRASSEN_LEVELS / $GEP_STRASSEN_MIN_M / built-in).
+// Per-run GEMM tuning, threaded from apps::RunOptions. -1 means
+// "inherit" the process default ($GEP_STRASSEN_LEVELS /
+// $GEP_STRASSEN_MIN_M / built-in).
 struct GemmOptions {
   int strassen_levels = -1;
   index_t strassen_min_m = -1;

@@ -133,7 +133,8 @@ struct Job {
     }
   }
 
-  void run(CheckpointCoordinator* ck, bool dag, bool async) {
+  // workers <= 1: no pool (the sequential out-of-core I-GEP).
+  void run(CheckpointCoordinator* ck, int workers, bool async) {
     if (async) cache.enable_async_io();
     struct AsyncOff {
       PageCache* c;
@@ -142,30 +143,19 @@ struct Job {
         if (on) c->disable_async_io();
       }
     } guard{&cache, async};
-    if (dag) {
-      WorkStealingPool pool(2);
-      OocDagOptions o;
-      o.prefetch = async;
-      o.ckpt = ck;
-      switch (algo) {
-        case Algo::FW: ooc_igep_floyd_warshall_dag(*mats[0], &pool, o); break;
-        case Algo::LU: ooc_igep_lu_dag(*mats[0], &pool, o); break;
-        case Algo::MM:
-          ooc_igep_matmul_dag(*mats[0], *mats[1], *mats[2], &pool, o);
-          break;
-      }
-    } else {
-      SeqInvoker inv;
-      OocTypedOptions o;
-      o.prefetch = async;
-      o.ckpt = ck;
-      switch (algo) {
-        case Algo::FW: ooc_igep_floyd_warshall(*mats[0], inv, o); break;
-        case Algo::LU: ooc_igep_lu(*mats[0], inv, o); break;
-        case Algo::MM:
-          ooc_igep_matmul(*mats[0], *mats[1], *mats[2], inv, o);
-          break;
-      }
+    std::unique_ptr<WorkStealingPool> pool;
+    if (workers > 1) pool = std::make_unique<WorkStealingPool>(workers);
+    OocDagOptions o;
+    o.prefetch = async;
+    o.ckpt = ck;
+    switch (algo) {
+      case Algo::FW:
+        ooc_igep_floyd_warshall_dag(*mats[0], pool.get(), o);
+        break;
+      case Algo::LU: ooc_igep_lu_dag(*mats[0], pool.get(), o); break;
+      case Algo::MM:
+        ooc_igep_matmul_dag(*mats[0], *mats[1], *mats[2], pool.get(), o);
+        break;
     }
   }
 
@@ -212,10 +202,15 @@ CheckpointOptions ckpt_opts(const std::string& dir,
 // self-contained, so nothing is reloaded) and bit-compare against the
 // reference. A kill before the first snapshot leaves no chain; the
 // resume leg then rebuilds from the input, which is the documented
-// fallback path.
-void kill_resume_case(Algo algo, bool dag, bool async, double frac,
-                      std::uint64_t frames) {
-  SCOPED_TRACE(std::string(algo_str(algo)) + (dag ? " dag" : " forkjoin") +
+// fallback path. Legs (1)-(3) run on `workers`, the resume leg on
+// `resume_workers` (default: the same): the fingerprint leaves the
+// worker count out, so a cut taken on a pool resumes without one.
+void kill_resume_case(Algo algo, int workers, bool async, double frac,
+                      std::uint64_t frames, int resume_workers = -1) {
+  if (resume_workers < 0) resume_workers = workers;
+  SCOPED_TRACE(std::string(algo_str(algo)) + " workers " +
+               std::to_string(workers) + " -> " +
+               std::to_string(resume_workers) +
                (async ? " async" : " sync") + " frac " +
                std::to_string(frac));
   const index_t n = 32, bs = 8;
@@ -224,7 +219,7 @@ void kill_resume_case(Algo algo, bool dag, bool async, double frac,
   {
     Job job(algo, n, bs, frames);
     job.load_input();
-    job.run(nullptr, dag, async);
+    job.run(nullptr, workers, async);
     ref = job.result();
   }
 
@@ -235,7 +230,7 @@ void kill_resume_case(Algo algo, bool dag, bool async, double frac,
     CheckpointCoordinator ck(job.cache, ckpt_opts(cal.path));
     job.register_with(ck);
     job.load_input();
-    job.run(&ck, dag, async);
+    job.run(&ck, workers, async);
     EXPECT_GE(ck.stats().count, 2u) << "periodic trigger never fired";
     EXPECT_TRUE(bit_identical(ref, job.result()))
         << "checkpointing must not perturb the computation";
@@ -256,7 +251,7 @@ void kill_resume_case(Algo algo, bool dag, bool async, double frac,
     job.register_with(ck);
     try {
       job.load_input();
-      job.run(&ck, dag, async);
+      job.run(&ck, workers, async);
     } catch (const std::exception&) {
       died = true;
     }
@@ -276,7 +271,7 @@ void kill_resume_case(Algo algo, bool dag, bool async, double frac,
     if (resumed) {
       EXPECT_GT(pre + 1, 0u);  // frontier may legally be empty at seq 0
     }
-    job.run(&ck, dag, async);
+    job.run(&ck, resume_workers, async);
     EXPECT_EQ(ck.done_leaves(), ck.task_count());
     EXPECT_TRUE(bit_identical(ref, job.result()))
         << "resumed result must be bit-identical (resumed=" << resumed
@@ -284,84 +279,55 @@ void kill_resume_case(Algo algo, bool dag, bool async, double frac,
   }
 }
 
+// The *ForkJoin* cells run the out-of-core driver with no pool: the
+// sequential I-GEP, whose leaves and page order are the ones the
+// sequential fork-join recursion had. The *Dag* cells run it on 2
+// workers.
 TEST(CkptKillResume, FwForkJoinSyncEarly) {
-  kill_resume_case(Algo::FW, false, false, 0.25, 8);
+  kill_resume_case(Algo::FW, 0, false, 0.25, 8);
 }
 TEST(CkptKillResume, FwForkJoinSyncMid) {
-  kill_resume_case(Algo::FW, false, false, 0.5, 8);
+  kill_resume_case(Algo::FW, 0, false, 0.5, 8);
 }
 TEST(CkptKillResume, FwForkJoinSyncLate) {
-  kill_resume_case(Algo::FW, false, false, 0.75, 8);
+  kill_resume_case(Algo::FW, 0, false, 0.75, 8);
 }
 TEST(CkptKillResume, LuForkJoinSyncEarly) {
-  kill_resume_case(Algo::LU, false, false, 0.25, 8);
+  kill_resume_case(Algo::LU, 0, false, 0.25, 8);
 }
 TEST(CkptKillResume, LuForkJoinSyncMid) {
-  kill_resume_case(Algo::LU, false, false, 0.5, 8);
+  kill_resume_case(Algo::LU, 0, false, 0.5, 8);
 }
 TEST(CkptKillResume, LuForkJoinSyncLate) {
-  kill_resume_case(Algo::LU, false, false, 0.75, 8);
+  kill_resume_case(Algo::LU, 0, false, 0.75, 8);
 }
 TEST(CkptKillResume, MmForkJoinSyncEarly) {
-  kill_resume_case(Algo::MM, false, false, 0.25, 16);
+  kill_resume_case(Algo::MM, 0, false, 0.25, 16);
 }
 TEST(CkptKillResume, MmForkJoinSyncMid) {
-  kill_resume_case(Algo::MM, false, false, 0.5, 16);
+  kill_resume_case(Algo::MM, 0, false, 0.5, 16);
 }
 TEST(CkptKillResume, MmForkJoinSyncLate) {
-  kill_resume_case(Algo::MM, false, false, 0.75, 16);
+  kill_resume_case(Algo::MM, 0, false, 0.75, 16);
 }
 TEST(CkptKillResume, FwForkJoinAsyncMid) {
-  kill_resume_case(Algo::FW, false, true, 0.5, 12);
+  kill_resume_case(Algo::FW, 0, true, 0.5, 12);
 }
 TEST(CkptKillResume, FwDagAsyncMid) {
-  kill_resume_case(Algo::FW, true, true, 0.4, 28);
+  kill_resume_case(Algo::FW, 2, true, 0.4, 28);
 }
 TEST(CkptKillResume, LuDagSyncEarly) {
-  kill_resume_case(Algo::LU, true, false, 0.25, 28);
+  kill_resume_case(Algo::LU, 2, false, 0.25, 28);
 }
 TEST(CkptKillResume, LuDagAsyncMid) {
-  kill_resume_case(Algo::LU, true, true, 0.4, 28);
+  kill_resume_case(Algo::LU, 2, true, 0.4, 28);
 }
 TEST(CkptKillResume, MmDagAsyncMid) {
-  kill_resume_case(Algo::MM, true, true, 0.4, 32);
+  kill_resume_case(Algo::MM, 2, true, 0.4, 32);
 }
-
-// Cross-runtime resume: a chain cut under the fork-join invoker resumes
-// under the DAG scheduler (the fingerprint deliberately excludes the
-// runtime — any topological execution of the same DAG is bit-identical).
-TEST(CkptKillResume, ForkJoinCutResumesUnderDagRuntime) {
-  const index_t n = 32, bs = 8;
-  Matrix<double> ref;
-  {
-    Job job(Algo::FW, n, bs, 28);
-    job.load_input();
-    job.run(nullptr, false, false);
-    ref = job.result();
-  }
-  TempDir dir;
-  bool died = false;
-  {
-    Job job(Algo::FW, n, bs, 28, kill_after(40));
-    CheckpointCoordinator ck(job.cache, ckpt_opts(dir.path));
-    job.register_with(ck);
-    try {
-      job.load_input();
-      job.run(&ck, /*dag=*/false, /*async=*/false);
-    } catch (const std::exception&) {
-      died = true;
-    }
-  }
-  EXPECT_TRUE(died);
-  {
-    Job job(Algo::FW, n, bs, 28);
-    CheckpointCoordinator ck(job.cache, ckpt_opts(dir.path));
-    job.register_with(ck);
-    ck.bind(DagProblem::FloydWarshall, n, bs, false);
-    if (!ck.resume()) job.load_input();
-    job.run(&ck, /*dag=*/true, /*async=*/false);
-    EXPECT_TRUE(bit_identical(ref, job.result()));
-  }
+// A chain cut on 4 workers resumes with no pool.
+TEST(CkptKillResume, FwDagCutResumesWithoutPool) {
+  kill_resume_case(Algo::FW, 4, false, 0.5, 28, /*resume_workers=*/0);
 }
 
 // ---- Snapshot format validation ----
@@ -374,7 +340,7 @@ std::vector<std::string> make_chain(const std::string& dir) {
   CheckpointCoordinator ck(job.cache, ckpt_opts(dir));
   job.register_with(ck);
   job.load_input();
-  job.run(&ck, false, false);
+  job.run(&ck, 0, false);
   ck.checkpoint_now();
   std::vector<std::string> paths;
   for (const SnapshotInfo& s : load_chain(dir, kJob)) paths.push_back(s.path);
@@ -491,7 +457,7 @@ TEST(CkptResume, CompletedJobReplaysFromSnapshotsAlone) {
     CheckpointCoordinator ck(job.cache, ckpt_opts(dir.path, 0));
     job.register_with(ck);
     job.load_input();
-    job.run(&ck, false, false);
+    job.run(&ck, 0, false);
     ASSERT_TRUE(ck.checkpoint_now());
     ref = job.result();
   }
@@ -504,7 +470,7 @@ TEST(CkptResume, CompletedJobReplaysFromSnapshotsAlone) {
   ASSERT_TRUE(ck.resume());
   EXPECT_EQ(ck.done_leaves(), ck.task_count());
   const std::uint64_t pins_before = job.cache.stats().pins;
-  job.run(&ck, false, false);
+  job.run(&ck, 0, false);
   EXPECT_EQ(job.cache.stats().pins, pins_before)
       << "a fully-done frontier must not execute (or pin) anything";
   EXPECT_TRUE(bit_identical(ref, job.result()));
@@ -519,7 +485,7 @@ TEST(CkptResume, ResumedJobAppendsToChain) {
     job.register_with(ck);
     try {
       job.load_input();
-      job.run(&ck, false, false);
+      job.run(&ck, 0, false);
     } catch (const std::exception&) {
     }
   }
@@ -531,7 +497,7 @@ TEST(CkptResume, ResumedJobAppendsToChain) {
     job.register_with(ck);
     ck.bind(DagProblem::FloydWarshall, n, bs, false);
     ASSERT_TRUE(ck.resume());
-    job.run(&ck, false, false);
+    job.run(&ck, 0, false);
     ck.checkpoint_now();
   }
   // load_chain itself validates seq contiguity and parent_crc links, so
@@ -549,7 +515,7 @@ TEST(CkptTrigger, ExplicitRequestAndSkipWhenUnchanged) {
   job.register_with(ck);
   job.load_input();
   ck.request_checkpoint();  // consumed at the first leaf retirement
-  job.run(&ck, false, false);
+  job.run(&ck, 0, false);
   EXPECT_EQ(ck.stats().count, 1u);
   EXPECT_TRUE(ck.checkpoint_now());   // pages changed since the request
   EXPECT_FALSE(ck.checkpoint_now());  // nothing new: skipped, not written
@@ -603,7 +569,7 @@ TEST(CkptKill, CrashPointIsDeterministic) {
     bool died = false;
     try {
       job.load_input();
-      job.run(nullptr, false, false);
+      job.run(nullptr, 0, false);
     } catch (const std::exception&) {
       died = true;
     }

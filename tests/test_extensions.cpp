@@ -13,7 +13,7 @@
 #include "gep/iterative.hpp"
 #include "gep/igep.hpp"
 #include "gep/trace.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/work_stealing.hpp"
 #include "util/prng.hpp"
 
 namespace gep {
@@ -280,8 +280,8 @@ TEST_P(ParallelCGep, MatchesSequentialOnSumF) {
   run_cgep(seq, SumF{}, FullSet{n}, {8});
 
   Matrix<double> par = init;
-  ThreadPool pool(threads);
-  ParInvoker inv{&pool};
+  WorkStealingPool pool(threads);
+  WsParInvoker inv{&pool};
   run_cgep_parallel(inv, par, SumF{}, FullSet{n}, {8});
   EXPECT_TRUE(approx_equal(seq, par, 0.0)) << "threads=" << threads;
 }
@@ -299,8 +299,8 @@ TEST_P(ParallelCGep, MatchesSequentialOnLU) {
   run_cgep(seq, LUIndexedF{}, LUSet{n}, {8});
 
   Matrix<double> par = init;
-  ThreadPool pool(threads);
-  ParInvoker inv{&pool};
+  WorkStealingPool pool(threads);
+  WsParInvoker inv{&pool};
   run_cgep_parallel(inv, par, LUIndexedF{}, LUSet{n}, {8});
   EXPECT_TRUE(approx_equal(seq, par, 0.0)) << "threads=" << threads;
 }

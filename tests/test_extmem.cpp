@@ -8,7 +8,6 @@
 #include "gep/cgep.hpp"
 #include "gep/igep.hpp"
 #include "gep/iterative.hpp"
-#include "gep/typed.hpp"
 #include "util/prng.hpp"
 
 namespace gep {
@@ -379,13 +378,12 @@ TEST(OocTyped, FloydWarshallMatchesInCore) {
   const index_t bs = 16;
   Matrix<double> ref = init;
   RowMajorStore<double> st{ref.data(), n, bs};
-  SeqInvoker inv;
-  igep_floyd_warshall(inv, st, n, {bs});
+  igep_floyd_warshall(nullptr, st, n, {bs, Runtime::ForkJoin});
 
   PageCache cache(8 * bs * bs * 8, bs * bs * 8);  // 8 tile frames
   OocTiledMatrix<double> m(cache, n, n, bs);
   m.load(init);
-  ooc_igep_floyd_warshall(m);
+  ooc_igep_floyd_warshall_dag(m, nullptr, {.prefetch = false});
   EXPECT_TRUE(approx_equal(ref, m.to_matrix(), 0.0));
 }
 
@@ -400,13 +398,12 @@ TEST(OocTyped, LUMatchesInCore) {
   const index_t bs = 8;
   Matrix<double> ref = init;
   RowMajorStore<double> st{ref.data(), n, bs};
-  SeqInvoker inv;
-  igep_lu(inv, st, n, {bs});
+  igep_lu(nullptr, st, n, {bs, Runtime::ForkJoin});
 
   PageCache cache(8 * bs * bs * 8, bs * bs * 8);
   OocTiledMatrix<double> m(cache, n, n, bs);
   m.load(init);
-  ooc_igep_lu(m);
+  ooc_igep_lu_dag(m, nullptr, {.prefetch = false});
   EXPECT_TRUE(approx_equal(ref, m.to_matrix(), 0.0));
 }
 
@@ -423,8 +420,7 @@ TEST(OocTyped, MatMulMatchesInCore) {
   RowMajorStore<double> cst{ref.data(), n, bs};
   RowMajorStore<const double> ast{am.data(), n, bs};
   RowMajorStore<const double> bst{bm.data(), n, bs};
-  SeqInvoker inv;
-  igep_matmul(inv, cst, ast, bst, n, {bs});
+  igep_matmul(nullptr, cst, ast, bst, n, {bs, Runtime::ForkJoin});
 
   PageCache cache(16 * bs * bs * 8, bs * bs * 8);
   OocTiledMatrix<double> c(cache, n, n, bs), a(cache, n, n, bs),
@@ -432,7 +428,7 @@ TEST(OocTyped, MatMulMatchesInCore) {
   a.load(am);
   b.load(bm);
   c.load(Matrix<double>(n, n, 0.0));
-  ooc_igep_matmul(c, a, b);
+  ooc_igep_matmul_dag(c, a, b, nullptr, {.prefetch = false});
   EXPECT_TRUE(approx_equal(ref, c.to_matrix(), 0.0));
 }
 
@@ -447,7 +443,7 @@ TEST(OocTyped, BlockGranularIoMatchesGenericEngine) {
   OocTiledMatrix<double> m1(c1, n, n, bs);
   m1.load(init);
   c1.reset_stats();
-  ooc_igep_floyd_warshall(m1);
+  ooc_igep_floyd_warshall_dag(m1, nullptr, {.prefetch = false});
   const auto typed_io = c1.stats().io();
 
   PageCache c2(M, B);
@@ -464,7 +460,8 @@ TEST(OocTyped, BlockGranularIoMatchesGenericEngine) {
 TEST(OocTyped, RejectsBadShapes) {
   PageCache cache(8 * 512, 512);
   OocTiledMatrix<double> rect(cache, 16, 32, 8);
-  EXPECT_THROW(ooc_igep_floyd_warshall(rect), std::invalid_argument);
+  EXPECT_THROW(ooc_igep_floyd_warshall_dag(rect, nullptr),
+               std::invalid_argument);
 }
 
 }  // namespace ooc_typed_tests

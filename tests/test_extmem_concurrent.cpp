@@ -148,9 +148,9 @@ TEST(PageCachePrefetch, WorkerWritesBackDirtyColdFrames) {
   EXPECT_EQ(static_cast<const char*>(pin.data())[0], 1);
 }
 
-// The invoke() barriers separate stages whose X tiles are disjoint, so
-// the parallel engine must produce bit-identical results — with and
-// without prefetch racing the foreground for frames.
+// The task graph's edges keep every tile's update order, so the parallel
+// engine must produce bit-identical results — with and without prefetch
+// racing the foreground for frames.
 TEST(OocTypedParallel, LuMatchesSequentialBitForBit) {
   const index_t n = 64, bs = 8;
   SplitMix64 g(77);
@@ -163,7 +163,7 @@ TEST(OocTypedParallel, LuMatchesSequentialBitForBit) {
   PageCache c_seq(16 * B, B);
   OocTiledMatrix<double> m_seq(c_seq, n, n, bs);
   m_seq.load(init);
-  ooc_igep_lu(m_seq);
+  ooc_igep_lu_dag(m_seq, nullptr, {.prefetch = false});
   const Matrix<double> ref = m_seq.to_matrix();
 
   for (bool prefetch : {false, true}) {
@@ -172,8 +172,7 @@ TEST(OocTypedParallel, LuMatchesSequentialBitForBit) {
     m.load(init);
     if (prefetch) cache.enable_async_io();
     WorkStealingPool pool(8);
-    WsParInvoker inv{&pool};
-    ooc_igep_lu(m, inv, {.prefetch = prefetch});
+    ooc_igep_lu_dag(m, &pool, {.prefetch = prefetch});
     if (prefetch) cache.disable_async_io();
     const Matrix<double> got = m.to_matrix();
     for (index_t i = 0; i < n; ++i)
@@ -195,7 +194,7 @@ TEST(OocTypedParallel, FloydWarshallParallelPrefetchMatches) {
   PageCache c_seq(16 * B, B);
   OocTiledMatrix<double> m_seq(c_seq, n, n, bs);
   m_seq.load(init);
-  ooc_igep_floyd_warshall(m_seq);
+  ooc_igep_floyd_warshall_dag(m_seq, nullptr, {.prefetch = false});
   const Matrix<double> ref = m_seq.to_matrix();
 
   PageCache cache(32 * B, B);
@@ -203,8 +202,7 @@ TEST(OocTypedParallel, FloydWarshallParallelPrefetchMatches) {
   m.load(init);
   cache.enable_async_io();
   WorkStealingPool pool(4);
-  WsParInvoker inv{&pool};
-  ooc_igep_floyd_warshall(m, inv, {.prefetch = true});
+  ooc_igep_floyd_warshall_dag(m, &pool, {.prefetch = true});
   cache.disable_async_io();
   const Matrix<double> got = m.to_matrix();
   for (index_t i = 0; i < n; ++i)

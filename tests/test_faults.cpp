@@ -437,6 +437,32 @@ TEST(FaultPageCache, WorkerDegradesToSyncAfterRepeatedFailures) {
   cache.disable_async_io();
 }
 
+// A write-behind that fails must not be retried back to back: with a
+// dead store every attempt throws at once, and a worker that loops
+// straight back to the same dirty frame holds mu_ almost without a gap,
+// starving the workers that need it to pin tiles. That starvation was
+// the CkptKillResume.LuDagAsyncMid livelock (crash leg: the store dies
+// with a dirty frame in the LRU tail; a pool worker waits on mu_
+// forever, and the checkpoint gate waits for that worker's leaf). The
+// worker backs off after a failure and stops write-behind once
+// degraded, so over 100 ms it makes at most kWorkerDegradeThreshold
+// (8) attempts; the looping worker made about ten thousand.
+TEST(FaultPageCache, FailingWriteBehindBacksOff) {
+  PageCache cache(8 * kPage, kPage, {}, install_only());
+  const int f = cache.register_file(8);
+  FaultInjector* inj = cache.fault_injector(f);
+  ASSERT_NE(inj, nullptr);
+  inj->set_hard_fault(0, /*reads=*/false, /*writes=*/true);
+  static_cast<char*>(cache.pin(f, 0, /*for_write=*/true))[0] = 1;
+  cache.enable_async_io();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const std::uint64_t attempts = inj->stats().write_errors;
+  cache.disable_async_io();
+  EXPECT_GE(attempts, 1u) << "the worker never tried the write-behind";
+  EXPECT_LE(attempts, 8u) << "write-behind retried back to back";
+  EXPECT_TRUE(cache.async_degraded());
+}
+
 // ---- End-to-end out-of-core algorithms under injected faults ----
 
 Matrix<double> fw_init(index_t n, std::uint64_t seed) {
@@ -490,7 +516,7 @@ TEST(FaultOoc, FloydWarshallBitIdenticalUnderTransientFaults) {
   PageCache clean(8 * B, B);
   OocTiledMatrix<double> m0(clean, n, n, bs);
   m0.load(init);
-  ooc_igep_floyd_warshall(m0);
+  ooc_igep_floyd_warshall_dag(m0, nullptr, {.prefetch = false});
   const Matrix<double> ref = m0.to_matrix();
 
   for (bool async : {false, true}) {
@@ -498,8 +524,7 @@ TEST(FaultOoc, FloydWarshallBitIdenticalUnderTransientFaults) {
     OocTiledMatrix<double> m(cache, n, n, bs);
     m.load(init);
     if (async) cache.enable_async_io();
-    SeqInvoker inv;
-    ooc_igep_floyd_warshall(m, inv, {.prefetch = async});
+    ooc_igep_floyd_warshall_dag(m, nullptr, {.prefetch = async});
     if (async) cache.disable_async_io();
     EXPECT_TRUE(bit_identical(ref, m.to_matrix())) << "async=" << async;
     const PageCacheStats s = cache.stats();
@@ -517,7 +542,7 @@ TEST(FaultOoc, LuBitIdenticalUnderTransientFaults) {
   PageCache clean(8 * B, B);
   OocTiledMatrix<double> m0(clean, n, n, bs);
   m0.load(init);
-  ooc_igep_lu(m0);
+  ooc_igep_lu_dag(m0, nullptr, {.prefetch = false});
   const Matrix<double> ref = m0.to_matrix();
 
   for (bool async : {false, true}) {
@@ -525,8 +550,7 @@ TEST(FaultOoc, LuBitIdenticalUnderTransientFaults) {
     OocTiledMatrix<double> m(cache, n, n, bs);
     m.load(init);
     if (async) cache.enable_async_io();
-    SeqInvoker inv;
-    ooc_igep_lu(m, inv, {.prefetch = async});
+    ooc_igep_lu_dag(m, nullptr, {.prefetch = async});
     if (async) cache.disable_async_io();
     EXPECT_TRUE(bit_identical(ref, m.to_matrix())) << "async=" << async;
     EXPECT_GT(cache.stats().io_retries + cache.stats().crc_failures, 0u);
@@ -545,7 +569,7 @@ TEST(FaultOoc, MatmulBitIdenticalUnderTransientFaults) {
   a0.load(am);
   b0.load(bm);
   c0.load(zero);
-  ooc_igep_matmul(c0, a0, b0);
+  ooc_igep_matmul_dag(c0, a0, b0, nullptr, {.prefetch = false});
   const Matrix<double> ref = c0.to_matrix();
 
   for (bool async : {false, true}) {
@@ -556,8 +580,7 @@ TEST(FaultOoc, MatmulBitIdenticalUnderTransientFaults) {
     b.load(bm);
     c.load(zero);
     if (async) cache.enable_async_io();
-    SeqInvoker inv;
-    ooc_igep_matmul(c, a, b, inv, {.prefetch = async});
+    ooc_igep_matmul_dag(c, a, b, nullptr, {.prefetch = async});
     if (async) cache.disable_async_io();
     EXPECT_TRUE(bit_identical(ref, c.to_matrix())) << "async=" << async;
     EXPECT_GT(cache.stats().io_retries + cache.stats().crc_failures, 0u);
@@ -573,13 +596,12 @@ TEST(FaultOoc, ParallelLuHardFaultPropagatesWithoutHang) {
   FaultInjector* inj = cache.fault_injector(0);
   ASSERT_NE(inj, nullptr);
   // A page in the middle of the matrix becomes unreadable: the failing
-  // leaf's IoError must surface from wait() — captured by WsTaskGroup —
-  // with no deadlock and no leaked pins.
+  // leaf's IoError must surface from run_task_graph — captured by the
+  // pool's task group — with no deadlock and no leaked pins.
   inj->set_hard_fault(7, /*reads=*/true, /*writes=*/true);
   {
     WorkStealingPool pool(8);
-    WsParInvoker inv{&pool};
-    EXPECT_THROW(ooc_igep_lu(m, inv), IoError);
+    EXPECT_THROW(ooc_igep_lu_dag(m, &pool, {.prefetch = false}), IoError);
   }
   // All pins were released and no frame leaked io_busy: the cache is
   // fully usable afterwards.
@@ -664,9 +686,8 @@ TEST(FaultNumeric, OocGuardedLuThrowsAtTheOffendingPivot) {
   const double amax = guard_max_abs(init);
   const PivotGuard guard(BreakdownPolicy::Throw, default_tiny_pivot(n, amax),
                          amax);
-  SeqInvoker inv;
   try {
-    ooc_igep_lu(m, inv, {.lu_guard = &guard});
+    ooc_igep_lu_dag(m, nullptr, {.prefetch = false, .lu_guard = &guard});
     FAIL() << "expected NumericBreakdownError";
   } catch (const NumericBreakdownError& e) {
     EXPECT_EQ(e.pivot_index(), 0);
@@ -687,8 +708,8 @@ TEST(FaultNumeric, OocGuardedLuBoostsPivotInPlace) {
   const double boost = 0.5 * amax;
   const PivotGuard guard(BreakdownPolicy::Boost, default_tiny_pivot(n, amax),
                          boost);
-  SeqInvoker inv;
-  EXPECT_NO_THROW(ooc_igep_lu(m, inv, {.lu_guard = &guard}));
+  EXPECT_NO_THROW(
+      ooc_igep_lu_dag(m, nullptr, {.prefetch = false, .lu_guard = &guard}));
   EXPECT_EQ(guard.breakdowns(), 1u);
   EXPECT_EQ(guard.boosts(), 1u);
   const Matrix<double> lu = m.to_matrix();

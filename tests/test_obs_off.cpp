@@ -17,7 +17,7 @@
 #include <type_traits>
 
 #include "../bench/bench_common.hpp"
-#include "gep/typed.hpp"
+#include "parallel/task_graph.hpp"
 #include "layout/zblocked.hpp"
 #include "matrix/matrix.hpp"
 #include "obs/obs.hpp"
@@ -252,10 +252,8 @@ TEST(ObsOff, TypedEngineStillCorrect) {
     for (index_t i = k + 1; i < n; ++i)
       for (index_t j = k + 1; j < n; ++j)
         want(i, j) -= want(i, k) * want(k, j) / want(k, k);
-
-  SeqInvoker inv;
   RowMajorStore<double> st{a.data(), n, 16};
-  igep_lu(inv, st, n, {16});
+  igep_lu(nullptr, st, n, {16, Runtime::ForkJoin});
   for (index_t i = 0; i < n; ++i)
     for (index_t j = i; j < n; ++j)
       EXPECT_NEAR(a(i, j), want(i, j), 1e-9) << i << "," << j;

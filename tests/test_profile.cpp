@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "../bench/bench_common.hpp"
-#include "gep/typed.hpp"
+#include "parallel/task_graph.hpp"
 #include "matrix/matrix.hpp"
 #include "obs/obs.hpp"
 #include "parallel/work_stealing.hpp"
@@ -284,9 +284,8 @@ TEST(Profile, TypedLuProfileCoversTracedTime) {
   }
   obs::Tracer::clear();
   obs::Tracer::start();
-  SeqInvoker inv;
   RowMajorStore<double> st{a.data(), n, 64};
-  igep_lu(inv, st, n, {64});
+  igep_lu(nullptr, st, n, {64, Runtime::ForkJoin});
   obs::Tracer::stop();
   const obs::Profile p = obs::Profile::collect();
   obs::Tracer::clear();
@@ -342,9 +341,8 @@ TEST(LeafSampler, PeriodOneSamplesEveryLeaf) {
     for (index_t j = 0; j < n; ++j) a(i, j) = rng.uniform(-1.0, 1.0);
     a(i, i) += static_cast<double>(n) + 2.0;
   }
-  SeqInvoker inv;
   RowMajorStore<double> st{a.data(), n, base};
-  igep_lu(inv, st, n, {base});
+  igep_lu(nullptr, st, n, {base, Runtime::ForkJoin});
   obs::LeafSampler::disable();
 
   const std::vector<obs::RooflinePoint> pts = obs::LeafSampler::snapshot();

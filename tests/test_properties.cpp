@@ -8,7 +8,7 @@
 #include "gep/cgep.hpp"
 #include "gep/igep.hpp"
 #include "gep/iterative.hpp"
-#include "gep/typed.hpp"
+#include "parallel/task_graph.hpp"
 #include "util/prng.hpp"
 
 namespace gep {
@@ -129,8 +129,8 @@ TEST(IGepFuzz, TypedGenericAndIterativeAgree) {
 
     Matrix<double> b = init;
     RowMajorStore<double> st{b.data(), n, std::min(base, n)};
-    SeqInvoker inv;
-    igep_floyd_warshall(inv, st, n, {std::min(base, n)});
+    igep_floyd_warshall(nullptr, st, n,
+                        {std::min(base, n), Runtime::ForkJoin});
     ASSERT_TRUE(approx_equal(ref, b, 1e-12)) << "typed trial=" << trial;
   }
 }

@@ -25,7 +25,7 @@
 #include "extmem/fault_injector.hpp"
 #include "extmem/ooc_matrix.hpp"
 #include "extmem/ooc_typed.hpp"
-#include "gep/typed.hpp"
+#include "parallel/task_graph.hpp"
 #include "layout/zblocked.hpp"
 #include "obs/obs.hpp"
 #include "parallel/work_stealing.hpp"
@@ -364,10 +364,12 @@ TEST(TelemetryCancel, OocLeavesPollTheStopFlag) {
   Matrix<double> init(n, n, 1.0);
   m.load(init);
   obs::flight::request_stop();
-  EXPECT_THROW(ooc_igep_floyd_warshall(m), obs::JobCancelled);
+  EXPECT_THROW(ooc_igep_floyd_warshall_dag(m, nullptr, {.prefetch = false}),
+               obs::JobCancelled);
   obs::flight::reset_stop();
   // With the flag cleared the same job completes.
-  EXPECT_NO_THROW(ooc_igep_floyd_warshall(m));
+  EXPECT_NO_THROW(
+      ooc_igep_floyd_warshall_dag(m, nullptr, {.prefetch = false}));
 }
 
 // ---- watchdog ------------------------------------------------------------
@@ -576,10 +578,8 @@ TEST(TelemetryProgress, CubeClosedFormIsExactForFloydWarshall) {
   const obs::ProgressSample before = meter.sample();
   EXPECT_EQ(before.fraction, 0.0);
   EXPECT_EQ(before.eta_s, -1.0) << "no progress yet: ETA unknown";
-
-  SeqInvoker inv;
   RowMajorStore<double> st{a.data(), n, bs};
-  igep_floyd_warshall(inv, st, n, {bs});
+  igep_floyd_warshall(nullptr, st, n, {bs, Runtime::ForkJoin});
 
   const obs::ProgressSample s = meter.sample();
   // The counters count exactly one update per (i,j,k): n^3 total, so
@@ -595,9 +595,8 @@ TEST(TelemetryProgress, LuClosedFormMatchesThePrunedRecursion) {
   obs::ProgressMeter meter;
   meter.begin(obs::typed_lu_updates(static_cast<double>(n),
                                     static_cast<double>(bs)));
-  SeqInvoker inv;
   RowMajorStore<double> st{a.data(), n, bs};
-  igep_lu(inv, st, n, {bs});
+  igep_lu(nullptr, st, n, {bs, Runtime::ForkJoin});
   const obs::ProgressSample s = meter.sample();
   EXPECT_EQ(s.fraction, 1.0)
       << "done=" << s.updates_done << " total=" << s.updates_total;
@@ -674,7 +673,7 @@ TEST(TelemetryIoModel, MeasuredOocTrafficIsWithinModelRange) {
     OocTiledMatrix<double> m(cache, n, n, bs);
     m.load(dd_matrix(n, 53));
     cache.reset_stats();
-    ooc_igep_floyd_warshall(m);
+    ooc_igep_floyd_warshall_dag(m, nullptr, {.prefetch = false});
     const std::uint64_t io = cache.stats().page_ins + cache.stats().page_outs;
     return obs::io_bound_ratio(
         io, obs::igep_io_prediction(static_cast<double>(n),

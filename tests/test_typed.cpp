@@ -4,7 +4,7 @@
 
 #include "gep/igep.hpp"
 #include "gep/iterative.hpp"
-#include "gep/typed.hpp"
+#include "parallel/task_graph.hpp"
 #include "util/prng.hpp"
 
 namespace gep {
@@ -43,8 +43,7 @@ TEST_P(TypedEngine, FloydWarshallMatchesG) {
   Matrix<double> got = ref;
   run_gep(ref, MinPlusF{}, FullSet{n});
   RowMajorStore<double> st{got.data(), n, std::min(base, n)};
-  SeqInvoker inv;
-  igep_floyd_warshall(inv, st, n, {base});
+  igep_floyd_warshall(nullptr, st, n, {base, Runtime::ForkJoin});
   EXPECT_TRUE(approx_equal(ref, got, 1e-12)) << "n=" << n << " base=" << base;
 }
 
@@ -54,8 +53,7 @@ TEST_P(TypedEngine, GaussianMatchesG) {
   Matrix<double> got = ref;
   run_gep(ref, GaussF{}, GaussianSet{n});
   RowMajorStore<double> st{got.data(), n, std::min(base, n)};
-  SeqInvoker inv;
-  igep_gaussian(inv, st, n, {base});
+  igep_gaussian(nullptr, st, n, {base, Runtime::ForkJoin});
   EXPECT_LT(max_abs_diff(ref, got), 1e-9) << "n=" << n << " base=" << base;
 }
 
@@ -65,8 +63,7 @@ TEST_P(TypedEngine, LUMatchesG) {
   Matrix<double> got = ref;
   run_gep(ref, LUIndexedF{}, LUSet{n});
   RowMajorStore<double> st{got.data(), n, std::min(base, n)};
-  SeqInvoker inv;
-  igep_lu(inv, st, n, {base});
+  igep_lu(nullptr, st, n, {base, Runtime::ForkJoin});
   EXPECT_LT(max_abs_diff(ref, got), 1e-9) << "n=" << n << " base=" << base;
 }
 
@@ -88,8 +85,7 @@ TEST_P(TypedEngine, MatMulMatchesNaive) {
   RowMajorStore<double> cst{c.data(), n, std::min(base, n)};
   RowMajorStore<const double> ast{a.data(), n, std::min(base, n)};
   RowMajorStore<const double> bst{b.data(), n, std::min(base, n)};
-  SeqInvoker inv;
-  igep_matmul(inv, cst, ast, bst, n, {base});
+  igep_matmul(nullptr, cst, ast, bst, n, {base, Runtime::ForkJoin});
   EXPECT_LT(max_abs_diff(ref, c), 1e-10) << "n=" << n << " base=" << base;
 }
 
@@ -106,14 +102,13 @@ TEST(TypedEngineZ, FloydWarshallOnZLayoutMatchesRowMajor) {
     Matrix<double> init = random_dist(n, 9);
     Matrix<double> rm = init;
     RowMajorStore<double> st{rm.data(), n, bs};
-    SeqInvoker inv;
-    igep_floyd_warshall(inv, st, n, {bs});
+    igep_floyd_warshall(nullptr, st, n, {bs, Runtime::ForkJoin});
 
     Matrix<double> zm = init;
     ZBlocked<double> z(n, bs);
     z.load(zm);
     ZStore<double> zst{&z};
-    igep_floyd_warshall(inv, zst, n, {bs});
+    igep_floyd_warshall(nullptr, zst, n, {bs, Runtime::ForkJoin});
     z.store(zm);
     EXPECT_TRUE(approx_equal(rm, zm, 0.0)) << "bs=" << bs;
   }
@@ -125,14 +120,13 @@ TEST(TypedEngineZ, LUOnZLayoutMatchesRowMajor) {
   Matrix<double> init = random_dd(n, 10);
   Matrix<double> rm = init;
   RowMajorStore<double> st{rm.data(), n, bs};
-  SeqInvoker inv;
-  igep_lu(inv, st, n, {bs});
+  igep_lu(nullptr, st, n, {bs, Runtime::ForkJoin});
 
   Matrix<double> zm = init;
   ZBlocked<double> z(n, bs);
   z.load(zm);
   ZStore<double> zst{&z};
-  igep_lu(inv, zst, n, {bs});
+  igep_lu(nullptr, zst, n, {bs, Runtime::ForkJoin});
   z.store(zm);
   EXPECT_TRUE(approx_equal(rm, zm, 0.0));
 }
@@ -145,8 +139,7 @@ TEST(TypedVsGeneric, BitIdenticalAtMatchingBaseSize) {
   Matrix<double> a = init, b = init;
   run_igep(a, MinPlusF{}, FullSet{n}, {bs});
   RowMajorStore<double> st{b.data(), n, bs};
-  SeqInvoker inv;
-  igep_floyd_warshall(inv, st, n, {bs});
+  igep_floyd_warshall(nullptr, st, n, {bs, Runtime::ForkJoin});
   EXPECT_TRUE(approx_equal(a, b, 0.0));
 }
 

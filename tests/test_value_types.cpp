@@ -9,7 +9,7 @@
 #include "gep/cgep.hpp"
 #include "gep/igep.hpp"
 #include "gep/iterative.hpp"
-#include "gep/typed.hpp"
+#include "parallel/task_graph.hpp"
 #include "util/prng.hpp"
 
 namespace gep {
@@ -42,8 +42,7 @@ TEST(IntMinPlus, AllEnginesBitIdentical) {
     run_cgep(h, MinPlusF{}, FullSet{n}, {4});
     run_cgep_compact(hc, MinPlusF{}, FullSet{n}, {4});
     RowMajorStore<std::int64_t> st{t.data(), n, std::min<index_t>(4, n)};
-    SeqInvoker inv;
-    igep_floyd_warshall(inv, st, n, {4});
+    igep_floyd_warshall(nullptr, st, n, {4, Runtime::ForkJoin});
     for (index_t i = 0; i < n; ++i) {
       for (index_t j = 0; j < n; ++j) {
         ASSERT_EQ(g(i, j), f(i, j)) << "igep n=" << n;
@@ -105,9 +104,8 @@ TEST(FloatEngines, TypedLUCloseToDouble) {
   }
   RowMajorStore<float> stf{af.data(), n, 8};
   RowMajorStore<double> std_{ad.data(), n, 8};
-  SeqInvoker inv;
-  igep_lu(inv, stf, n, {8});
-  igep_lu(inv, std_, n, {8});
+  igep_lu(nullptr, stf, n, {8, Runtime::ForkJoin});
+  igep_lu(nullptr, std_, n, {8, Runtime::ForkJoin});
   for (index_t i = 0; i < n; ++i) {
     for (index_t j = 0; j < n; ++j) {
       EXPECT_NEAR(static_cast<double>(af(i, j)), ad(i, j), 2e-4)
