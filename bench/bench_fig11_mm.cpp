@@ -12,6 +12,7 @@
 
 #include "apps/apps.hpp"
 #include "cachesim/set_assoc_cache.hpp"
+#include "gep/typed.hpp"
 
 namespace {
 
@@ -61,27 +62,6 @@ void traced_mm_gep(TracedMutMat c, TracedMat a, TracedMat b, index_t n) {
       for (index_t j = 0; j < n; ++j)
         c.set(i, j, c.get(i, j) + aik * b.get(k, j));
     }
-}
-
-// Recursive I-GEP MM access pattern (D-function recursion, leaf = box).
-void traced_mm_igep(TracedMutMat c, TracedMat a, TracedMat b, index_t i0,
-                    index_t j0, index_t k0, index_t m, index_t base) {
-  if (m <= base) {
-    for (index_t k = k0; k < k0 + m; ++k)
-      for (index_t i = i0; i < i0 + m; ++i) {
-        const double aik = a.get(i, k);
-        for (index_t j = j0; j < j0 + m; ++j)
-          c.set(i, j, c.get(i, j) + aik * b.get(k, j));
-      }
-    return;
-  }
-  const index_t h = m / 2;
-  for (index_t kk : {k0, k0 + h}) {
-    traced_mm_igep(c, a, b, i0, j0, kk, h, base);
-    traced_mm_igep(c, a, b, i0, j0 + h, kk, h, base);
-    traced_mm_igep(c, a, b, i0 + h, j0, kk, h, base);
-    traced_mm_igep(c, a, b, i0 + h, j0 + h, kk, h, base);
-  }
 }
 
 // Cache-aware tiled MM access pattern (what the blocked baseline does,
@@ -164,8 +144,19 @@ int main() {
     run_traced("GEP", [&](TracedMutMat c, TracedMat ta, TracedMat tb) {
       traced_mm_gep(c, ta, tb, n);
     });
+    // I-GEP: the typed recursion's sequential leaf order (every box is
+    // D-kind), each leaf box replayed element by element.
     run_traced("I-GEP", [&](TracedMutMat c, TracedMat ta, TracedMat tb) {
-      traced_mm_igep(c, ta, tb, 0, 0, 0, n, 32);
+      SeqInvoker seq;
+      detail::typed_rec(
+          seq, DagProblem::MatMul, n, 0, 0, 0, n, 32, [&](const BlockTask& t) {
+            for (index_t k = t.k0; k < t.k0 + t.m; ++k)
+              for (index_t i = t.i0; i < t.i0 + t.m; ++i) {
+                const double aik = ta.get(i, k);
+                for (index_t j = t.j0; j < t.j0 + t.m; ++j)
+                  c.set(i, j, c.get(i, j) + aik * tb.get(k, j));
+              }
+          });
     });
     run_traced("blocked", [&](TracedMutMat c, TracedMat ta, TracedMat tb) {
       traced_mm_tiled(c, ta, tb, n, 32);

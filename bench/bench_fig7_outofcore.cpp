@@ -235,6 +235,23 @@ int main(int argc, char** argv) {
               "prefetch hits", "hit rate"});
     Matrix<double> ref;
     double t_sync = 0;
+    // Fault-injection telemetry of the run just timed, on every run of a
+    // --fault-rate invocation.
+    auto annotate_faults = [&](const PageCacheStats& s) {
+      if (fault_rate <= 0) return;
+      report.annotate("fault_rate", fault_rate);
+      report.annotate("robust.retries", static_cast<double>(s.io_retries));
+      report.annotate("robust.crc_failures",
+                      static_cast<double>(s.crc_failures));
+      report.annotate("robust.io_hard_failures",
+                      static_cast<double>(s.io_hard_failures));
+      report.annotate("robust.writeback_failures",
+                      static_cast<double>(s.writeback_failures));
+      report.annotate("robust.prefetch_errors",
+                      static_cast<double>(s.prefetch_errors));
+      report.annotate("robust.async_degraded",
+                      static_cast<double>(s.async_degraded));
+    };
     // Realize 1% of the modeled disk latency as actual sleep so there is
     // wall-clock latency for the async worker to hide (page faults on
     // NVMe-backed temp files are otherwise near-instant and the overlap
@@ -283,9 +300,7 @@ int main(int argc, char** argv) {
           const std::uint64_t io0 = cache.stats().io();
           std::unique_ptr<WorkStealingPool> pool;
           if (parallel) pool = std::make_unique<WorkStealingPool>(threads);
-          ooc_igep_floyd_warshall_dag(
-              m, pool.get(),
-              {.lookahead = dag_lookahead_from_env(), .prefetch = prefetch});
+          ooc_igep_floyd_warshall_dag(m, pool.get(), {.prefetch = prefetch});
           io_pass = cache.stats().io() - io0;
         });
       } catch (const obs::JobCancelled&) {
@@ -310,27 +325,14 @@ int main(int argc, char** argv) {
       report.annotate("threads", parallel ? threads : 1);
       if (prefetch) {
         report.annotate("dag_lookahead",
-                        static_cast<double>(dag_lookahead_from_env()));
+                        static_cast<double>(OocDagOptions{}.lookahead));
       }
       report.annotate("io_measured", static_cast<double>(io_pass));
       report.annotate("io_predicted", pred.total());
       report.annotate("io_ratio", obs::io_bound_ratio(io_pass, pred));
       report.annotate("progress_final_fraction", meter.sample().fraction);
       if (t_sync > 0) report.annotate("speedup_vs_sync", t_sync / dt);
-      if (fault_rate > 0) {
-        report.annotate("fault_rate", fault_rate);
-        report.annotate("robust.retries", static_cast<double>(s.io_retries));
-        report.annotate("robust.crc_failures",
-                        static_cast<double>(s.crc_failures));
-        report.annotate("robust.io_hard_failures",
-                        static_cast<double>(s.io_hard_failures));
-        report.annotate("robust.writeback_failures",
-                        static_cast<double>(s.writeback_failures));
-        report.annotate("robust.prefetch_errors",
-                        static_cast<double>(s.prefetch_errors));
-        report.annotate("robust.async_degraded",
-                        static_cast<double>(s.async_degraded));
-      }
+      annotate_faults(s);
       td.add_row({label, Table::num(dt, 3), Table::num(s.io_wait_seconds, 2),
                   Table::integer(static_cast<long long>(s.io())),
                   Table::integer(static_cast<long long>(s.prefetch_hits)),
@@ -396,7 +398,10 @@ int main(int argc, char** argv) {
       // bit-stable in floating point.
       bool resumed = false;
       make_coordinator();
-      ck->bind(DagProblem::FloydWarshall, n, m.tile_side(), false);
+      ck->bind(DagProblem::FloydWarshall, n, m.tile_side(), false,
+               build_typed_task_graph(DagProblem::FloydWarshall, n,
+                                      m.tile_side())
+                   .size());
       try {
         const auto chain = load_chain(ckdir, 0xF1670001ULL);
         if (!chain.empty() &&
@@ -518,6 +523,7 @@ int main(int argc, char** argv) {
       report.annotate("io_predicted", pred.total());
       report.annotate("io_ratio", obs::io_bound_ratio(io_pass, pred));
       report.annotate("progress_final_fraction", meter.sample().fraction);
+      annotate_faults(cache.stats());
     }
     std::printf("typed out-of-core FW (M = n^2/2, B = %llu KB, %d threads):\n",
                 static_cast<unsigned long long>(B / 1024), threads);

@@ -305,7 +305,7 @@ void CheckpointCoordinator::add_matrix(int file_id, std::uint64_t rows,
 }
 
 void CheckpointCoordinator::bind(DagProblem algo, index_t n, index_t base,
-                                 bool lu_guarded) {
+                                 bool lu_guarded, int task_count) {
   std::lock_guard<std::mutex> lk(mu_);
   const index_t bs = std::min(base, n);
   if (bound_) {
@@ -319,8 +319,7 @@ void CheckpointCoordinator::bind(DagProblem algo, index_t n, index_t base,
   if (mats_.empty()) {
     throw CheckpointError("checkpoint: bind() before add_matrix()");
   }
-  task_count_ =
-      static_cast<std::uint64_t>(build_typed_task_graph(algo, n, bs).size());
+  task_count_ = static_cast<std::uint64_t>(task_count);
   word_count_ = static_cast<std::size_t>((task_count_ + 63) / 64);
   words_ = std::make_unique<std::atomic<std::uint64_t>[]>(
       std::max<std::size_t>(word_count_, 1));

@@ -199,8 +199,10 @@ class CheckpointCoordinator final : public TaskCheckpointHook {
   // Binds the job's execution fingerprint and sizes the frontier to the
   // typed task graph (emission-order ids). Idempotent for equal
   // arguments — the OOC drivers re-bind on entry — and throws on a
-  // mismatch (the coordinator serves exactly one job).
-  void bind(DagProblem algo, index_t n, index_t base, bool lu_guarded);
+  // mismatch (the coordinator serves exactly one job). `task_count` is
+  // the size of that graph, which the caller has built.
+  void bind(DagProblem algo, index_t n, index_t base, bool lu_guarded,
+            int task_count);
 
   // Loads and applies the job's snapshot chain: verifies compatibility
   // with the bound fingerprint, replays every page extent through the

@@ -98,8 +98,7 @@ class PrefetchDeduper {
 
 struct OocDagOptions {
   // Ready tasks announced to the prefetcher ahead of execution; 0
-  // disables prefetch (bench_fig7_outofcore reads it from
-  // $GEP_DAG_LOOKAHEAD).
+  // disables prefetch.
   int lookahead = 4;
   bool prefetch = true;
   // Pivot guard for ooc_igep_lu_dag (gep/numeric_guard.hpp): every pivot
@@ -129,7 +128,8 @@ void run_ooc(DagProblem prob, index_t n, index_t bs, WorkStealingPool* pool,
   TaskRuntimeOptions ro;
   if (opts.ckpt != nullptr) {
     opts.ckpt->bind(prob, n, bs,
-                    prob == DagProblem::LU && opts.lu_guard != nullptr);
+                    prob == DagProblem::LU && opts.lu_guard != nullptr,
+                    g.size());
     ro.ckpt = opts.ckpt;
   }
   if (opts.prefetch && opts.lookahead > 0) {

@@ -41,3 +41,34 @@
 #include "obs/stat_server.hpp"
 #include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
+
+namespace gep::obs {
+
+#if GEP_OBS
+inline namespace on {
+#else
+inline namespace off {
+#endif
+
+// Held by every node of the typed recursion that runs (gep/typed.hpp):
+// a tracer span, a flight-recorder breadcrumb and a stall-watchdog
+// heartbeat, so a wedged worker's dump shows the box it never left. One
+// text compiled into obs::on or obs::off with its members, so GEP_OBS=0
+// units stay ODR-safe beside GEP_OBS=1 libraries.
+class NodeScope {
+ public:
+  NodeScope(char kind, int depth, long long i0, long long j0, long long k0,
+            long long m)
+      : span_(kind, depth, i0, j0, k0, m),
+        frec_(kind, depth, static_cast<std::uint64_t>(m)) {
+    Watchdog::beat_this_thread();
+  }
+
+ private:
+  [[no_unique_address]] ScopedSpan span_;
+  [[no_unique_address]] FlightRecScope frec_;
+};
+
+}  // namespace on/off
+
+}  // namespace gep::obs

@@ -1,8 +1,8 @@
 #include "parallel/dag_sim.hpp"
 
-#include <algorithm>
-#include <array>
-#include <queue>
+#include <utility>
+
+#include "gep/typed.hpp"
 
 namespace gep {
 namespace {
@@ -25,79 +25,52 @@ double box_cost(LeafDims d, bool di_strict,
   return total;
 }
 
-struct Builder {
-  DagProblem prob;
-  index_t n;
-  index_t base;
-  std::vector<LeafBox>* boxes = nullptr;
+// Records detail::typed_rec's schedule as an SPNode tree: each
+// invoke(fs...) of the node being recorded is one stage, each f one
+// child. A child whose box prunes records nothing and is dropped.
+struct Recorder {
+  using Scope = NoScope;
+  SPNode* node;       // the node the running typed_rec call fills
+  bool live = false;  // the last child ran a leaf or a stage
 
-  SPNode leaf(index_t i0, index_t j0, index_t k0, index_t m) const {
-    const bool di = (i0 == k0);
-    const bool dj = (j0 == k0);
-    const LeafDims d = LeafDims::clipped(n, i0, j0, k0, m);
-    SPNode node;
-    if (boxes != nullptr) {
-      node.leaf_id = static_cast<int>(boxes->size());
-      boxes->push_back(LeafBox{i0, j0, k0, m});
-    }
-    node.cost = leaf_cost(prob, d, di, dj);
-    return node;
+  template <class... Fs>
+  void invoke(Fs&&... fs) {
+    std::vector<SPNode> stage;
+    stage.reserve(sizeof...(Fs));
+    (child(stage, fs), ...);
+    if (!stage.empty()) node->stages.push_back(std::move(stage));
+    live = true;
   }
 
-  SPNode rec(index_t i0, index_t j0, index_t k0, index_t m) const {
-    if (m <= base) return leaf(i0, j0, k0, m);
-    const index_t h = m / 2;
-    const index_t ka = k0, kb = k0 + h;
-    const bool ik = (i0 == k0), jk = (j0 == k0);
-    SPNode node;
-    auto add_stage = [&](std::vector<std::array<index_t, 3>> calls) {
-      std::vector<SPNode> group;
-      for (auto [ii, jj, kk] : calls) {
-        if (!prunes(prob, n, ii, jj, kk)) group.push_back(rec(ii, jj, kk, h));
-      }
-      if (!group.empty()) node.stages.push_back(std::move(group));
-    };
-    if (prob == DagProblem::MatMul) {  // pure D: two 4-way stages
-      add_stage({{i0, j0, ka}, {i0, j0 + h, ka}, {i0 + h, j0, ka},
-                 {i0 + h, j0 + h, ka}});
-      add_stage({{i0, j0, kb}, {i0, j0 + h, kb}, {i0 + h, j0, kb},
-                 {i0 + h, j0 + h, kb}});
-    } else if (ik && jk) {  // A
-      add_stage({{i0, j0, ka}});
-      add_stage({{i0, j0 + h, ka}, {i0 + h, j0, ka}});
-      add_stage({{i0 + h, j0 + h, ka}});
-      add_stage({{i0 + h, j0 + h, kb}});
-      add_stage({{i0 + h, j0, kb}, {i0, j0 + h, kb}});
-      add_stage({{i0, j0, kb}});
-    } else if (ik) {  // B
-      add_stage({{i0, j0, ka}, {i0, j0 + h, ka}});
-      add_stage({{i0 + h, j0, ka}, {i0 + h, j0 + h, ka}});
-      add_stage({{i0 + h, j0, kb}, {i0 + h, j0 + h, kb}});
-      add_stage({{i0, j0, kb}, {i0, j0 + h, kb}});
-    } else if (jk) {  // C
-      add_stage({{i0, j0, ka}, {i0 + h, j0, ka}});
-      add_stage({{i0, j0 + h, ka}, {i0 + h, j0 + h, ka}});
-      add_stage({{i0, j0 + h, kb}, {i0 + h, j0 + h, kb}});
-      add_stage({{i0, j0, kb}, {i0 + h, j0, kb}});
-    } else {  // D
-      add_stage({{i0, j0, ka}, {i0, j0 + h, ka}, {i0 + h, j0, ka},
-                 {i0 + h, j0 + h, ka}});
-      add_stage({{i0, j0, kb}, {i0, j0 + h, kb}, {i0 + h, j0, kb},
-                 {i0 + h, j0 + h, kb}});
-    }
-    return node;
+  template <class F>
+  void child(std::vector<SPNode>& stage, F& f) {
+    SPNode* parent = std::exchange(node, &stage.emplace_back());
+    live = false;
+    f();
+    node = parent;
+    if (!live) stage.pop_back();
   }
 };
 
 struct FlatNode {
   double cost = 0;
   int leaf_id = -1;
-  int unmet = 0;
+  int preds = 0;
   std::vector<int> succ;
 };
 
+// The SPNode tree as a flat DAG for greedy_schedule; node ids follow
+// the sequential DFS order.
 struct FlatDag {
   std::vector<FlatNode> nodes;
+
+  int size() const { return static_cast<int>(nodes.size()); }
+  const FlatNode& node(int id) const {
+    return nodes[static_cast<std::size_t>(id)];
+  }
+  double cost(int id) const { return node(id).cost; }
+  int pred_count(int id) const { return node(id).preds; }
+  const std::vector<int>& successors(int id) const { return node(id).succ; }
 
   int add(double cost, int leaf_id = -1) {
     nodes.push_back(FlatNode{cost, leaf_id, 0, {}});
@@ -105,7 +78,7 @@ struct FlatDag {
   }
   void edge(int from, int to) {
     nodes[static_cast<std::size_t>(from)].succ.push_back(to);
-    nodes[static_cast<std::size_t>(to)].unmet += 1;
+    nodes[static_cast<std::size_t>(to)].preds += 1;
   }
 
   // Returns (entry nodes, exit nodes) of the subgraph for sp.
@@ -162,10 +135,23 @@ double leaf_cost(DagProblem prob, LeafDims d, bool di, bool dj) {
 
 SPNode build_igep_dag(DagProblem prob, index_t n, index_t base,
                       std::vector<LeafBox>* boxes) {
-  if (n <= 0) return SPNode{};
+  SPNode root;
+  if (n <= 0) return root;
   const index_t bs = leaf_side(base, n);
-  Builder b{prob, n, bs, boxes};
-  return b.rec(0, 0, 0, grid_side(n, bs));
+  Recorder rec{&root};
+  detail::typed_rec(rec, prob, n, 0, 0, 0, grid_side(n, bs), bs,
+                    [&](const BlockTask& t) {
+                      rec.live = true;
+                      SPNode& leaf = *rec.node;
+                      leaf.cost = leaf_cost(
+                          prob, LeafDims::clipped(n, t.i0, t.j0, t.k0, t.m),
+                          detail::diag_i(t.kind), detail::diag_j(t.kind));
+                      if (boxes != nullptr) {
+                        leaf.leaf_id = static_cast<int>(boxes->size());
+                        boxes->push_back(LeafBox{t.i0, t.j0, t.k0, t.m});
+                      }
+                    });
+  return root;
 }
 
 double dag_work(const SPNode& root) {
@@ -188,62 +174,24 @@ double dag_span(const SPNode& root) {
   return total;
 }
 
-namespace {
-
-// Shared greedy event loop; fills `sched` (when non-null) with one entry
-// per leaf node, ordered by start time.
-double run_greedy(FlatDag& dag, int p, std::vector<ScheduledLeaf>* sched) {
-  // Ready nodes are dispatched by DFS priority (node ids are assigned in
-  // DFS order), making this a PDF (parallel depth-first) schedule: with
-  // p = 1 it reduces to the sequential execution order, which is the
-  // property Lemma 3.2 builds on.
-  std::priority_queue<int, std::vector<int>, std::greater<>> ready;
-  for (std::size_t id = 0; id < dag.nodes.size(); ++id) {
-    if (dag.nodes[id].unmet == 0) ready.push(static_cast<int>(id));
-  }
-  using Event = std::tuple<double, int, int>;  // (finish, node, proc)
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> running;
-  std::vector<int> idle_procs;
-  for (int q = std::max(1, p) - 1; q >= 0; --q) idle_procs.push_back(q);
-  double t = 0;
-  std::size_t done = 0;
-  while (done < dag.nodes.size()) {
-    while (!idle_procs.empty() && !ready.empty()) {
-      int id = ready.top();
-      ready.pop();
-      int proc = idle_procs.back();
-      idle_procs.pop_back();
-      const FlatNode& node = dag.nodes[static_cast<std::size_t>(id)];
-      if (sched != nullptr && node.leaf_id >= 0) {
-        sched->push_back(ScheduledLeaf{node.leaf_id, proc, t});
-      }
-      running.emplace(t + node.cost, id, proc);
-    }
-    auto [finish, id, proc] = running.top();
-    running.pop();
-    t = finish;
-    idle_procs.push_back(proc);
-    ++done;
-    for (int s : dag.nodes[static_cast<std::size_t>(id)].succ) {
-      if (--dag.nodes[static_cast<std::size_t>(s)].unmet == 0) ready.push(s);
-    }
-  }
-  return t;
-}
-
-}  // namespace
-
 double dag_makespan(const SPNode& root, int p) {
   FlatDag dag;
   dag.build(root);
-  return run_greedy(dag, p, nullptr);
+  // DFS priority (node ids are assigned in DFS order) makes this a PDF
+  // (parallel depth-first) schedule: with p = 1 it reduces to the
+  // sequential execution order, the property Lemma 3.2 builds on.
+  return greedy_schedule(dag, p, std::less<int>(), [](int, int, double) {});
 }
 
 std::vector<ScheduledLeaf> dag_schedule(const SPNode& root, int p) {
   FlatDag dag;
   dag.build(root);
   std::vector<ScheduledLeaf> sched;
-  run_greedy(dag, p, &sched);
+  greedy_schedule(dag, p, std::less<int>(),
+                  [&](int id, int proc, double t) {
+                    const int leaf = dag.node(id).leaf_id;
+                    if (leaf >= 0) sched.push_back(ScheduledLeaf{leaf, proc, t});
+                  });
   return sched;
 }
 

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <queue>
 
 namespace gep {
 
@@ -114,30 +112,22 @@ TaskGraph build_typed_task_graph(DagProblem prob, index_t n, index_t base) {
   g.problem = prob;
   g.n = n;
   const index_t bs = leaf_side(base, n);
-  // build_igep_dag emits the leaf boxes in exactly the typed recursion's
-  // sequential order (same stage lists as detail::typed_rec / mm_rec),
-  // which is the order the superscalar analysis in add_task requires —
-  // and, unlike running typed_rec with a recording leaf, it does not
-  // bill emission to the typed.* work counters.
-  std::vector<LeafBox> boxes;
-  build_igep_dag(prob, n, bs, &boxes);
-  const index_t top = grid_side(n, bs);
-  const index_t grid = (n + bs - 1) / bs;
-  g.begin_build(grid, prob == DagProblem::MatMul ? 3 : 1, boxes.size());
+  const std::size_t grid = static_cast<std::size_t>((n + bs - 1) / bs);
+  // One task per tile triple (bi, bj, bk) in the grid; GE/LU keep those
+  // with bk <= bi, bj.
+  const bool tri = prob == DagProblem::Gaussian || prob == DagProblem::LU;
+  g.begin_build(static_cast<index_t>(grid), prob == DagProblem::MatMul ? 3 : 1,
+                tri ? grid * (grid + 1) * (2 * grid + 1) / 6
+                    : grid * grid * grid);
   TaskGraph::Access acc[4];
-  for (const LeafBox& b : boxes) {
-    const bool di = (b.i0 == b.k0), dj = (b.j0 == b.k0);
-    BlockTask t;
-    t.kind = di ? (dj ? BoxKind::A : BoxKind::B)
-                : (dj ? BoxKind::C : BoxKind::D);
-    t.i0 = b.i0;
-    t.j0 = b.j0;
-    t.k0 = b.k0;
-    t.m = b.m;
-    for (index_t s = top; s > b.m; s /= 2) ++t.depth;
-    t.cost = leaf_cost(prob, LeafDims::clipped(n, b.i0, b.j0, b.k0, b.m), di,
-                       dj);
-    const index_t bi = b.i0 / bs, bj = b.j0 / bs, bk = b.k0 / bs;
+  SeqInvoker seq;
+  // Emission order is the recursion's sequential order, which the
+  // superscalar analysis in add_task requires.
+  detail::typed_rec(seq, prob, n, 0, 0, 0, grid_side(n, bs), bs,
+                    [&](BlockTask t) {
+    t.cost = leaf_cost(prob, LeafDims::clipped(n, t.i0, t.j0, t.k0, t.m),
+                       detail::diag_i(t.kind), detail::diag_j(t.kind));
+    const index_t bi = t.i0 / bs, bj = t.j0 / bs, bk = t.k0 / bs;
     int na = 0;
     if (prob == DagProblem::MatMul) {
       acc[na++] = TaskGraph::Access{0, bi, bj, true};   // C
@@ -147,12 +137,10 @@ TaskGraph build_typed_task_graph(DagProblem prob, index_t n, index_t base) {
       acc[na++] = TaskGraph::Access{0, bi, bj, true};   // X
       acc[na++] = TaskGraph::Access{0, bi, bk, false};  // U
       acc[na++] = TaskGraph::Access{0, bk, bj, false};  // V
-      if (prob == DagProblem::Gaussian || prob == DagProblem::LU) {
-        acc[na++] = TaskGraph::Access{0, bk, bk, false};  // W (pivot)
-      }
+      if (tri) acc[na++] = TaskGraph::Access{0, bk, bk, false};  // W (pivot)
     }
     g.add_task(t, acc, na);
-  }
+  });
   g.finalize();
   obs::counter("parallel.dag.tasks").inc(static_cast<std::uint64_t>(g.size()));
   obs::counter("parallel.dag.edges").inc(
@@ -162,10 +150,9 @@ TaskGraph build_typed_task_graph(DagProblem prob, index_t n, index_t base) {
 
 namespace {
 
-// Shared execution state for one run_task_graph call. The leaf-side
-// instrumentation mirrors detail::typed_rec's leaf branch (span, flight
-// breadcrumb, watchdog beat, typed.* counters, sampled hw attribution)
-// so profiles and progress meters read identically across runtimes.
+// Shared execution state for one run_task_graph call. Each leaf runs
+// through detail::run_leaf, the fork-join leaves' instrumentation, so
+// profiles and progress meters read identically across runtimes.
 struct DagExec {
   const TaskGraph& g;
   const std::function<void(const BlockTask&)>& leaf;
@@ -199,28 +186,7 @@ struct DagExec {
     }
   }
 
-  void bump_counters(const BlockTask& t) {
-#if GEP_OBS
-    const std::uint64_t vol =
-        detail::volume(LeafDims::clipped(g.n, t.i0, t.j0, t.k0, t.m));
-    if (g.problem == DagProblem::MatMul) {
-      static obs::Counter calls = obs::counter("typed.mm.leaf_calls");
-      static obs::Counter upd = obs::counter("typed.mm.updates");
-      calls.inc();
-      upd.inc(vol);
-    } else {
-      detail::TypedMetrics& tm = detail::typed_metrics();
-      const int ki = static_cast<int>(t.kind);
-      tm.leaf_calls[ki].inc();
-      tm.updates[ki].inc(vol);
-    }
-#else
-    (void)t;
-#endif
-  }
-
   void exec_leaf(int id) {
-    obs::Watchdog::beat_this_thread();
     const BlockTask& t = g.task(id);
     if (was_hinted != nullptr &&
         was_hinted[id].load(std::memory_order_relaxed)) {
@@ -235,14 +201,7 @@ struct DagExec {
     try {
       obs::flight::record(obs::flightfmt::kTaskRun,
                           static_cast<std::uint64_t>(id));
-      const char kc = box_kind_char(t.kind);
-      obs::ScopedSpan span(kc, t.depth, t.i0, t.j0, t.k0, t.m);
-      obs::FlightRecScope frec(kc, t.depth, static_cast<std::uint64_t>(t.m));
-      bump_counters(t);
-      {
-        obs::ScopedLeafSample sample(kc, static_cast<long long>(t.m));
-        leaf(t);
-      }
+      detail::run_leaf(g.problem, g.n, t, [&] { leaf(t); });
     } catch (const obs::JobCancelled&) {
       if (opts.ckpt != nullptr) opts.ckpt->leaf_cancel();
       throw;
@@ -387,51 +346,14 @@ void run_task_graph(const TaskGraph& g, WorkStealingPool* pool,
 }
 
 double task_graph_makespan(const TaskGraph& g, int p) {
-  const int n = g.size();
-  if (n == 0) return 0;
-  std::vector<int> unmet(static_cast<std::size_t>(n));
-  for (int id = 0; id < n; ++id) {
-    unmet[static_cast<std::size_t>(id)] = g.pred_count(id);
-  }
-  // Dispatch ready tasks by critical-path priority (ties: emission
-  // order) — the same greedy non-preemptive policy as dag_makespan, so
-  // the two makespans are directly comparable.
-  auto lower = [&g](int a, int b) {
-    const double pa = g.priority(a), pb = g.priority(b);
-    return pa != pb ? pa < pb : a > b;
-  };
-  std::priority_queue<int, std::vector<int>, decltype(lower)> ready(lower);
-  for (int id : g.initial_ready()) ready.push(id);
-  using Event = std::pair<double, int>;  // (finish time, task)
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> running;
-  const int procs = std::max(1, p);
-  int busy = 0;
-  double t = 0;
-  int done = 0;
-  while (done < n) {
-    while (busy < procs && !ready.empty()) {
-      const int id = ready.top();
-      ready.pop();
-      running.emplace(t + g.task(id).cost, id);
-      ++busy;
-    }
-    const auto [finish, id] = running.top();
-    running.pop();
-    t = finish;
-    --busy;
-    ++done;
-    for (int s : g.successors(id)) {
-      if (--unmet[static_cast<std::size_t>(s)] == 0) ready.push(s);
-    }
-  }
-  return t;
-}
-
-int dag_lookahead_from_env(int fallback) {
-  const char* v = std::getenv("GEP_DAG_LOOKAHEAD");
-  if (v == nullptr || *v == '\0') return fallback;
-  const int k = std::atoi(v);
-  return k >= 0 ? k : fallback;
+  // Critical-path priority; ties resolve to emission order.
+  return greedy_schedule(
+      g, p,
+      [&g](int a, int b) {
+        const double pa = g.priority(a), pb = g.priority(b);
+        return pa != pb ? pa > pb : a < b;
+      },
+      [](int, int, double) {});
 }
 
 }  // namespace gep

@@ -2,8 +2,9 @@
 //
 // The fork-join invoker (Fig. 6) serializes every recursion level at a
 // join barrier even though only the A/B/C-kind boxes carry true
-// dependencies. Here the typed A/B/C/D recursion *emits* a DAG of block
-// tasks instead of executing them: one node per base-case box
+// dependencies. Here the typed A/B/C/D recursion (detail::typed_rec,
+// run under SeqInvoker) *emits* a DAG of block tasks instead of
+// executing them, straight from its leaves: one node per base-case box
 // (kind, box, depth), with edges derived from the boxes' read/write
 // BLOCK sets — the same X/U/V/W tile accesses the legality analysis
 // reasons about. Emission order is the sequential execution order, and
@@ -28,9 +29,10 @@
 //
 // The DAG is the default schedule of every typed I-GEP driver below
 // (Runtime::Dag); Runtime::ForkJoin runs the same leaf body through the
-// Fig. 6 recursion instead. dag_sim.hpp's greedy scheduler is the
+// Fig. 6 recursion instead, with no graph. Both schedules instrument a
+// leaf through detail::run_leaf. dag_sim.hpp's greedy_schedule is the
 // quality oracle: task_graph_makespan() on this DAG must not exceed the
-// fork-join DAG's makespan (fewer constraints, same greedy policy).
+// fork-join DAG's makespan (fewer constraints, same greedy loop).
 #pragma once
 
 #include <algorithm>
@@ -44,14 +46,6 @@
 #include "parallel/work_stealing.hpp"
 
 namespace gep {
-
-// One base-case box of the typed recursion, as a schedulable task.
-struct BlockTask {
-  BoxKind kind = BoxKind::D;
-  index_t i0 = 0, j0 = 0, k0 = 0, m = 0;  // element coords, box side
-  int depth = 0;                          // recursion depth of the leaf
-  double cost = 0;                        // update count (dag_sim costs)
-};
 
 // Dependency DAG over block tasks. Built task by task in sequential
 // emission order; finalize() computes critical-path priorities.
@@ -85,6 +79,7 @@ class TaskGraph {
   const BlockTask& task(int id) const {
     return tasks_[static_cast<std::size_t>(id)];
   }
+  double cost(int id) const { return task(id).cost; }
   const std::vector<int>& successors(int id) const {
     return succ_[static_cast<std::size_t>(id)];
   }
@@ -127,11 +122,11 @@ class TaskGraph {
   double span_ = 0;
 };
 
-// Emits the typed recursion's leaf boxes (gep/typed.hpp, sequential
-// order) into a TaskGraph with per-problem prune rule, access sets
-// (X/U/V plus W for GE/LU; C/A/B for matmul) and dag_sim leaf costs.
-// Any n: the same boxes as typed_rec survive, with the same clipped
-// extents.
+// Runs the typed recursion (gep/typed.hpp) sequentially and adds each
+// leaf box, as it is emitted, to a TaskGraph with its access sets
+// (X/U/V plus W for GE/LU; C/A/B for matmul) and dag_sim leaf cost.
+// Any n: the same boxes as a run survive, with the same clipped
+// extents. Emission records nothing: no span, counter or breadcrumb.
 TaskGraph build_typed_task_graph(DagProblem prob, index_t n, index_t base);
 
 // Checkpoint/restart contract between the runtime and a coordinator
@@ -181,13 +176,10 @@ void run_task_graph(const TaskGraph& g, WorkStealingPool* pool,
                     const TaskRuntimeOptions& opts = {});
 
 // Greedy list-scheduling makespan of the task DAG with p virtual
-// processors, dispatching by critical-path priority — the counterpart
-// of dag_makespan() (same policy, fork-join DAG) for schedule-quality
-// validation.
+// processors, dispatching by critical-path priority — greedy_schedule
+// (parallel/dag_sim.hpp), as dag_makespan() runs it over the fork-join
+// DAG, for schedule-quality validation.
 double task_graph_makespan(const TaskGraph& g, int p);
-
-// Lookahead depth for DAG-driven prefetch ($GEP_DAG_LOOKAHEAD).
-int dag_lookahead_from_env(int fallback = 4);
 
 // --- typed I-GEP problem drivers -------------------------------------------
 // One driver per problem, one leaf body each, run under either schedule
@@ -208,32 +200,25 @@ struct TypedOptions {
 namespace detail {
 
 // Runs `leaf(i0, j0, k0, LeafDims, BoxKind)` over every box of the
-// problem under the selected schedule.
+// problem under the selected schedule, each call instrumented by
+// run_leaf.
 template <class Leaf>
 void run_typed(DagProblem prob, WorkStealingPool* pool, index_t n,
                index_t bs, Runtime rt, const Leaf& leaf) {
+  auto body = [&](const BlockTask& t) {
+    leaf(t.i0, t.j0, t.k0, LeafDims::clipped(n, t.i0, t.j0, t.k0, t.m),
+         t.kind);
+  };
   if (rt == Runtime::Dag) {
-    const TaskGraph g = build_typed_task_graph(prob, n, bs);
-    run_task_graph(g, pool, [&](const BlockTask& t) {
-      leaf(t.i0, t.j0, t.k0, LeafDims::clipped(n, t.i0, t.j0, t.k0, t.m),
-           t.kind);
-    });
+    run_task_graph(build_typed_task_graph(prob, n, bs), pool, body);
     return;
   }
   WsParInvoker inv{pool};
-  if (prob == DagProblem::MatMul) {
-    mm_rec(inv, n, 0, 0, 0, grid_side(n, bs), bs,
-           [&](index_t i0, index_t j0, index_t k0, LeafDims d) {
-             leaf(i0, j0, k0, d, BoxKind::D);
-           });
-  } else {
-    typed_rec(inv, prob, n, 0, 0, 0, grid_side(n, bs), bs, leaf);
-  }
+  typed_rec(inv, prob, n, 0, 0, 0, grid_side(n, bs), bs,
+            [&](const BlockTask& t) {
+              run_leaf(prob, n, t, [&] { body(t); });
+            });
 }
-
-// The di/dj diagonal flags GE/LU leaves derive from their kind.
-inline bool diag_i(BoxKind k) { return k == BoxKind::A || k == BoxKind::B; }
-inline bool diag_j(BoxKind k) { return k == BoxKind::A || k == BoxKind::C; }
 
 }  // namespace detail
 

@@ -21,7 +21,7 @@
 #include <thread>
 #include <vector>
 
-#include "obs/registry.hpp"
+#include "obs/obs.hpp"
 #include "util/prng.hpp"
 
 namespace gep {
@@ -119,13 +119,17 @@ class WsTaskGroup {
   std::exception_ptr eptr_;
 };
 
-// Invoker over a work-stealing pool (typed I-GEP engine concept).
+// Invoker over a work-stealing pool (typed I-GEP engine concept,
+// gep/typed.hpp): each stage's calls fork onto the pool and join; a
+// one-call stage runs inline, with no task group. Every node it runs
+// holds an obs::NodeScope.
 struct WsParInvoker {
   WorkStealingPool* pool = nullptr;
+  using Scope = obs::NodeScope;
 
   template <class... Fs>
   void invoke(Fs&&... fs) {
-    if (pool == nullptr || pool->threads() <= 1) {
+    if (sizeof...(Fs) == 1 || pool == nullptr || pool->threads() <= 1) {
       (static_cast<Fs&&>(fs)(), ...);
       return;
     }

@@ -264,7 +264,8 @@ void kill_resume_case(Algo algo, int workers, bool async, double frac,
     Job job(algo, n, bs, frames);
     CheckpointCoordinator ck(job.cache, ckpt_opts(dir.path));
     job.register_with(ck);
-    ck.bind(job.problem(), n, bs, false);
+    ck.bind(job.problem(), n, bs, false,
+            build_typed_task_graph(job.problem(), n, bs).size());
     const bool resumed = ck.resume();
     if (!resumed) job.load_input();  // killed before the first snapshot
     const std::uint64_t pre = ck.done_leaves();
@@ -419,7 +420,8 @@ TEST(CkptResume, CorruptChainNeverPartiallyResumes) {
   Job job(Algo::FW, 32, 8, 8);
   CheckpointCoordinator ck(job.cache, ckpt_opts(dir.path));
   job.register_with(ck);
-  ck.bind(DagProblem::FloydWarshall, 32, 8, false);
+  ck.bind(DagProblem::FloydWarshall, 32, 8, false,
+          build_typed_task_graph(DagProblem::FloydWarshall, 32, 8).size());
   EXPECT_THROW(ck.resume(), CheckpointError);
   // Pass-1 validation failed, so pass 2 never ran: no page was installed
   // and the frontier is untouched.
@@ -433,7 +435,8 @@ TEST(CkptResume, IncompatibleFingerprintRejected) {
   Job job(Algo::LU, 32, 8, 8);
   CheckpointCoordinator ck(job.cache, ckpt_opts(dir.path));
   job.register_with(ck);
-  ck.bind(DagProblem::LU, 32, 8, false);
+  ck.bind(DagProblem::LU, 32, 8, false,
+          build_typed_task_graph(DagProblem::LU, 32, 8).size());
   EXPECT_THROW(ck.resume(), CheckpointError);
 }
 
@@ -466,7 +469,8 @@ TEST(CkptResume, CompletedJobReplaysFromSnapshotsAlone) {
   Job job(Algo::FW, n, bs, 8);
   CheckpointCoordinator ck(job.cache, ckpt_opts(dir.path));
   job.register_with(ck);
-  ck.bind(DagProblem::FloydWarshall, n, bs, false);
+  ck.bind(DagProblem::FloydWarshall, n, bs, false,
+          build_typed_task_graph(DagProblem::FloydWarshall, n, bs).size());
   ASSERT_TRUE(ck.resume());
   EXPECT_EQ(ck.done_leaves(), ck.task_count());
   const std::uint64_t pins_before = job.cache.stats().pins;
@@ -495,7 +499,8 @@ TEST(CkptResume, ResumedJobAppendsToChain) {
     Job job(Algo::FW, n, bs, 8);
     CheckpointCoordinator ck(job.cache, ckpt_opts(dir.path));
     job.register_with(ck);
-    ck.bind(DagProblem::FloydWarshall, n, bs, false);
+    ck.bind(DagProblem::FloydWarshall, n, bs, false,
+            build_typed_task_graph(DagProblem::FloydWarshall, n, bs).size());
     ASSERT_TRUE(ck.resume());
     job.run(&ck, 0, false);
     ck.checkpoint_now();
@@ -547,7 +552,8 @@ TEST(CkptQuiesce, AbortedLeafPoisonsSnapshotsButKeepsChain) {
   Job job(Algo::FW, n, bs, 8);
   CheckpointCoordinator ck(job.cache, ckpt_opts(dir.path, 0));
   job.register_with(ck);
-  ck.bind(DagProblem::FloydWarshall, n, bs, false);
+  ck.bind(DagProblem::FloydWarshall, n, bs, false,
+          build_typed_task_graph(DagProblem::FloydWarshall, n, bs).size());
   job.load_input();
   ASSERT_TRUE(ck.checkpoint_now());  // seq 0 lands before the "crash"
   const std::size_t chain_before = load_chain(dir.path, kJob).size();

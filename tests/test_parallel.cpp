@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
+#include <vector>
 
 #include "gep/iterative.hpp"
 #include "parallel/dag_sim.hpp"
@@ -199,6 +201,52 @@ TEST(DagSim, SpanGrowsSubcubically) {
   double ratio = span64 / span32;
   EXPECT_LT(ratio, 3.5);  // ~2 * (log64/log32)^2 ≈ 2.9, far below 8
   EXPECT_GT(ratio, 1.8);
+}
+
+// Fig. 6's stage lists, pinned apart from their one writer
+// (detail::typed_rec): for n = 4 at base 1, the fork-join DAG's span and
+// its p = 1 schedule (the sequential leaf order) as "i0 j0 k0" triples.
+// The constants were generated from a separate, hand-written copy of the
+// stage lists; a change here changes Fig. 12.
+TEST(DagSim, StageListsGolden) {
+  struct Golden {
+    DagProblem prob;
+    double span;
+    const char* order;
+  };
+  const Golden golden[] = {
+      {DagProblem::FloydWarshall, 24,
+       "000 010 100 110 111 101 011 001 020 030 120 130 121 131 021 "
+       "031 200 300 210 310 211 311 201 301 220 230 320 330 221 231 "
+       "321 331 222 232 322 332 333 323 233 223 202 212 302 312 303 "
+       "313 203 213 022 122 032 132 033 133 023 123 002 012 102 112 "
+       "003 013 103 113"},
+      {DagProblem::Gaussian, 5,
+       "000 010 100 110 111 020 030 120 130 121 131 200 300 210 310 "
+       "211 311 220 230 320 330 221 231 321 331 222 232 322 332 333"},
+      {DagProblem::LU, 9,
+       "000 010 100 110 111 020 030 120 130 121 131 200 300 210 310 "
+       "211 311 220 230 320 330 221 231 321 331 222 232 322 332 333"},
+      {DagProblem::MatMul, 4,
+       "000 010 100 110 001 011 101 111 020 030 120 130 021 031 121 "
+       "131 200 210 300 310 201 211 301 311 220 230 320 330 221 231 "
+       "321 331 002 012 102 112 003 013 103 113 022 032 122 132 023 "
+       "033 123 133 202 212 302 312 203 213 303 313 222 232 322 332 "
+       "223 233 323 333"},
+  };
+  for (const Golden& g : golden) {
+    std::vector<LeafBox> boxes;
+    const SPNode dag = build_igep_dag(g.prob, 4, 1, &boxes);
+    EXPECT_DOUBLE_EQ(dag_span(dag), g.span);
+    std::string order;
+    for (const ScheduledLeaf& s : dag_schedule(dag, 1)) {
+      const LeafBox& b = boxes[static_cast<std::size_t>(s.leaf_id)];
+      if (!order.empty()) order += ' ';
+      order += std::to_string(b.i0) + std::to_string(b.j0) +
+               std::to_string(b.k0);
+    }
+    EXPECT_EQ(order, g.order) << "prob=" << static_cast<int>(g.prob);
+  }
 }
 
 }  // namespace

@@ -288,6 +288,68 @@ TEST(TaskGraphRun, LuBitIdenticalAcrossThreadCounts) {
   }
 }
 
+// The typed engine's work counters, in a fixed order.
+std::vector<std::uint64_t> typed_counters() {
+  std::vector<std::uint64_t> v;
+  for (const char* family : {"typed.leaf_calls.", "typed.updates."}) {
+    for (const char* kind : {"A", "B", "C", "D"}) {
+      v.push_back(obs::counter(std::string(family) + kind).value());
+    }
+  }
+  v.push_back(obs::counter("typed.mm.leaf_calls").value());
+  v.push_back(obs::counter("typed.mm.updates").value());
+  return v;
+}
+
+// Both schedules bill a leaf through the same instrumentation, so a Dag
+// and a ForkJoin solve of one problem leave identical counter deltas.
+TEST(TaskGraphRun, DagAndForkJoinBillIdenticalCounters) {
+  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
+  const index_t n = 100, bs = 16;  // non-pow2: clipped edge leaves
+  WorkStealingPool pool(3);
+  for (DagProblem prob :
+       {DagProblem::FloydWarshall, DagProblem::LU, DagProblem::MatMul}) {
+    std::vector<std::uint64_t> delta[2];
+    for (Runtime rt : {Runtime::Dag, Runtime::ForkJoin}) {
+      Matrix<double> x = prob == DagProblem::FloydWarshall ? random_dist(n, 5)
+                                                           : random_dd(n, 6);
+      const Matrix<double> a = random_dd(n, 7), b = random_dd(n, 8);
+      const std::vector<std::uint64_t> before = typed_counters();
+      RowMajorStore<double> st{x.data(), n, bs};
+      if (prob == DagProblem::FloydWarshall) {
+        igep_floyd_warshall(&pool, st, n, {bs, rt});
+      } else if (prob == DagProblem::LU) {
+        igep_lu(&pool, st, n, {bs, rt});
+      } else {
+        RowMajorStore<const double> ast{a.data(), n, bs}, bst{b.data(), n, bs};
+        igep_matmul(&pool, st, ast, bst, n, {bs, rt});
+      }
+      std::vector<std::uint64_t>& d = delta[rt == Runtime::Dag ? 0 : 1];
+      d = typed_counters();
+      for (std::size_t i = 0; i < d.size(); ++i) d[i] -= before[i];
+    }
+    EXPECT_EQ(delta[0], delta[1]) << "prob=" << static_cast<int>(prob);
+    EXPECT_NE(delta[0], std::vector<std::uint64_t>(delta[0].size(), 0))
+        << "prob=" << static_cast<int>(prob);
+  }
+}
+
+// Emitting the task graph runs the recursion but executes no leaf: it
+// bills no work counter and records no span, even while tracing.
+TEST(TaskGraphBuild, EmissionBillsNoCountersAndRecordsNoSpan) {
+  obs::Tracer::clear();
+  obs::Tracer::start();
+  const std::vector<std::uint64_t> before = typed_counters();
+  for (DagProblem prob : kDagProblems) {
+    EXPECT_GT(build_typed_task_graph(prob, 100, 16).size(), 0);
+  }
+  const std::vector<std::uint64_t> after = typed_counters();
+  obs::Tracer::stop();
+  EXPECT_EQ(after, before);
+  EXPECT_EQ(obs::Tracer::event_count(), 0u);
+  obs::Tracer::clear();
+}
+
 // The app entry points honor RunOptions::runtime — every problem routed
 // through Runtime::Dag matches its fork-join twin bitwise, both on 4
 // workers, including non-pow2 n and the z-layout engines.
@@ -547,25 +609,6 @@ TEST(OocDag, MatmulMatchesInCore) {
   WorkStealingPool pool(2);
   ooc_igep_matmul_dag(mc, ma, mb, &pool, {.lookahead = 2});
   expect_bit_identical(mc.to_matrix(), ref, "ooc mm dag");
-}
-
-// --- env pins ---------------------------------------------------------------
-
-TEST(TaskGraphEnv, LookaheadFromEnv) {
-  const char* old_la = std::getenv("GEP_DAG_LOOKAHEAD");
-  const std::string saved_la = old_la != nullptr ? old_la : "";
-
-  ::unsetenv("GEP_DAG_LOOKAHEAD");
-  EXPECT_EQ(dag_lookahead_from_env(), 4);
-  EXPECT_EQ(dag_lookahead_from_env(7), 7);
-  ::setenv("GEP_DAG_LOOKAHEAD", "12", 1);
-  EXPECT_EQ(dag_lookahead_from_env(), 12);
-
-  if (old_la != nullptr) {
-    ::setenv("GEP_DAG_LOOKAHEAD", saved_la.c_str(), 1);
-  } else {
-    ::unsetenv("GEP_DAG_LOOKAHEAD");
-  }
 }
 
 }  // namespace
