@@ -27,7 +27,6 @@
 #include "simd/dispatch.hpp"
 #include "simd/gemm_leaf.hpp"
 #include "simd/microkernel.hpp"
-#include "simd/strassen.hpp"
 #include "util/prng.hpp"
 
 namespace {
@@ -230,11 +229,10 @@ void bare_ukr_row(gep::bench::BenchReport& report, gep::simd::Level level,
     constexpr index_t kc = 64;
     const auto pa = random_buf(MR * kc, 70), pb = random_buf(NR * kc, 71);
     std::vector<double> c(static_cast<std::size_t>(MR * NR), 0.0);
-    const simd::GemmDest<double> dst{c.data(), 1.0};
     double t_ukr = 1e300, peak = 0;
     for (int r = 0; r < 3; ++r) {
       t_ukr = std::min(t_ukr, time_per_call([&] {
-                         ukr(kc, 1.0, pa.data(), pb.data(), &dst, 1, NR, MR,
+                         ukr(kc, 1.0, pa.data(), pb.data(), c.data(), NR, MR,
                              NR);
                        }));
       peak = std::max(peak, bench::burst_gflops(level, kind));
@@ -254,113 +252,9 @@ void bare_ukr_row(gep::bench::BenchReport& report, gep::simd::Level level,
 }
 #endif
 
-// Paired timing: alternates the two runners `rounds` times and keeps
-// each side's best per-call time — back-to-back alternation cancels the
-// slow frequency/noisy-neighbor drift of the 1-core VM, which a
-// sequential A-then-B measurement would fold into the ratio.
-template <class FnA, class FnB>
-std::pair<double, double> paired_time(FnA&& a, FnB&& b, int rounds = 2) {
-  double ta = 1e300, tb = 1e300;
-  for (int r = 0; r < rounds; ++r) {
-    ta = std::min(ta, time_per_call(a));
-    tb = std::min(tb, time_per_call(b));
-  }
-  return {ta, tb};
-}
-
-// --tune-strassen: measures the Strassen/classic break-even edge per
-// recursion level on this host and emits BENCH_strassen_tune.json with
-// breakeven_m_level1 / breakeven_m_level2 (0 = never pays) and the
-// recommended defaults. Run on the active dispatch path.
-int tune_strassen() {
-  using namespace gep;
-  double peak = bench::print_host_banner(
-      "Strassen autotune: paired classic vs fused-Strassen packed GEMM");
-  bench::BenchReport report("strassen_tune", peak);
-  report.meta("dispatch", simd::active_name());
-  const bool small = bench::small_run();
-
-  const simd::GemmOptions classic{0, -1};
-  const simd::GemmOptions l1{1, simd::kStrassenMinMFloor};
-  const simd::GemmOptions l2{2, simd::kStrassenMinMFloor};
-
-  // Level 1 vs classic: break-even = smallest swept edge from which one
-  // level keeps winning (a dip resets it, so a noisy small-size fluke
-  // cannot set the threshold).
-  const std::vector<index_t> sweep =
-      small ? std::vector<index_t>{128, 256, 384, 512}
-            : std::vector<index_t>{128, 192, 256, 320, 384, 512, 768, 1024};
-  index_t breakeven1 = 0;
-  for (index_t n : sweep) {
-    auto a = random_buf(n * n, 71), b = random_buf(n * n, 72),
-         c = random_buf(n * n, 73);
-    auto run = [&](const simd::GemmOptions& o) {
-      return [&a, &b, &c, n, o] {
-        simd::ScopedGemmOptions g(o);
-        blas::dgemm(n, n, n, 1.0, a.data(), n, b.data(), n, c.data(), n);
-      };
-    };
-    auto [tc, ts] = paired_time(run(classic), run(l1));
-    const double flops = 2.0 * n * n * n;
-    add_run(report, peak, "tune dgemm_classic n=" + std::to_string(n), n,
-            flops, tc);
-    add_run(report, peak, "tune dgemm_strassen L1 n=" + std::to_string(n), n,
-            flops, ts);
-    report.annotate("speedup_vs_classic", tc / ts);
-    if (tc / ts >= 1.0) {
-      if (breakeven1 == 0) breakeven1 = n;
-    } else {
-      breakeven1 = 0;
-    }
-  }
-
-  // Level 2 vs level 1 at sizes where both can engage.
-  const std::vector<index_t> sweep2 = small
-                                          ? std::vector<index_t>{512}
-                                          : std::vector<index_t>{1024, 2048};
-  index_t breakeven2 = 0;
-  for (index_t n : sweep2) {
-    auto a = random_buf(n * n, 74), b = random_buf(n * n, 75),
-         c = random_buf(n * n, 76);
-    auto run = [&](const simd::GemmOptions& o) {
-      return [&a, &b, &c, n, o] {
-        simd::ScopedGemmOptions g(o);
-        blas::dgemm(n, n, n, 1.0, a.data(), n, b.data(), n, c.data(), n);
-      };
-    };
-    auto [t1, t2] = paired_time(run(l1), run(l2));
-    const double flops = 2.0 * n * n * n;
-    add_run(report, peak, "tune dgemm_strassen L2 n=" + std::to_string(n), n,
-            flops, t2);
-    report.annotate("speedup_vs_level1", t1 / t2);
-    if (t1 / t2 >= 1.0) {
-      if (breakeven2 == 0) breakeven2 = n;
-    } else {
-      breakeven2 = 0;
-    }
-  }
-
-  const int rec_levels = breakeven2 != 0 ? 2 : (breakeven1 != 0 ? 1 : 0);
-  const index_t rec_min_m = breakeven1 != 0 ? breakeven1 : 0;
-  report.meta("breakeven_m_level1", std::to_string(breakeven1));
-  report.meta("breakeven_m_level2", std::to_string(breakeven2));
-  report.meta("recommended_levels", std::to_string(rec_levels));
-  report.meta("recommended_min_m", std::to_string(rec_min_m));
-  std::printf(
-      "\ntune summary: level-1 break-even m = %lld, level-2 break-even m = "
-      "%lld (0 = never pays)\nrecommended: GEP_STRASSEN_LEVELS=%d "
-      "GEP_STRASSEN_MIN_M=%lld\n",
-      static_cast<long long>(breakeven1), static_cast<long long>(breakeven2),
-      rec_levels, static_cast<long long>(rec_min_m));
-  return report.write() ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc == 2 && std::string(argv[1]) == "--tune-strassen") {
-    return tune_strassen();
-  }
   if (argc > 1) {
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
@@ -374,9 +268,7 @@ int main(int argc, char** argv) {
   bench::BenchReport report("kernels", peak);
   report.meta("dispatch", simd::active_name());
   report.meta("cpu_simd", cpu_features().summary());
-  report.meta("gemm_min_m", std::to_string(simd::gemm_min_m()));
-  report.meta("strassen_levels", std::to_string(simd::strassen_levels()));
-  report.meta("strassen_min_m", std::to_string(simd::strassen_min_m()));
+  report.meta("gemm_min_m", std::to_string(simd::kGemmMinM));
 
   const bool small = bench::small_run();
   const std::vector<index_t> sizes{32, 64, 128};
@@ -494,43 +386,6 @@ int main(int argc, char** argv) {
                               c.data(), n);
                 }},
                n);
-  }
-
-  // Strassen-fused vs classic packed GEMM on the active dispatch path:
-  // paired alternating timings, effective GF/s at the nominal 2n^3 flop
-  // count (Strassen executes ~7/8 of them per level, so beating classic
-  // GF/s here means real end-to-end speedup). Level forced to 1 with
-  // the threshold floored so every listed size engages.
-  {
-    const std::vector<index_t> ns = small
-                                        ? std::vector<index_t>{384, 512}
-                                        : std::vector<index_t>{512, 1024, 2048};
-    const simd::GemmOptions classic_opts{0, -1};
-    const simd::GemmOptions l1_opts{1, simd::kStrassenMinMFloor};
-    const simd::GemmOptions l2_opts{2, simd::kStrassenMinMFloor};
-    for (index_t n : ns) {
-      auto a = random_buf(n * n, 61), b = random_buf(n * n, 62),
-           c = random_buf(n * n, 63);
-      auto run = [&](const simd::GemmOptions& o) {
-        return [&a, &b, &c, n, o] {
-          simd::ScopedGemmOptions g(o);
-          blas::dgemm(n, n, n, 1.0, a.data(), n, b.data(), n, c.data(), n);
-        };
-      };
-      const double flops = 2.0 * n * n * n;
-      auto [tc, ts] = paired_time(run(classic_opts), run(l1_opts));
-      add_run(report, peak, "dgemm_classic n=" + std::to_string(n), n, flops,
-              tc);
-      add_run(report, peak, "dgemm_strassen L1 n=" + std::to_string(n), n,
-              flops, ts);
-      report.annotate("speedup_vs_classic", tc / ts);
-      if (!small && n == ns.back()) {  // second level: informational row
-        auto [tc2, t2] = paired_time(run(classic_opts), run(l2_opts));
-        add_run(report, peak, "dgemm_strassen L2 n=" + std::to_string(n), n,
-                flops, t2);
-        report.annotate("speedup_vs_classic", tc2 / t2);
-      }
-    }
   }
 
   // End-to-end: typed I-GEP LU, both paths, one shot each.

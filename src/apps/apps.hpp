@@ -13,8 +13,7 @@
 // IGep runs any n in place on the caller's matrix: the recursion covers
 // the virtual power-of-two tile grid, prunes the boxes that start at or
 // beyond n and clips the edge leaves (gep/typed.hpp), with output bit-
-// identical to a run on the Σ-neutrally padded matrix (GE/LU with
-// Strassen-sized leaves: equal to rounding). IGepZ, CGep and
+// identical to a run on the Σ-neutrally padded matrix. IGepZ, CGep and
 // CGepCompact still pad to the next power of two and unpad on return.
 // opts.threads > 1 runs IGep/IGepZ on that many workers under
 // opts.runtime (other engines are sequential by construction).
@@ -25,7 +24,18 @@
 #include <vector>
 
 #include "matrix/matrix.hpp"
-#include "simd/strassen.hpp"
+
+namespace gep::simd {
+// The frozen benchmark harness (bench/e2e/workloads.cpp,
+// LuWorkload::solve_traced) writes
+// `simd::ScopedGemmOptions gemm_scope(opts.gemm);` and may change only
+// with the benchmark. These empty types keep it compiling; nothing reads
+// them. Delete them and RunOptions::gemm with that line.
+struct GemmOptions {};
+struct ScopedGemmOptions {
+  explicit ScopedGemmOptions(const GemmOptions&) {}
+};
+}  // namespace gep::simd
 
 namespace gep::apps {
 
@@ -44,11 +54,7 @@ struct RunOptions {
   index_t base_size = 64;
   int threads = 1;
   Runtime runtime = Runtime::Dag;
-  // Leaf-GEMM tuning (Strassen levels / crossover) for the engines that
-  // route D-kind leaves through the packed GEMM (IGep/IGepZ with large
-  // base_size, Blocked). Defaults inherit $GEP_STRASSEN_LEVELS /
-  // $GEP_STRASSEN_MIN_M; installed process-wide for the run's duration.
-  simd::GemmOptions gemm{};
+  simd::GemmOptions gemm{};  // empty; see simd::GemmOptions above
 };
 
 // All-pairs shortest paths on a dense distance matrix (INF = +infinity

@@ -43,7 +43,6 @@ void lu_iterative(double* c, index_t n) {
 
 void gaussian_eliminate(Matrix<double>& a, Engine engine, RunOptions opts) {
   if (a.rows() != a.cols()) throw std::invalid_argument("ge: square only");
-  simd::ScopedGemmOptions gemm_scope(opts.gemm);
   switch (engine) {
     case Engine::Iterative:
       ge_iterative(a.data(), a.rows());
@@ -94,7 +93,6 @@ void gaussian_eliminate(Matrix<double>& a, Engine engine, RunOptions opts) {
 
 void lu_decompose(Matrix<double>& a, Engine engine, RunOptions opts) {
   if (a.rows() != a.cols()) throw std::invalid_argument("lu: square only");
-  simd::ScopedGemmOptions gemm_scope(opts.gemm);
   switch (engine) {
     case Engine::Iterative:
       lu_iterative(a.data(), a.rows());

@@ -1,10 +1,8 @@
 #include "blas/blas.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "simd/microkernel.hpp"
-#include "simd/strassen.hpp"
 #include "util/aligned.hpp"
 
 namespace gep::blas {
@@ -39,10 +37,9 @@ void dgemm_blocked(index_t m, index_t n, index_t k, double alpha,
             const index_t nr = std::min(NR, ncb - jr);
             const double* pb = packed_b.get() + (jr / NR) * kcb * NR;
             for (index_t ir = 0; ir < mcb; ir += MR) {
-              const simd::GemmDest<double> cij{
-                  c + (ic + ir) * ldc + jc + jr, 1.0};
               ukr(kcb, alpha, packed_a.get() + (ir / MR) * kcb * MR, pb,
-                  &cij, 1, ldc, std::min(MR, mcb - ir), nr);
+                  c + (ic + ir) * ldc + jc + jr, ldc, std::min(MR, mcb - ir),
+                  nr);
             }
           }
         }
@@ -53,10 +50,6 @@ void dgemm_blocked(index_t m, index_t n, index_t k, double alpha,
 
 void dgemm(index_t m, index_t n, index_t k, double alpha, const double* a,
            index_t lda, const double* b, index_t ldb, double* c, index_t ldc) {
-  // Strassen engages above the measured crossover (simd/strassen.hpp);
-  // below it — and in dgemm_blocked, which benches the explicit
-  // blocking — the classic packed path runs bit-identically to before.
-  if (simd::strassen_gemm(m, n, k, alpha, a, lda, b, ldb, c, ldc)) return;
   dgemm_blocked(m, n, k, alpha, a, lda, b, ldb, c, ldc, GemmBlocking{});
 }
 

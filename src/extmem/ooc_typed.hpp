@@ -170,9 +170,6 @@ void ooc_igep_floyd_warshall_dag(OocTiledMatrix<T>& m, WorkStealingPool* pool,
 }
 
 // Out-of-core LU decomposition without pivoting at block granularity.
-// D-kind leaves take the process-wide leaf-GEMM settings
-// (simd/strassen.hpp); OOC tiles are whole leaves, so they clear the
-// Strassen crossover whenever the tile edge does.
 template <class T>
 void ooc_igep_lu_dag(OocTiledMatrix<T>& m, WorkStealingPool* pool,
                      OocDagOptions opts = {}) {

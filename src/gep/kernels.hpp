@@ -5,10 +5,10 @@
 // wrappers that consult simd::active() once per leaf:
 //   - ge / lu / mm over double / float route to the explicit AVX2/FMA
 //     kernels in simd/kernels_avx2.cpp; their D-kind (fully disjoint)
-//     leaves of at least simd::gemm_min_m() rows route through the
+//     leaves of at least simd::kGemmMinM rows route through the
 //     packed (+, x) micro-kernel in simd/gemm_leaf.cpp.
 //   - fw / bottleneck / tc (the min-plus, max-min and or-and semirings)
-//     route their D-kind leaves of at least gemm_min_m() rows, over
+//     route their D-kind leaves of at least kGemmMinM rows, over
 //     double / float resp. bytes, through the same packed micro-kernel
 //     instantiated for their semiring. The kernels' contract is that
 //     tiles are either identical or disjoint, so `x != u && x != v` is
@@ -222,7 +222,7 @@ inline bool leaf_use_avx2() {
 }
 
 // A semiring leaf: D-kind boxes (x disjoint from u and v) of at least
-// gemm_min_m() rows through the packed micro-kernel when the element
+// kGemmMinM rows through the packed micro-kernel when the element
 // type has one (Vectorized), every other box through the straight-line
 // template.
 template <template <class> class SR, bool Vectorized, class T>
@@ -230,7 +230,7 @@ void semiring_leaf(T* x, const T* u, const T* v, LeafDims d, index_t sx,
                    index_t su, index_t sv) {
 #if GEP_SIMD_X86
   if constexpr (Vectorized) {
-    if (x != u && x != v && d.m >= simd::gemm_min_m() && leaf_use_avx2()) {
+    if (x != u && x != v && d.m >= simd::kGemmMinM && leaf_use_avx2()) {
       simd::semiring_tile<SR>(x, u, v, d.mi, d.mj, d.mk, sx, su, sv);
       return;
     }
@@ -250,9 +250,9 @@ void lu_leaf(T* x, const T* u, const T* v, T* w, LeafDims d, index_t sx,
 #if GEP_SIMD_X86
   if constexpr (simd_vec_type<T>) {
     if (leaf_use_avx2()) {
-      if (!diag_i && !diag_j && d.m >= simd::gemm_min_m()) {
+      if (!diag_i && !diag_j && d.m >= simd::kGemmMinM) {
         // D-kind leaf: multipliers already live in u — pure schur GEMM.
-        simd::gemm_tile(x, u, v, d, sx, su, sv, T{-1});
+        simd::gemm_tile(x, u, v, d.mi, d.mj, d.mk, sx, su, sv, T{-1});
       } else {
         simd::lu_avx2(x, u, v, w, d.mi, d.mj, d.mk, sx, su, sv, sw, diag_i,
                       diag_j, guard, k_base);
@@ -285,9 +285,10 @@ void kernel_ge(T* x, const T* u, const T* v, const T* w, LeafDims d,
 #if GEP_SIMD_X86
   if constexpr (detail::simd_vec_type<T>) {
     if (detail::leaf_use_avx2()) {
-      if (!diag_i && !diag_j && d.m >= simd::gemm_min_m()) {
+      if (!diag_i && !diag_j && d.m >= simd::kGemmMinM) {
         // D-kind leaf: fold the division into A-packing, run as GEMM.
-        simd::gemm_tile_scaled(x, u, v, w, d, sx, su, sv, sw);
+        simd::gemm_tile_scaled(x, u, v, w, d.mi, d.mj, d.mk, sx, su, sv,
+                               sw);
       } else {
         simd::ge_avx2(x, u, v, w, d.mi, d.mj, d.mk, sx, su, sv, sw, diag_i,
                       diag_j);
@@ -353,8 +354,8 @@ void kernel_mm(T* x, const T* u, const T* v, LeafDims d, index_t sx,
 #if GEP_SIMD_X86
   if constexpr (detail::simd_vec_type<T>) {
     if (detail::leaf_use_avx2()) {
-      if (d.m >= simd::gemm_min_m()) {
-        simd::gemm_tile(x, u, v, d, sx, su, sv, T{1});
+      if (d.m >= simd::kGemmMinM) {
+        simd::gemm_tile(x, u, v, d.mi, d.mj, d.mk, sx, su, sv, T{1});
       } else {
         simd::mm_avx2(x, u, v, d.mi, d.mj, d.mk, sx, su, sv);
       }

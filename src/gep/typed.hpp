@@ -33,10 +33,6 @@
 // derives from it tell the kernel wrappers when a tile is fully
 // disjoint (D-kind, di == dj == false), which is what licenses routing
 // GE/LU/MM leaves through the packed-panel GEMM (simd/gemm_leaf.hpp).
-// Those D-kind leaves are in turn Strassen-eligible: gemm_tile[_scaled]
-// consults simd/strassen.hpp first, so a leaf box whose edge clears
-// strassen_min_m() (384 by default — i.e. a base size that large) runs
-// the fused Strassen path with no changes here.
 //
 // Any n runs in place. The recursion covers the virtual power-of-two
 // grid of bs-sized tiles (grid_side / leaf_side in matrix/matrix.hpp):
@@ -46,10 +42,8 @@
 // two with Σ-neutral values (identity for GE/LU, +inf for FW, ...)
 // performs the same in-range updates in the same order; the pruned
 // ones were no-ops there. So the output is the padded run's, bit for
-// bit, without the pad and unpad copies or the padded flops. (Unless
-// the D leaves take Strassen: the padded run's leave rounding residue
-// in the pad, so GE and LU then agree with it to rounding only; see
-// docs/KERNELS.md, "Extents contract".)
+// bit, without the pad and unpad copies or the padded flops (see
+// docs/KERNELS.md, "Extents contract").
 #pragma once
 
 #include "gep/kernels.hpp"

@@ -1,12 +1,10 @@
 #include "simd/gemm_leaf.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 
 #include "simd/microkernel.hpp"
-#include "simd/strassen.hpp"
 #include "util/aligned.hpp"
 
 namespace gep::simd {
@@ -14,11 +12,23 @@ namespace {
 
 // k-chunk for panel packing. Leaf tiles are almost always <= this, so B
 // packs exactly once per leaf call and is reused across all A panels.
-// (The thread-local packing panels live in microkernel.hpp's
-// packing_buffer, shared with the Strassen layer.)
 constexpr index_t kGemmKc = kMaxPanelK;
 static_assert(kGemmKc <= kMaxPanelK,
               "pack_a_scaled's reciprocal buffer is sized for kMaxPanelK");
+
+// Grow-on-demand thread-local packing panels (index 0 = A, 1 = B):
+// thread-local storage keeps the parallel typed engine's workers from
+// sharing.
+template <class T>
+T* packing_buffer(int which, std::size_t count) {
+  thread_local AlignedPtr<T> buf[2];
+  thread_local std::size_t cap[2] = {0, 0};
+  if (cap[which] < count) {
+    buf[which] = make_aligned<T>(count);
+    cap[which] = count;
+  }
+  return buf[which].get();
+}
 
 // Shared macro-loop: x (+)= alpha * packed(u') (x) v over semiring SR,
 // where u' is either u or u scaled by 1/diag(w) (Scaled = GE multiplier
@@ -50,112 +60,40 @@ void gemm_impl(T* x, const T* u, const T* v, const T* w, index_t mi,
         const index_t nr = std::min(NR, mj - jr);
         const T* pbj = pb + (jr / NR) * kcb * NR;
         for (index_t ir = 0; ir < mi; ir += MR) {
-          const GemmDest<T> c{x + ir * sx + jr, T{1}};
-          ukr(kcb, alpha, pa + (ir / MR) * kcb * MR, pbj, &c, 1, sx,
-              std::min(MR, mi - ir), nr);
+          ukr(kcb, alpha, pa + (ir / MR) * kcb * MR, pbj, x + ir * sx + jr,
+              sx, std::min(MR, mi - ir), nr);
         }
       }
     }
   });
 }
 
-// Strassen runs on whole m x m boxes and is engaged on the side m, like
-// every other route, so an edge box takes it exactly when the box of the
-// matrix padded to a power of two did. Its operand sums mix the padded
-// box's out-of-range u/v entries into in-range results, so the edge box
-// is staged into zero-filled m x m tiles — the Σ-neutral pad, zero off
-// the diagonal (w's diagonal gets the pad's 1) — and its in-range x is
-// copied back (docs/KERNELS.md, "Extents contract"). Returns false,
-// touching nothing, when the side does not engage Strassen.
-template <class T, class Square>
-bool strassen_box(T* x, const T* u, const T* v, const T* w, LeafDims d,
-                  index_t sx, index_t su, index_t sv, index_t sw,
-                  const Square& square) {
-  const index_t m = d.m;
-  if (d.mi == m && d.mj == m && d.mk == m) {
-    return square(x, u, v, w, sx, su, sv, sw);
-  }
-  if (strassen_planned_levels(m, m, m) == 0) return false;
-  thread_local AlignedPtr<T> buf;
-  thread_local std::size_t cap = 0;
-  const auto mm = static_cast<std::size_t>(m) * static_cast<std::size_t>(m);
-  if (cap < 3 * mm + static_cast<std::size_t>(m)) {
-    cap = 3 * mm + static_cast<std::size_t>(m);
-    buf = make_aligned<T>(cap);
-  }
-  T* xs = buf.get();
-  T* us = xs + mm;
-  T* vs = us + mm;
-  T* ws = vs + mm;  // w's diagonal only: read as ws[p * 0 + p]
-  auto stage = [m](T* dst, const T* src, index_t ld, index_t rows,
-                   index_t cols) {
-    std::fill(dst, dst + static_cast<std::size_t>(m) * m, T{0});
-    for (index_t i = 0; i < rows; ++i) {
-      std::copy(src + i * ld, src + i * ld + cols, dst + i * m);
-    }
-  };
-  stage(xs, x, sx, d.mi, d.mj);
-  stage(us, u, su, d.mi, d.mk);
-  stage(vs, v, sv, d.mk, d.mj);
-  if (w != nullptr) {
-    for (index_t p = 0; p < m; ++p) ws[p] = p < d.mk ? w[p * sw + p] : T{1};
-  }
-  square(xs, us, vs, ws, m, m, m, 0);
-  for (index_t i = 0; i < d.mi; ++i) {
-    std::copy(xs + i * m, xs + i * m + d.mj, x + i * sx);
-  }
-  return true;
-}
-
-template <class T>
-void gemm_tile_impl(T* x, const T* u, const T* v, LeafDims d, index_t sx,
-                    index_t su, index_t sv, T alpha) {
-  auto square = [&](T* xs, const T* us, const T* vs, const T*, index_t ldx,
-                    index_t ldu, index_t ldv, index_t) {
-    return strassen_gemm(d.m, d.m, d.m, alpha, us, ldu, vs, ldv, xs, ldx);
-  };
-  if (strassen_box<T>(x, u, v, nullptr, d, sx, su, sv, 0, square)) return;
-  gemm_impl<PlusTimes, T, false>(x, u, v, nullptr, d.mi, d.mj, d.mk, sx, su,
-                                 sv, 0, alpha);
-}
-
-template <class T>
-void gemm_tile_scaled_impl(T* x, const T* u, const T* v, const T* w,
-                           LeafDims d, index_t sx, index_t su, index_t sv,
-                           index_t sw) {
-  auto square = [&](T* xs, const T* us, const T* vs, const T* ws, index_t ldx,
-                    index_t ldu, index_t ldv, index_t ldw) {
-    return strassen_gemm_scaled(xs, us, vs, ws, d.m, ldx, ldu, ldv, ldw);
-  };
-  if (strassen_box(x, u, v, w, d, sx, su, sv, sw, square)) return;
-  gemm_impl<PlusTimes, T, true>(x, u, v, w, d.mi, d.mj, d.mk, sx, su, sv, sw,
-                                T{-1});
-}
-
 }  // namespace
 
-// Each entry point consults the Strassen layer first; it engages only
-// above the measured crossover (strassen_min_m) and returns false
-// otherwise, keeping sub-threshold leaves bit-identical to the classic
-// packed path.
-void gemm_tile(double* x, const double* u, const double* v, LeafDims d,
-               index_t sx, index_t su, index_t sv, double alpha) {
-  gemm_tile_impl(x, u, v, d, sx, su, sv, alpha);
+void gemm_tile(double* x, const double* u, const double* v, index_t mi,
+               index_t mj, index_t mk, index_t sx, index_t su, index_t sv,
+               double alpha) {
+  gemm_impl<PlusTimes, double, false>(x, u, v, nullptr, mi, mj, mk, sx, su,
+                                      sv, 0, alpha);
 }
-void gemm_tile(float* x, const float* u, const float* v, LeafDims d,
-               index_t sx, index_t su, index_t sv, float alpha) {
-  gemm_tile_impl(x, u, v, d, sx, su, sv, alpha);
+void gemm_tile(float* x, const float* u, const float* v, index_t mi,
+               index_t mj, index_t mk, index_t sx, index_t su, index_t sv,
+               float alpha) {
+  gemm_impl<PlusTimes, float, false>(x, u, v, nullptr, mi, mj, mk, sx, su,
+                                     sv, 0, alpha);
 }
 
 void gemm_tile_scaled(double* x, const double* u, const double* v,
-                      const double* w, LeafDims d, index_t sx, index_t su,
-                      index_t sv, index_t sw) {
-  gemm_tile_scaled_impl(x, u, v, w, d, sx, su, sv, sw);
+                      const double* w, index_t mi, index_t mj, index_t mk,
+                      index_t sx, index_t su, index_t sv, index_t sw) {
+  gemm_impl<PlusTimes, double, true>(x, u, v, w, mi, mj, mk, sx, su, sv, sw,
+                                     -1.0);
 }
 void gemm_tile_scaled(float* x, const float* u, const float* v,
-                      const float* w, LeafDims d, index_t sx, index_t su,
-                      index_t sv, index_t sw) {
-  gemm_tile_scaled_impl(x, u, v, w, d, sx, su, sv, sw);
+                      const float* w, index_t mi, index_t mj, index_t mk,
+                      index_t sx, index_t su, index_t sv, index_t sw) {
+  gemm_impl<PlusTimes, float, true>(x, u, v, w, mi, mj, mk, sx, su, sv, sw,
+                                    -1.0f);
 }
 
 template <template <class> class SR, class T>

@@ -317,29 +317,24 @@ GEP_AVX2_FN void mm_impl(T* x, const T* u, const T* v, index_t mi, index_t mj,
 
 template <template <class> class SR, class T>
 GEP_AVX2_FN void ukr_avx2(index_t kc, T alpha, const T* pa, const T* pb,
-                          const GemmDest<T>* dst, int nd, index_t ldc,
-                          index_t mr, index_t nr) {
+                          T* c, index_t ldc, index_t mr, index_t nr) {
   using Sh = Avx2Shape<SR, T>;
-  ukr_tile<Avx2Vec<T>, SR, Sh::MR, Sh::NR>(kc, alpha, pa, pb, dst, nd, ldc,
-                                           mr, nr);
+  ukr_tile<Avx2Vec<T>, SR, Sh::MR, Sh::NR>(kc, alpha, pa, pb, c, ldc, mr, nr);
 }
 
 template <template <class> class SR, class T>
 GEP_AVX512_FN void ukr_avx512(index_t kc, T alpha, const T* pa, const T* pb,
-                              const GemmDest<T>* dst, int nd, index_t ldc,
-                              index_t mr, index_t nr) {
+                              T* c, index_t ldc, index_t mr, index_t nr) {
   using Sh = Avx512Shape<SR, T>;
-  ukr_tile<Avx512Vec<T>, SR, Sh::MR, Sh::NR>(kc, alpha, pa, pb, dst, nd,
-                                             ldc, mr, nr);
+  ukr_tile<Avx512Vec<T>, SR, Sh::MR, Sh::NR>(kc, alpha, pa, pb, c, ldc, mr,
+                                             nr);
 }
 
-#define GEP_INSTANTIATE_UKR(SR, T)                                         \
-  template void ukr_avx2<SR, T>(index_t, T, const T*, const T*,            \
-                                const GemmDest<T>*, int, index_t, index_t, \
-                                index_t);                                  \
-  template void ukr_avx512<SR, T>(index_t, T, const T*, const T*,          \
-                                  const GemmDest<T>*, int, index_t,        \
-                                  index_t, index_t)
+#define GEP_INSTANTIATE_UKR(SR, T)                                        \
+  template void ukr_avx2<SR, T>(index_t, T, const T*, const T*, T*,       \
+                                index_t, index_t, index_t);               \
+  template void ukr_avx512<SR, T>(index_t, T, const T*, const T*, T*,     \
+                                  index_t, index_t, index_t)
 GEP_INSTANTIATE_UKR(PlusTimes, double);
 GEP_INSTANTIATE_UKR(PlusTimes, float);
 GEP_INSTANTIATE_UKR(MinPlus, double);

@@ -2,10 +2,10 @@
 //
 // One packing format and one micro-kernel template, over a semiring,
 // serve the cache-aware BLAS baseline (blas/dgemm.cpp), the typed
-// engine's D-kind leaves of every semiring (simd/gemm_leaf.*) and the
-// Strassen layer (simd/strassen.*): A blocks are packed into MR-row
-// column panels, B blocks into NR-column row panels, both zero-padded
-// to full micro-tile width so the accumulation loop never sees a fringe.
+// engine's D-kind leaves of every semiring (simd/gemm_leaf.*): A blocks
+// are packed into MR-row column panels, B blocks into NR-column row
+// panels, both zero-padded to full micro-tile width so the accumulation
+// loop never sees a fringe.
 //
 // The register tile is shaped to the ISA (with_ukr picks it from the
 // active dispatch level):
@@ -18,13 +18,11 @@
 #pragma once
 
 #include <algorithm>
-#include <cstddef>
 #include <cstdint>
 #include <limits>
 
 #include "matrix/matrix.hpp"
 #include "simd/dispatch.hpp"
-#include "util/aligned.hpp"
 
 namespace gep::simd {
 
@@ -120,166 +118,6 @@ constexpr index_t packed_b_size(index_t nr, index_t kc, index_t nc) {
   return ((nc + nr - 1) / nr) * nr * kc;
 }
 
-// --- Strassen fusion hooks -------------------------------------------------
-//
-// The Strassen layer (simd/strassen.*) never materializes operand sums
-// like A00+A11: each of its multiplies is a packed GEMM whose A/B
-// operand is a ±1 linear combination of up to kMaxGemmOperands source
-// quadrants (formed on the fly while packing) and whose product is
-// scattered to up to kMaxGemmOperands C quadrants with ±1 coefficients
-// (applied in the micro-kernel's writeback). Two Strassen levels square
-// the per-multiply operand count from <=2 to <=4, hence the cap.
-
-inline constexpr int kMaxGemmOperands = 4;
-
-// One source quadrant of a packed operand. `inv`, when non-null, points
-// at per-column reciprocals (the Gaussian-elimination multiplier fold of
-// pack_a_scaled, hoisted so each quadrant indexes the shared reciprocal
-// vector at its own column offset); only A sources use it.
-template <class T>
-struct PackSrc {
-  const T* p;
-  T coeff;
-  const T* inv;
-};
-
-// One destination quadrant of a micro-tile writeback.
-template <class T>
-struct GemmDest {
-  T* c;
-  T coeff;
-};
-
-namespace detail_pack {
-
-// Compile-time-NS bodies: source pointers and coefficients live in
-// locals (the aliasing-opaque PackSrc fields would otherwise reload
-// every element), and the inv indirection is a template branch, not a
-// per-element one. NS <= kMaxGemmOperands.
-template <index_t MR, class T, int NS, bool Inv>
-void pack_a_multi_fixed(const PackSrc<T>* s, index_t lda, index_t mc,
-                        index_t kc, T* dst) {
-  const T* src[NS];
-  const T* inv[NS];
-  T co[NS];
-  for (int q = 0; q < NS; ++q) {
-    src[q] = s[q].p;
-    inv[q] = s[q].inv;
-    co[q] = s[q].coeff;
-  }
-  for (index_t i0 = 0; i0 < mc; i0 += MR) {
-    const index_t mr = std::min(MR, mc - i0);
-    if (mr == MR) {
-      for (index_t p = 0; p < kc; ++p) {
-        for (index_t i = 0; i < MR; ++i) {
-          T acc{};
-          for (int q = 0; q < NS; ++q) {
-            T v = src[q][(i0 + i) * lda + p];
-            if constexpr (Inv) v *= inv[q][p];
-            acc += co[q] * v;
-          }
-          *dst++ = acc;
-        }
-      }
-    } else {
-      for (index_t p = 0; p < kc; ++p) {
-        for (index_t i = 0; i < MR; ++i) {
-          T acc{};
-          if (i < mr) {
-            for (int q = 0; q < NS; ++q) {
-              T v = src[q][(i0 + i) * lda + p];
-              if constexpr (Inv) v *= inv[q][p];
-              acc += co[q] * v;
-            }
-          }
-          *dst++ = acc;
-        }
-      }
-    }
-  }
-}
-
-// Same chunked traversal as pack_b (see kPackBRows).
-template <index_t NR, class T, int NS>
-void pack_b_multi_fixed(const PackSrc<T>* s, index_t ldb, index_t kc,
-                        index_t nc, T* dst) {
-  const T* src[NS];
-  T co[NS];
-  for (int q = 0; q < NS; ++q) {
-    src[q] = s[q].p;
-    co[q] = s[q].coeff;
-  }
-  for (index_t p0 = 0; p0 < kc; p0 += kPackBRows) {
-    const index_t pe = std::min(p0 + kPackBRows, kc);
-    for (index_t j0 = 0; j0 < nc; j0 += NR) {
-      const index_t nr = std::min(NR, nc - j0);
-      T* dp = dst + (j0 / NR) * kc * NR + p0 * NR;
-      for (index_t p = p0; p < pe; ++p, dp += NR) {
-        for (index_t j = 0; j < nr; ++j) {
-          T acc = co[0] * src[0][p * ldb + j0 + j];
-          for (int q = 1; q < NS; ++q) {
-            acc += co[q] * src[q][p * ldb + j0 + j];
-          }
-          dp[j] = acc;
-        }
-        for (index_t j = nr; j < NR; ++j) dp[j] = T{};
-      }
-    }
-  }
-}
-
-}  // namespace detail_pack
-
-// pack_a over a ±1 linear combination of source quadrants (all sharing
-// lda). Layout is identical to pack_a, so the micro-kernel is reused
-// unchanged. Sources must carry `inv` uniformly (all null or all
-// non-null), which the Strassen layer guarantees.
-template <index_t MR, class T>
-void pack_a_multi(const PackSrc<T>* s, int ns, index_t lda, index_t mc,
-                  index_t kc, T* dst) {
-  using detail_pack::pack_a_multi_fixed;
-  const bool inv = s[0].inv != nullptr;
-  switch (ns) {
-    case 1:
-      inv ? pack_a_multi_fixed<MR, T, 1, true>(s, lda, mc, kc, dst)
-          : pack_a_multi_fixed<MR, T, 1, false>(s, lda, mc, kc, dst);
-      return;
-    case 2:
-      inv ? pack_a_multi_fixed<MR, T, 2, true>(s, lda, mc, kc, dst)
-          : pack_a_multi_fixed<MR, T, 2, false>(s, lda, mc, kc, dst);
-      return;
-    case 3:
-      inv ? pack_a_multi_fixed<MR, T, 3, true>(s, lda, mc, kc, dst)
-          : pack_a_multi_fixed<MR, T, 3, false>(s, lda, mc, kc, dst);
-      return;
-    default:
-      inv ? pack_a_multi_fixed<MR, T, 4, true>(s, lda, mc, kc, dst)
-          : pack_a_multi_fixed<MR, T, 4, false>(s, lda, mc, kc, dst);
-      return;
-  }
-}
-
-// pack_b over a ±1 linear combination of source quadrants (shared ldb).
-template <index_t NR, class T>
-void pack_b_multi(const PackSrc<T>* s, int ns, index_t ldb, index_t kc,
-                  index_t nc, T* dst) {
-  using detail_pack::pack_b_multi_fixed;
-  switch (ns) {
-    case 1:
-      pack_b_multi_fixed<NR, T, 1>(s, ldb, kc, nc, dst);
-      return;
-    case 2:
-      pack_b_multi_fixed<NR, T, 2>(s, ldb, kc, nc, dst);
-      return;
-    case 3:
-      pack_b_multi_fixed<NR, T, 3>(s, ldb, kc, nc, dst);
-      return;
-    default:
-      pack_b_multi_fixed<NR, T, 4>(s, ldb, kc, nc, dst);
-      return;
-  }
-}
-
 // --- semirings ---------------------------------------------------------------
 //
 // A semiring policy SR<Vec> is written once over a vector trait Vec (the
@@ -364,11 +202,10 @@ struct OrAnd {
 
 // --- the micro-kernel template ---------------------------------------------
 //
-// One micro-tile product over semiring SR, streamed to every destination
-// q < nd as c_q = combine(alpha * coeff_q, acc, c_q) with acc the SR-sum
-// over p of pa^T (x) pb; only the valid mr x nr corner of each
-// destination is read or written (the packed panels' zero padding never
-// reaches c). `Vec` is a per-ISA vector trait:
+// One micro-tile product over semiring SR, written back as
+// c = combine(alpha, acc, c) with acc the SR-sum over p of pa^T (x) pb;
+// only the valid mr x nr corner of c is read or written (the packed
+// panels' zero padding never reaches c). `Vec` is a per-ISA vector trait:
 //   V, E, kLanes                    register type, element type, lanes
 //   zero(), set1(s), broadcast(p)   splats
 //   load(p), store(p, v)            unaligned full-width access
@@ -380,16 +217,15 @@ struct OrAnd {
 // each accumulator index is a compile-time constant and acc[][] lives in
 // registers: a runtime index (say an `i < mr` loop over acc) would force
 // the array onto the stack and make every k-step store all of it.
-// Per element the result is combine(alpha * coeff, step chain over p, c)
-// with the same chain for every shape, so instantiations that see the
-// same kc agree bit for bit (for PlusTimes whenever alpha * coeff is ±1).
+// Per element the result is combine(alpha, step chain over p, c) with
+// the same chain for every shape, so instantiations that see the same kc
+// agree bit for bit (for PlusTimes whenever alpha is ±1).
 template <class Vec, template <class> class SR, index_t MR, index_t NR,
           class T>
 [[gnu::always_inline]] inline void ukr_tile(index_t kc, T alpha,
                                             const T* __restrict pa,
                                             const T* __restrict pb,
-                                            const GemmDest<T>* dst, int nd,
-                                            index_t ldc, index_t mr,
+                                            T* c, index_t ldc, index_t mr,
                                             index_t nr) {
   using V = typename Vec::V;
   using S = SR<Vec>;
@@ -397,11 +233,7 @@ template <class Vec, template <class> class SR, index_t MR, index_t NR,
   constexpr index_t NV = NR / L;
   static_assert(NR % L == 0, "NR must be a whole number of vectors");
   // Early RFO prefetch of every destination row, hidden behind the k-loop.
-  for (int q = 0; q < nd; ++q) {
-    for (index_t i = 0; i < mr; ++i) {
-      __builtin_prefetch(dst[q].c + i * ldc, 1, 3);
-    }
-  }
+  for (index_t i = 0; i < mr; ++i) __builtin_prefetch(c + i * ldc, 1, 3);
   V acc[MR][NV];
 #pragma GCC unroll 16
   for (index_t i = 0; i < MR; ++i) {
@@ -423,21 +255,19 @@ template <class Vec, template <class> class SR, index_t MR, index_t NR,
     }
   }
   const bool full = mr == MR && nr == NR;
-  for (int q = 0; q < nd; ++q) {
-    const V s = Vec::set1(alpha * dst[q].coeff);
+  const V s = Vec::set1(alpha);
 #pragma GCC unroll 16
-    for (index_t i = 0; i < MR; ++i) {
-      if (!full && i >= mr) continue;
-      T* ci = dst[q].c + i * ldc;
+  for (index_t i = 0; i < MR; ++i) {
+    if (!full && i >= mr) continue;
+    T* ci = c + i * ldc;
 #pragma GCC unroll 16
-      for (index_t v = 0; v < NV; ++v) {
-        const index_t n = full ? L : nr - v * L;
-        T* cv = ci + v * L;
-        if (n >= L) {
-          Vec::store(cv, S::combine(s, acc[i][v], Vec::load(cv)));
-        } else if (n > 0) {
-          Vec::store_n(cv, S::combine(s, acc[i][v], Vec::load_n(cv, n)), n);
-        }
+    for (index_t v = 0; v < NV; ++v) {
+      const index_t n = full ? L : nr - v * L;
+      T* cv = ci + v * L;
+      if (n >= L) {
+        Vec::store(cv, S::combine(s, acc[i][v], Vec::load(cv)));
+      } else if (n > 0) {
+        Vec::store_n(cv, S::combine(s, acc[i][v], Vec::load_n(cv, n)), n);
       }
     }
   }
@@ -468,12 +298,11 @@ struct ScalarVec {
   static V bit_and(V a, V b) { return static_cast<T>(a & b); }
 };
 
-// The signature of every micro-kernel instantiation (alpha and the
-// destination coefficients only matter to PlusTimes).
+// The signature of every micro-kernel instantiation (alpha only
+// matters to PlusTimes).
 template <class T>
-using UkrFn = void (*)(index_t kc, T alpha, const T* pa, const T* pb,
-                       const GemmDest<T>* dst, int nd, index_t ldc,
-                       index_t mr, index_t nr);
+using UkrFn = void (*)(index_t kc, T alpha, const T* pa, const T* pb, T* c,
+                       index_t ldc, index_t mr, index_t nr);
 
 // Register tile per (ISA, semiring, element type): two vectors of B per
 // k-step unless specialized. Min-plus and max-min need a temporary per
@@ -491,12 +320,11 @@ template <>
 struct Avx512Shape<OrAnd, std::uint8_t> : Avx2Shape<OrAnd, std::uint8_t> {};
 
 template <template <class> class SR, class T>
-void ukr_scalar(index_t kc, T alpha, const T* pa, const T* pb,
-                const GemmDest<T>* dst, int nd, index_t ldc, index_t mr,
-                index_t nr) {
+void ukr_scalar(index_t kc, T alpha, const T* pa, const T* pb, T* c,
+                index_t ldc, index_t mr, index_t nr) {
   using Sh = Avx2Shape<SR, T>;
-  ukr_tile<ScalarVec<T>, SR, Sh::MR, Sh::NR>(kc, alpha, pa, pb, dst, nd, ldc,
-                                             mr, nr);
+  ukr_tile<ScalarVec<T>, SR, Sh::MR, Sh::NR>(kc, alpha, pa, pb, c, ldc, mr,
+                                             nr);
 }
 
 #if GEP_SIMD_X86
@@ -507,19 +335,16 @@ void ukr_scalar(index_t kc, T alpha, const T* pa, const T* pb,
 // does.
 template <template <class> class SR, class T>
 GEP_AVX2_FN void ukr_avx2(index_t kc, T alpha, const T* pa, const T* pb,
-                          const GemmDest<T>* dst, int nd, index_t ldc,
-                          index_t mr, index_t nr);
+                          T* c, index_t ldc, index_t mr, index_t nr);
 template <template <class> class SR, class T>
 GEP_AVX512_FN void ukr_avx512(index_t kc, T alpha, const T* pa, const T* pb,
-                              const GemmDest<T>* dst, int nd, index_t ldc,
-                              index_t mr, index_t nr);
+                              T* c, index_t ldc, index_t mr, index_t nr);
 #endif
 
 // Calls f(tile, ukr) with the active dispatch level's micro-kernel for
 // semiring SR and its register-tile shape (a Tile<MR, NR> value): the
-// one place the packed macro loops (gemm_leaf.cpp, strassen.cpp,
-// blas/dgemm.cpp) consult the level. The scalar kernel uses the AVX2
-// shape.
+// one place the packed macro loops (gemm_leaf.cpp, blas/dgemm.cpp)
+// consult the level. The scalar kernel uses the AVX2 shape.
 template <template <class> class SR, class T, class F>
 void with_ukr(F&& f) {
 #if GEP_SIMD_X86
@@ -535,21 +360,6 @@ void with_ukr(F&& f) {
   }
 #endif
   f(Avx2Shape<SR, T>{}, &ukr_scalar<SR, T>);
-}
-
-// Grow-on-demand thread-local packing panels (index 0 = A, 1 = B),
-// shared by the classic leaf GEMM (gemm_leaf.cpp) and the Strassen
-// macro loops (strassen.cpp) — they never run nested, and thread-local
-// storage keeps the parallel typed engine's workers from sharing.
-template <class T>
-T* packing_buffer(int which, std::size_t count) {
-  thread_local AlignedPtr<T> buf[2];
-  thread_local std::size_t cap[2] = {0, 0};
-  if (cap[which] < count) {
-    buf[which] = make_aligned<T>(count);
-    cap[which] = count;
-  }
-  return buf[which].get();
 }
 
 }  // namespace gep::simd

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <ostream>
 #include <queue>
 #include <set>
@@ -14,7 +13,6 @@
 
 #include "apps/apps.hpp"
 #include "parallel/task_graph.hpp"
-#include "simd/strassen.hpp"
 #include "util/prng.hpp"
 
 namespace gep {
@@ -264,9 +262,6 @@ struct PaddingFreeApp {
   Bytes (*run)(index_t n, const apps::RunOptions& opts);
   Bytes (*padded)(index_t n, Runtime rt);
   bool at_2000;  // also n = 2000 on the DAG at 4 threads
-  // Its D leaves write tiles that later leaves read (GE, LU): see
-  // matches_padded.
-  bool rereads_d_tiles;
 };
 
 // Print the app by name: gtest would otherwise dump the struct's bytes,
@@ -293,7 +288,7 @@ const PaddingFreeApp kPaddingFreeApps[] = {
        append(b, unpad(p, n, n));
        return b;
      },
-     false, true},
+     false},
     {"lu",
      [](index_t n, const apps::RunOptions& o) {
        Matrix<double> a = dd_input(n);
@@ -312,7 +307,7 @@ const PaddingFreeApp kPaddingFreeApps[] = {
        append(b, unpad(p, n, n));
        return b;
      },
-     true, true},
+     true},
     {"fw",
      [](index_t n, const apps::RunOptions& o) {
        Matrix<double> d = random_graph(n, 1000 + n, 0.25);
@@ -332,7 +327,7 @@ const PaddingFreeApp kPaddingFreeApps[] = {
        append(b, unpad(p, n, n));
        return b;
      },
-     true, false},
+     true},
     {"fw_paths",
      [](index_t n, const apps::RunOptions& o) {
        Matrix<double> d = random_graph(n, 1300 + n, 0.25);
@@ -361,7 +356,7 @@ const PaddingFreeApp kPaddingFreeApps[] = {
        append(b, unpad(sp, n, n));
        return b;
      },
-     false, false},
+     false},
     {"bottleneck",
      [](index_t n, const apps::RunOptions& o) {
        Matrix<double> c = cap_input(n);
@@ -383,7 +378,7 @@ const PaddingFreeApp kPaddingFreeApps[] = {
        append(b, unpad(p, n, n));
        return b;
      },
-     false, false},
+     false},
     {"tc",
      [](index_t n, const apps::RunOptions& o) {
        Matrix<std::uint8_t> r = reach_input(n);
@@ -403,7 +398,7 @@ const PaddingFreeApp kPaddingFreeApps[] = {
        append(b, unpad(p, n, n));
        return b;
      },
-     false, false},
+     false},
     {"mm",
      [](index_t n, const apps::RunOptions& o) {
        Matrix<double> c = random_dd(n, 1400 + n);
@@ -429,30 +424,8 @@ const PaddingFreeApp kPaddingFreeApps[] = {
        append(b, unpad(cp, n, n));
        return b;
      },
-     false, false},
+     false},
 };
-
-// The padding-free bytes against the padded run's. They are equal
-// unless the D leaves take Strassen (a base size of strassen_min_m()
-// or more) in an app that rereads their tiles: the padded run's
-// Strassen leaves leave rounding residue in its pad, where exact
-// arithmetic gives zero, and later leaves read it. The padding-free run
-// has no pad, so there the doubles agree to rounding only.
-bool matches_padded(const PaddingFreeApp& app, const Bytes& got,
-                    const Bytes& want) {
-  if (!app.rereads_d_tiles ||
-      simd::strassen_planned_levels(kPadBase, kPadBase, kPadBase) == 0) {
-    return got == want;
-  }
-  if (got.size() != want.size()) return false;
-  for (std::size_t at = 0; at < got.size(); at += sizeof(double)) {
-    double g = 0, w = 0;
-    std::memcpy(&g, got.data() + at, sizeof(double));
-    std::memcpy(&w, want.data() + at, sizeof(double));
-    if (!(std::abs(g - w) <= 1e-12 * (1.0 + std::abs(w)))) return false;
-  }
-  return true;
-}
 
 class PaddingFree : public ::testing::TestWithParam<PaddingFreeApp> {};
 
@@ -463,17 +436,15 @@ TEST_P(PaddingFree, BitIdenticalToPaddedRun) {
       const bool dag = rt == Runtime::Dag;
       const Bytes want = app.padded(n, rt);
       for (int threads : {1, 4}) {
-        EXPECT_TRUE(
-            matches_padded(app, app.run(n, {kPadBase, threads, rt}), want))
+        EXPECT_TRUE(app.run(n, {kPadBase, threads, rt}) == want)
             << app.name << " n=" << n << " threads=" << threads
             << (dag ? " dag" : " fork-join");
       }
     }
   }
   if (app.at_2000) {
-    EXPECT_TRUE(matches_padded(
-        app, app.run(2000, {kPadBase, 4, apps::Runtime::Dag}),
-        app.padded(2000, Runtime::Dag)))
+    EXPECT_TRUE(app.run(2000, {kPadBase, 4, apps::Runtime::Dag}) ==
+                app.padded(2000, Runtime::Dag))
         << app.name << " n=2000 dag threads=4";
   }
 }

@@ -27,7 +27,6 @@
 #include "obs/registry.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/gemm_leaf.hpp"
-#include "simd/strassen.hpp"
 #include "util/prng.hpp"
 
 namespace gep {
@@ -581,8 +580,7 @@ TEST_F(SimdKernels, MatmulMatchesScalarAcrossGemmThreshold) {
 // Only the packed-GEMM register tile widens at Avx512 (8 x 16 vs 6 x 8).
 // Both tiles run the same per-element FMA chain over the same k-chunks,
 // so for alpha = ±1 — every GEP leaf — the two levels agree bit for bit,
-// including the 6 x 8 tile's row fringes (m is never a multiple of 6)
-// and the Strassen route.
+// including the 6 x 8 tile's row fringes (m is never a multiple of 6).
 template <class T>
 void expect_gemm_levels_bitwise_equal() {
   auto same_bits = [](const std::vector<T>& a, const std::vector<T>& b) {
@@ -599,32 +597,26 @@ void expect_gemm_levels_bitwise_equal() {
     op(x.data());
     return x;
   };
-  for (const simd::GemmOptions gemm :
-       {simd::GemmOptions{0, -1}, simd::GemmOptions{1, 32}}) {
-    simd::ScopedGemmOptions scope(gemm);
-    for (index_t m : {16, 32, 64, 128, 256}) {
-      const index_t s = m + 3;
-      const auto u = tile(m, 1), v = tile(m, 2), x = tile(m, 3);
-      auto w = tile(m, 4);
-      for (index_t i = 0; i < m; ++i) w[i * s + i] = static_cast<T>(2 + i % 5);
-      for (T alpha : {T{1}, T{-1}}) {
-        auto op = [&](T* xp) {
-          simd::gemm_tile(xp, u.data(), v.data(), m, s, s, s, alpha);
-        };
-        EXPECT_TRUE(same_bits(run(simd::Level::Avx2, op, x),
-                              run(simd::Level::Avx512, op, x)))
-            << "gemm_tile m=" << m << " alpha=" << alpha
-            << " strassen_levels=" << gemm.strassen_levels;
-      }
+  for (index_t m : {16, 32, 64, 128, 256}) {
+    const index_t s = m + 3;
+    const auto u = tile(m, 1), v = tile(m, 2), x = tile(m, 3);
+    auto w = tile(m, 4);
+    for (index_t i = 0; i < m; ++i) w[i * s + i] = static_cast<T>(2 + i % 5);
+    for (T alpha : {T{1}, T{-1}}) {
       auto op = [&](T* xp) {
-        simd::gemm_tile_scaled(xp, u.data(), v.data(), w.data(), m, s, s, s,
-                               s);
+        simd::gemm_tile(xp, u.data(), v.data(), m, m, m, s, s, s, alpha);
       };
       EXPECT_TRUE(same_bits(run(simd::Level::Avx2, op, x),
                             run(simd::Level::Avx512, op, x)))
-          << "gemm_tile_scaled m=" << m
-          << " strassen_levels=" << gemm.strassen_levels;
+          << "gemm_tile m=" << m << " alpha=" << alpha;
     }
+    auto op = [&](T* xp) {
+      simd::gemm_tile_scaled(xp, u.data(), v.data(), w.data(), m, m, m, s, s,
+                             s, s);
+    };
+    EXPECT_TRUE(same_bits(run(simd::Level::Avx2, op, x),
+                          run(simd::Level::Avx512, op, x)))
+        << "gemm_tile_scaled m=" << m;
   }
 }
 
@@ -782,8 +774,7 @@ void expect_clipped_leaves_match(const char* name,
         EXPECT_TRUE(clipped_x_matches(init, want, got, d))
             << name << " level=" << simd::level_name(level)
             << " kind=" << kind.name << " m=" << d.m << " extents " << d.mi
-            << " x " << d.mj << " x " << d.mk
-            << " strassen_levels=" << simd::strassen_levels();
+            << " x " << d.mj << " x " << d.mk;
       }
     }
   }
@@ -805,37 +796,31 @@ TEST_F(SimdKernels, ClippedFmaLeavesMatchPaddedSquareLeaves) {
   const std::initializer_list<KindCase> all = {kKinds[0], kKinds[1],
                                                kKinds[2], kKinds[3]};
   using Ops = double* const*;
-  // Classic D leaves, and two Strassen levels engaged on the side 64:
-  // an edge box takes Strassen exactly when its side does.
   const PivotGuard guard(BreakdownPolicy::Report, 1e-12, 1.0);
-  for (const simd::GemmOptions gemm :
-       {simd::GemmOptions{0, -1}, simd::GemmOptions{2, 32}}) {
-    simd::ScopedGemmOptions scope(gemm);
-    // Identity pad: zero off the diagonal, unit pivots.
-    expect_clipped_leaves_match<double>(
-        "ge", all, 0.0, 1.0, dominant_entry,
-        [](Ops p, const KindCase& k, LeafDims d, index_t s) {
-          kernel_ge(p[0], p[1], p[2], p[3], d, s, s, s, s, k.di, k.dj);
-        });
-    expect_clipped_leaves_match<double>(
-        "lu", all, 0.0, 1.0, dominant_entry,
-        [](Ops p, const KindCase& k, LeafDims d, index_t s) {
-          kernel_lu(p[0], p[1], p[2], p[3], d, s, s, s, s, k.di, k.dj);
-        });
-    expect_clipped_leaves_match<double>(
-        "lu_guarded", all, 0.0, 1.0, dominant_entry,
-        [&](Ops p, const KindCase& k, LeafDims d, index_t s) {
-          kernel_lu_guarded(p[0], p[1], p[2], p[3], d, s, s, s, s, k.di, k.dj,
-                            guard, 0);
-        });
-    // Matmul leaves are D-kind only (restrict operands).
-    expect_clipped_leaves_match<double>(
-        "mm", {kKinds[3]}, 0.0, 0.0,
-        [](index_t i, index_t j, bool) { return entry_uniform(i, j, -1, 1); },
-        [](Ops p, const KindCase&, LeafDims d, index_t s) {
-          kernel_mm(p[0], p[1], p[2], d, s, s, s);
-        });
-  }
+  // Identity pad: zero off the diagonal, unit pivots.
+  expect_clipped_leaves_match<double>(
+      "ge", all, 0.0, 1.0, dominant_entry,
+      [](Ops p, const KindCase& k, LeafDims d, index_t s) {
+        kernel_ge(p[0], p[1], p[2], p[3], d, s, s, s, s, k.di, k.dj);
+      });
+  expect_clipped_leaves_match<double>(
+      "lu", all, 0.0, 1.0, dominant_entry,
+      [](Ops p, const KindCase& k, LeafDims d, index_t s) {
+        kernel_lu(p[0], p[1], p[2], p[3], d, s, s, s, s, k.di, k.dj);
+      });
+  expect_clipped_leaves_match<double>(
+      "lu_guarded", all, 0.0, 1.0, dominant_entry,
+      [&](Ops p, const KindCase& k, LeafDims d, index_t s) {
+        kernel_lu_guarded(p[0], p[1], p[2], p[3], d, s, s, s, s, k.di, k.dj,
+                          guard, 0);
+      });
+  // Matmul leaves are D-kind only (restrict operands).
+  expect_clipped_leaves_match<double>(
+      "mm", {kKinds[3]}, 0.0, 0.0,
+      [](index_t i, index_t j, bool) { return entry_uniform(i, j, -1, 1); },
+      [](Ops p, const KindCase&, LeafDims d, index_t s) {
+        kernel_mm(p[0], p[1], p[2], d, s, s, s);
+      });
   EXPECT_EQ(guard.breakdowns(), 0u);
   SKIP_ABSENT_LEVELS();
 }
@@ -919,14 +904,7 @@ TEST_F(SimdKernels, ClippedSemiringLeavesMatchPaddedSquareLeaves) {
 // The packed-GEMM route must kick in exactly at kGemmMinM — both sides
 // of the boundary already run in the loops above; this pins the
 // threshold itself so a silent change shows up as a test edit.
-// gemm_min_m() is the runtime value ($GEP_GEMM_MIN_M override); with
-// the env unset it must resolve to the same pinned default.
-TEST_F(SimdKernels, GemmThresholdIsStable) {
-  EXPECT_EQ(simd::kGemmMinM, 16);
-  if (std::getenv("GEP_GEMM_MIN_M") == nullptr) {
-    EXPECT_EQ(simd::gemm_min_m(), simd::kGemmMinM);
-  }
-}
+TEST_F(SimdKernels, GemmThresholdIsStable) { EXPECT_EQ(simd::kGemmMinM, 16); }
 
 }  // namespace
 }  // namespace gep
