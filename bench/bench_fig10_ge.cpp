@@ -99,7 +99,7 @@ CacheStats simulate_igep_lu(const Matrix<double>& init, index_t base,
                             std::uint64_t line_bytes) {
   Matrix<double> a = init;
   IdealCache sim(llc_bytes, line_bytes);
-  TracedAccess<double, IdealCache> acc(a.data(), a.rows(), &sim);
+  TracedAccess<double, IdealCache> acc(a.data(), a.rows(), &sim, 0);
   run_igep(acc, LUIndexedF{}, LUSet{a.rows()}, {base});
   publish_cachesim_gauges("llc.igep_lu", sim.stats());
   return sim.stats();

@@ -30,29 +30,10 @@ double time_engine(const Matrix<double>& a, const Matrix<double>& b,
   return dt;
 }
 
-struct TracedMat {
-  const double* d;
-  index_t n;
-  CacheHierarchy* h;
-  double get(index_t i, index_t j) const {
-    h->access(reinterpret_cast<std::uintptr_t>(d + i * n + j), false);
-    return d[i * n + j];
-  }
-};
-
-struct TracedMutMat {
-  double* d;
-  index_t n;
-  CacheHierarchy* h;
-  double get(index_t i, index_t j) const {
-    h->access(reinterpret_cast<std::uintptr_t>(d + i * n + j), false);
-    return d[i * n + j];
-  }
-  void set(index_t i, index_t j, double v) {
-    h->access(reinterpret_cast<std::uintptr_t>(d + i * n + j), true);
-    d[i * n + j] = v;
-  }
-};
+// Replay accessors: matrix elements at fixed simulated addresses
+// (cachesim/ideal_cache.hpp), so the miss counts repeat across runs.
+using TracedMat = TracedAccess<const double, CacheHierarchy>;
+using TracedMutMat = TracedAccess<double, CacheHierarchy>;
 
 // Iterative GEP-style MM access pattern.
 void traced_mm_gep(TracedMutMat c, TracedMat a, TracedMat b, index_t n) {
@@ -126,8 +107,8 @@ int main() {
     auto run_traced = [&](const char* name, auto&& fn) {
       Matrix<double> c(n, n, 0.0);
       CacheHierarchy h(opteron_l1(), opteron_l2());
-      fn(TracedMutMat{c.data(), n, &h}, TracedMat{a.data(), n, &h},
-         TracedMat{b.data(), n, &h});
+      fn(TracedMutMat(c.data(), n, &h, 0), TracedMat(a.data(), n, &h, 1),
+         TracedMat(b.data(), n, &h, 2));
       misses.add_row(
           {Table::integer(n), name,
            Table::integer(static_cast<long long>(h.l1_stats().misses)),

@@ -39,7 +39,7 @@ template <class Run>
 std::uint64_t l2_misses(const Matrix<double>& init, Run&& run) {
   Matrix<double> c = init;
   CacheHierarchy h(opteron_l1(), opteron_l2());
-  TracedAccess<double, CacheHierarchy> acc(c.data(), c.rows(), &h);
+  TracedAccess<double, CacheHierarchy> acc(c.data(), c.rows(), &h, 0);
   run(acc);
   return h.l2_stats().misses;
 }
@@ -84,9 +84,9 @@ int main() {
     CacheHierarchy h4(opteron_l1(), opteron_l2());
     {
       Matrix<double> u0(c4), u1(c4), v0(c4), v1(c4);
-      TracedAccess<double, CacheHierarchy> ca(c4.data(), n, &h4),
-          a0(u0.data(), n, &h4), a1(u1.data(), n, &h4),
-          b0(v0.data(), n, &h4), b1(v1.data(), n, &h4);
+      TracedAccess<double, CacheHierarchy> ca(c4.data(), n, &h4, 0),
+          a0(u0.data(), n, &h4, 1), a1(u1.data(), n, &h4, 2),
+          b0(v0.data(), n, &h4, 3), b1(v1.data(), n, &h4, 4);
       run_cgep_with_aux(ca, a0, a1, b0, b1, MinPlusF{}, FullSet{n}, {base});
     }
     Matrix<double> cc = init;
@@ -94,23 +94,10 @@ int main() {
     {
       const index_t half = n / 2;
       Matrix<double> u0(n, half), u1(n, half), v0(half, n), v1(half, n);
-      TracedAccess<double, CacheHierarchy> ca(cc.data(), n, &hc);
-      // Slice stores: rectangular, use their own row strides.
-      struct Slice {
-        double* d;
-        index_t cols;
-        CacheHierarchy* h;
-        double get(index_t i, index_t j) const {
-          h->access(reinterpret_cast<std::uintptr_t>(d + i * cols + j), false);
-          return d[i * cols + j];
-        }
-        void set(index_t i, index_t j, double v) {
-          h->access(reinterpret_cast<std::uintptr_t>(d + i * cols + j), true);
-          d[i * cols + j] = v;
-        }
-      };
-      Slice a0{u0.data(), half, &hc}, a1{u1.data(), half, &hc},
-          b0{v0.data(), n, &hc}, b1{v1.data(), n, &hc};
+      // Slice stores: rectangular, each with its own row stride.
+      TracedAccess<double, CacheHierarchy> ca(cc.data(), n, &hc, 0),
+          a0(u0.data(), half, &hc, 1), a1(u1.data(), half, &hc, 2),
+          b0(v0.data(), n, &hc, 3), b1(v1.data(), n, &hc, 4);
       run_cgep_compact_with_aux(ca, a0, a1, b0, b1, MinPlusF{}, FullSet{n},
                                 {base});
     }

@@ -18,7 +18,7 @@ using namespace gep;
 std::uint64_t misses_gep(index_t n, std::uint64_t M, std::uint64_t B) {
   Matrix<double> c = bench::random_dist_matrix(n, 1);
   IdealCache sim(M, B);
-  TracedAccess<double, IdealCache> acc(c.data(), n, &sim);
+  TracedAccess<double, IdealCache> acc(c.data(), n, &sim, 0);
   run_gep(acc, MinPlusF{}, FullSet{n});
   return sim.stats().misses;
 }
@@ -27,7 +27,7 @@ std::uint64_t misses_igep(index_t n, std::uint64_t M, std::uint64_t B,
                           index_t base) {
   Matrix<double> c = bench::random_dist_matrix(n, 2);
   IdealCache sim(M, B);
-  TracedAccess<double, IdealCache> acc(c.data(), n, &sim);
+  TracedAccess<double, IdealCache> acc(c.data(), n, &sim, 0);
   run_igep(acc, MinPlusF{}, FullSet{n}, {base});
   return sim.stats().misses;
 }

@@ -10,13 +10,15 @@
 //   CGepCompact — C-GEP, reduced-space variant
 //   Blocked     — cache-aware tuned baseline (BLAS stand-in)
 //
-// IGep runs any n in place on the caller's matrix: the recursion covers
-// the virtual power-of-two tile grid, prunes the boxes that start at or
+// IGep and IGepZ run any n with no pad: the recursion covers the
+// virtual power-of-two tile grid, prunes the boxes that start at or
 // beyond n and clips the edge leaves (gep/typed.hpp), with output bit-
-// identical to a run on the Σ-neutrally padded matrix. IGepZ, CGep and
-// CGepCompact still pad to the next power of two and unpad on return.
-// opts.threads > 1 runs IGep/IGepZ on that many workers under
-// opts.runtime (other engines are sequential by construction).
+// identical to a run on the Σ-neutrally padded matrix. IGep works in
+// place on the caller's matrix; IGepZ on a Z-Morton copy of its n x n
+// part. CGep and CGepCompact still pad to the next power of two and
+// unpad on return. opts.threads > 1 runs IGep/IGepZ on that many
+// workers under opts.runtime (other engines are sequential by
+// construction).
 #pragma once
 
 #include <cstdint>

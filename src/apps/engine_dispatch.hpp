@@ -1,0 +1,141 @@
+// Internal: the one engine dispatcher behind the app entry points. Not
+// installed API.
+//
+// An app states its problem — the typed I-GEP driver and its operand
+// matrices, and for the in-place GEP form the update functor, the update
+// set Σ and its Σ-neutral pad values — and runs its own Iterative and
+// Blocked baselines. The GEP engines are run here:
+//   IGep        — the driver over RowMajorStores of the operands, in place;
+//   IGepZ       — the operands converted to ZBlocked buffers (conversion
+//                 included, as the paper includes it in its timings), the
+//                 driver over their ZStores, the written ones stored back;
+//   CGep,
+//   CGepCompact — f over Σ, on a copy padded to the next power of two
+//                 when n is not one (C-GEP's recursion needs n = 2^q).
+// Neither typed engine pads: the recursion clips its edge leaves to n
+// (gep/typed.hpp) and ZBlocked covers the same tile grid.
+#pragma once
+
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <tuple>
+#include <type_traits>
+#include <utility>
+
+#include "apps/apps.hpp"
+#include "gep/cgep.hpp"
+#include "layout/zblocked.hpp"
+#include "obs/stat_server.hpp"
+#include "parallel/task_graph.hpp"
+
+namespace gep::apps::detail {
+
+// Worker count: opts.threads, and for the DAG schedule clamped to the
+// host's concurrency. A dependency-driven runtime keeps every worker
+// busy (no join barriers parking threads), so running more workers than
+// cores only interleaves their working sets in the shared cache and adds
+// context-switch thrash. Compute tasks never block, so there is no
+// latency to hide. The fork-join schedule keeps the requested count, as
+// Fig. 6 runs it.
+inline int workers(const RunOptions& opts) {
+  if (opts.runtime == Runtime::ForkJoin) return opts.threads;
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  return std::min(opts.threads, static_cast<int>(hw));
+}
+
+// Runs fn(pool, typed_options) with a work-stealing pool of
+// workers(opts) threads, or with no pool (sequential) when that is one.
+template <class Fn>
+void with_pool(const RunOptions& opts, Fn&& fn) {
+  // Typed solves are long-running entry points: arm the embedded stat
+  // server when $GEP_STAT_PORT asks for it (no-op otherwise or when a
+  // bench banner already started it; inert stub at GEP_OBS=0).
+  obs::StatServer::start_from_env();
+  const TypedOptions to{opts.base_size, opts.runtime};
+  const int n = workers(opts);
+  if (n > 1) {
+    WorkStealingPool pool(n);
+    fn(&pool, to);
+  } else {
+    fn(static_cast<WorkStealingPool*>(nullptr), to);
+  }
+}
+
+// The element type of an operand: const for a read-only one.
+template <class M>
+using elem_t = std::remove_reference_t<decltype(*std::declval<M&>().data())>;
+
+// Converts each operand to a ZBlocked buffer of bs-wide tiles, calls
+// fn(their ZStores...) and stores the written (non-const) operands back.
+template <class Fn>
+void with_z_stores(index_t, Fn&& fn) {
+  fn();
+}
+
+template <class Fn, class M, class... Ms>
+void with_z_stores(index_t bs, Fn&& fn, M& m, Ms&... ms) {
+  using T = std::remove_const_t<elem_t<M>>;
+  ZBlocked<T> z(m.rows(), bs);
+  z.load(m);
+  with_z_stores(
+      bs, [&](const auto&... st) { fn(ZStore<T>{&z}, st...); }, ms...);
+  if constexpr (!std::is_const_v<M>) z.store(m);
+}
+
+// Runs an igep_* driver (parallel/task_graph.hpp) under IGep or IGepZ:
+// drive(pool, stores..., n, typed_options), one store per operand in
+// the order given. Operands are n x n; the const ones are only read.
+template <class Drive, class... M>
+void run_typed(Engine e, const RunOptions& opts, const Drive& drive,
+               M&... ops) {
+  const index_t n = std::get<0>(std::tie(ops...)).rows();
+  const index_t bs = leaf_side(opts.base_size, n);
+  auto run = [&](const auto&... st) {
+    with_pool(opts, [&](WorkStealingPool* pool, TypedOptions t) {
+      drive(pool, st..., n, t);
+    });
+  };
+  if (e == Engine::IGepZ) {
+    with_z_stores(bs, run, ops...);
+  } else {
+    run(RowMajorStore<elem_t<M>>{ops.data(), n, bs}...);
+  }
+}
+
+// Every GEP engine of an in-place app: c[i,j] = f(c[i,j], c[i,k], c[k,j],
+// c[k,k]) over Σ = S{n}, whose typed driver `drive` runs IGep and IGepZ.
+// C-GEP's pad holds `fill` off the diagonal and `diag` on it, values
+// that make every padded update a no-op on the original entries.
+template <class S, class T, class F, class Drive>
+void run_gep(const char* app, Engine e, const RunOptions& opts, Matrix<T>& a,
+             T fill, T diag, const F& f, const Drive& drive) {
+  if (e == Engine::IGep || e == Engine::IGepZ) {
+    run_typed(e, opts, drive, a);
+    return;
+  }
+  if (e != Engine::CGep && e != Engine::CGepCompact) {
+    throw std::invalid_argument(std::string(app) + ": unknown engine");
+  }
+  const index_t n = a.rows(), np = next_pow2(n);
+  Matrix<T> pad;
+  if (np != n) {
+    pad = Matrix<T>(np, np, fill);
+    for (index_t i = 0; i < np; ++i) pad(i, i) = diag;
+    for (index_t i = 0; i < n; ++i)
+      for (index_t j = 0; j < n; ++j) pad(i, j) = a(i, j);
+  }
+  Matrix<T>& m = np != n ? pad : a;
+  if (e == Engine::CGep) {
+    run_cgep(m, f, S{np}, {opts.base_size});
+  } else {
+    run_cgep_compact(m, f, S{np}, {opts.base_size});
+  }
+  if (np != n) {
+    for (index_t i = 0; i < n; ++i)
+      for (index_t j = 0; j < n; ++j) a(i, j) = pad(i, j);
+  }
+}
+
+}  // namespace gep::apps::detail

@@ -2,12 +2,9 @@
 
 #include <stdexcept>
 
-#include "apps/padding.hpp"
-#include "apps/runtime_select.hpp"
+#include "apps/engine_dispatch.hpp"
 #include "blas/blas.hpp"
-#include "gep/cgep.hpp"
 #include "gep/functors.hpp"
-#include "gep/typed.hpp"
 
 namespace gep::apps {
 
@@ -51,41 +48,12 @@ void floyd_warshall(Matrix<double>& d, Engine engine, RunOptions opts) {
     case Engine::Blocked:
       blas::fw_tiled(d.rows(), d.data(), d.cols(), opts.base_size);
       return;
-    case Engine::IGep: {
-      const index_t n = d.rows();
-      RowMajorStore<double> st{d.data(), n, leaf_side(opts.base_size, n)};
-      detail::run_igep(opts, [&](WorkStealingPool* pool, TypedOptions t) {
-        igep_floyd_warshall(pool, st, n, t);
-      });
-      return;
-    }
-    case Engine::IGepZ:
+    default:
       // Padded vertices are isolated: +inf off the diagonal, 0 on it.
-      detail::with_pow2_padding(d, kInfDist, 0.0, [&](Matrix<double>& m) {
-        const index_t bs = std::min(opts.base_size, m.rows());
-        ZBlocked<double> z(m.rows(), bs);
-        z.load(m);  // conversion cost included, as in the paper
-        ZStore<double> st{&z};
-        detail::run_igep(opts, [&](WorkStealingPool* pool, TypedOptions t) {
-          igep_floyd_warshall(pool, st, m.rows(), t);
-        });
-        z.store(m);
-      });
-      return;
-    case Engine::CGep:
-      detail::with_pow2_padding(d, kInfDist, 0.0, [&](Matrix<double>& m) {
-        run_cgep(m, MinPlusF{}, FloydWarshallSet{m.rows()},
-                 {opts.base_size});
-      });
-      return;
-    case Engine::CGepCompact:
-      detail::with_pow2_padding(d, kInfDist, 0.0, [&](Matrix<double>& m) {
-        run_cgep_compact(m, MinPlusF{}, FloydWarshallSet{m.rows()},
-                         {opts.base_size});
-      });
-      return;
+      detail::run_gep<FloydWarshallSet>(
+          "fw", engine, opts, d, kInfDist, 0.0, MinPlusF{},
+          [](auto&&... x) { igep_floyd_warshall(x...); });
   }
-  throw std::invalid_argument("fw: unknown engine");
 }
 
 }  // namespace gep::apps

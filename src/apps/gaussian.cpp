@@ -2,12 +2,9 @@
 
 #include <stdexcept>
 
-#include "apps/padding.hpp"
-#include "apps/runtime_select.hpp"
+#include "apps/engine_dispatch.hpp"
 #include "blas/blas.hpp"
-#include "gep/cgep.hpp"
 #include "gep/functors.hpp"
-#include "gep/typed.hpp"
 
 namespace gep::apps {
 namespace {
@@ -54,41 +51,12 @@ void gaussian_eliminate(Matrix<double>& a, Engine engine, RunOptions opts) {
       blas::lu_nopivot(a.rows(), a.data(), a.cols());
       return;
     }
-    case Engine::IGep: {
-      const index_t n = a.rows();
-      RowMajorStore<double> st{a.data(), n, leaf_side(opts.base_size, n)};
-      detail::run_igep(opts, [&](WorkStealingPool* pool, TypedOptions t) {
-        igep_gaussian(pool, st, n, t);
-      });
-      return;
-    }
-    case Engine::IGepZ:
+    default:
       // Identity padding keeps elimination on the padded block inert:
       // padded pivots are 1 and padded off-diagonal entries 0.
-      detail::with_pow2_padding(a, 0.0, 1.0, [&](Matrix<double>& m) {
-        const index_t bs = std::min(opts.base_size, m.rows());
-        ZBlocked<double> z(m.rows(), bs);
-        z.load(m);
-        ZStore<double> st{&z};
-        detail::run_igep(opts, [&](WorkStealingPool* pool, TypedOptions t) {
-          igep_gaussian(pool, st, m.rows(), t);
-        });
-        z.store(m);
-      });
-      return;
-    case Engine::CGep:
-      detail::with_pow2_padding(a, 0.0, 1.0, [&](Matrix<double>& m) {
-        run_cgep(m, GaussF{}, GaussianSet{m.rows()}, {opts.base_size});
-      });
-      return;
-    case Engine::CGepCompact:
-      detail::with_pow2_padding(a, 0.0, 1.0, [&](Matrix<double>& m) {
-        run_cgep_compact(m, GaussF{}, GaussianSet{m.rows()},
-                         {opts.base_size});
-      });
-      return;
+      detail::run_gep<GaussianSet>("ge", engine, opts, a, 0.0, 1.0, GaussF{},
+                                   [](auto&&... x) { igep_gaussian(x...); });
   }
-  throw std::invalid_argument("ge: unknown engine");
 }
 
 void lu_decompose(Matrix<double>& a, Engine engine, RunOptions opts) {
@@ -100,38 +68,10 @@ void lu_decompose(Matrix<double>& a, Engine engine, RunOptions opts) {
     case Engine::Blocked:
       blas::lu_nopivot(a.rows(), a.data(), a.cols());
       return;
-    case Engine::IGep: {
-      const index_t n = a.rows();
-      RowMajorStore<double> st{a.data(), n, leaf_side(opts.base_size, n)};
-      detail::run_igep(opts, [&](WorkStealingPool* pool, TypedOptions t) {
-        igep_lu(pool, st, n, t);
-      });
-      return;
-    }
-    case Engine::IGepZ:
-      detail::with_pow2_padding(a, 0.0, 1.0, [&](Matrix<double>& m) {
-        const index_t bs = std::min(opts.base_size, m.rows());
-        ZBlocked<double> z(m.rows(), bs);
-        z.load(m);
-        ZStore<double> st{&z};
-        detail::run_igep(opts, [&](WorkStealingPool* pool, TypedOptions t) {
-          igep_lu(pool, st, m.rows(), t);
-        });
-        z.store(m);
-      });
-      return;
-    case Engine::CGep:
-      detail::with_pow2_padding(a, 0.0, 1.0, [&](Matrix<double>& m) {
-        run_cgep(m, LUIndexedF{}, LUSet{m.rows()}, {opts.base_size});
-      });
-      return;
-    case Engine::CGepCompact:
-      detail::with_pow2_padding(a, 0.0, 1.0, [&](Matrix<double>& m) {
-        run_cgep_compact(m, LUIndexedF{}, LUSet{m.rows()}, {opts.base_size});
-      });
-      return;
+    default:
+      detail::run_gep<LUSet>("lu", engine, opts, a, 0.0, 1.0, LUIndexedF{},
+                             [](auto&&... x) { igep_lu(x...); });
   }
-  throw std::invalid_argument("lu: unknown engine");
 }
 
 }  // namespace gep::apps

@@ -5,11 +5,9 @@
 #include <stdexcept>
 #include <vector>
 
-#include "apps/padding.hpp"
-#include "apps/runtime_select.hpp"
+#include "apps/engine_dispatch.hpp"
 #include "blas/blas.hpp"
 #include "gep/numeric_guard.hpp"
-#include "gep/typed.hpp"
 #include "util/prng.hpp"
 
 namespace gep::apps {
@@ -43,37 +41,11 @@ void multiply_add(Matrix<double>& c, const Matrix<double>& a,
     case Engine::Blocked:
       blas::dgemm(n, n, n, 1.0, a.data(), n, b.data(), n, c.data(), n);
       return;
-    case Engine::IGep: {
-      const index_t bs = leaf_side(opts.base_size, n);
-      RowMajorStore<double> cst{c.data(), n, bs};
-      RowMajorStore<const double> ast{a.data(), n, bs};
-      RowMajorStore<const double> bst{b.data(), n, bs};
-      detail::run_igep(opts, [&](WorkStealingPool* pool, TypedOptions t) {
-        igep_matmul(pool, cst, ast, bst, n, t);
-      });
+    case Engine::IGep:
+    case Engine::IGepZ:
+      detail::run_typed(engine, opts,
+                        [](auto&&... x) { igep_matmul(x...); }, c, a, b);
       return;
-    }
-    case Engine::IGepZ: {
-      if (!is_pow2(n)) {  // zero padding is neutral for += a * b
-        const Matrix<double> ap = pad_to_pow2(a, 0.0);
-        const Matrix<double> bp = pad_to_pow2(b, 0.0);
-        detail::with_pow2_padding(c, 0.0, 0.0, [&](Matrix<double>& cp) {
-          multiply_add(cp, ap, bp, engine, opts);
-        });
-        return;
-      }
-      const index_t bs = std::min(opts.base_size, n);
-      ZBlocked<double> cz(n, bs), az(n, bs), bz(n, bs);
-      cz.load(c);
-      az.load(a);
-      bz.load(b);
-      ZStore<double> cst{&cz}, ast{&az}, bst{&bz};
-      detail::run_igep(opts, [&](WorkStealingPool* pool, TypedOptions t) {
-        igep_matmul(pool, cst, ast, bst, n, t);
-      });
-      cz.store(c);
-      return;
-    }
     case Engine::CGep:
     case Engine::CGepCompact:
       throw std::invalid_argument(

@@ -5,11 +5,8 @@
 #include <limits>
 #include <stdexcept>
 
-#include "apps/padding.hpp"
-#include "apps/runtime_select.hpp"
-#include "gep/cgep.hpp"
+#include "apps/engine_dispatch.hpp"
 #include "gep/functors.hpp"
-#include "gep/typed.hpp"
 
 namespace gep::apps {
 namespace {
@@ -65,15 +62,11 @@ void floyd_warshall_paths(Matrix<double>& d, Matrix<std::int32_t>& succ,
     case Engine::Iterative:
       fw_paths_iterative(d.data(), succ.data(), n);
       return;
-    case Engine::IGep: {
-      const index_t bs = leaf_side(opts.base_size, n);
-      RowMajorStore<double> dst{d.data(), n, bs};
-      RowMajorStore<std::int32_t> sst{succ.data(), n, bs};
-      detail::run_igep(opts, [&](WorkStealingPool* pool, TypedOptions t) {
-        igep_floyd_warshall_paths(pool, dst, sst, n, t);
-      });
+    case Engine::IGep:
+      detail::run_typed(engine, opts,
+                        [](auto&&... x) { igep_floyd_warshall_paths(x...); },
+                        d, succ);
       return;
-    }
     default:
       throw std::invalid_argument(
           "fw_paths: supported engines are Iterative and IGep");
@@ -104,46 +97,20 @@ void bottleneck_paths(Matrix<double>& cap, Engine engine, RunOptions opts) {
   for (index_t i = 0; i < n; ++i) {
     cap(i, i) = std::numeric_limits<double>::infinity();
   }
-  // Padding with zero capacity (no edges) is neutral under (max, min);
-  // padded diagonals get +inf like real vertices.
-  constexpr double kInf = std::numeric_limits<double>::infinity();
   switch (engine) {
     case Engine::Iterative:
       bottleneck_iterative(cap.data(), n);
       return;
-    case Engine::IGep: {
-      RowMajorStore<double> st{cap.data(), n, leaf_side(opts.base_size, n)};
-      detail::run_igep(opts, [&](WorkStealingPool* pool, TypedOptions t) {
-        igep_bottleneck(pool, st, n, t);
-      });
-      return;
-    }
-    case Engine::IGepZ:
-      detail::with_pow2_padding(cap, 0.0, kInf, [&](Matrix<double>& m) {
-        const index_t bs = std::min(opts.base_size, m.rows());
-        ZBlocked<double> z(m.rows(), bs);
-        z.load(m);
-        ZStore<double> st{&z};
-        detail::run_igep(opts, [&](WorkStealingPool* pool, TypedOptions t) {
-          igep_bottleneck(pool, st, m.rows(), t);
-        });
-        z.store(m);
-      });
-      return;
-    case Engine::CGep:
-      detail::with_pow2_padding(cap, 0.0, kInf, [&](Matrix<double>& m) {
-        run_cgep(m, MaxMinF{}, FullSet{m.rows()}, {opts.base_size});
-      });
-      return;
-    case Engine::CGepCompact:
-      detail::with_pow2_padding(cap, 0.0, kInf, [&](Matrix<double>& m) {
-        run_cgep_compact(m, MaxMinF{}, FullSet{m.rows()}, {opts.base_size});
-      });
-      return;
     case Engine::Blocked:
       throw std::invalid_argument("bottleneck: no blocked baseline");
+    default:
+      // Padding with zero capacity (no edges) is neutral under (max, min);
+      // padded diagonals get +inf like real vertices.
+      detail::run_gep<FullSet>("bottleneck", engine, opts, cap, 0.0,
+                               std::numeric_limits<double>::infinity(),
+                               MaxMinF{},
+                               [](auto&&... x) { igep_bottleneck(x...); });
   }
-  throw std::invalid_argument("bottleneck: unknown engine");
 }
 
 }  // namespace gep::apps

@@ -2,11 +2,8 @@
 
 #include <stdexcept>
 
-#include "apps/padding.hpp"
-#include "apps/runtime_select.hpp"
-#include "gep/cgep.hpp"
+#include "apps/engine_dispatch.hpp"
 #include "gep/functors.hpp"
-#include "gep/typed.hpp"
 
 namespace gep::apps {
 namespace {
@@ -37,50 +34,14 @@ void transitive_closure(Matrix<std::uint8_t>& reach, Engine engine,
     case Engine::Iterative:
       tc_iterative(reach.data(), reach.rows());
       return;
-    case Engine::IGep: {
-      const index_t n = reach.rows();
-      RowMajorStore<std::uint8_t> st{reach.data(), n,
-                                     leaf_side(opts.base_size, n)};
-      detail::run_igep(opts, [&](WorkStealingPool* pool, TypedOptions t) {
-        igep_transitive_closure(pool, st, n, t);
-      });
-      return;
-    }
-    case Engine::IGepZ:
-      // Zero padding is neutral: padded vertices have no edges.
-      detail::with_pow2_padding(
-          reach, std::uint8_t{0}, std::uint8_t{0},
-          [&](Matrix<std::uint8_t>& m) {
-            const index_t bs = std::min(opts.base_size, m.rows());
-            ZBlocked<std::uint8_t> z(m.rows(), bs);
-            z.load(m);
-            ZStore<std::uint8_t> st{&z};
-            detail::run_igep(
-                opts, [&](WorkStealingPool* pool, TypedOptions t) {
-                  igep_transitive_closure(pool, st, m.rows(), t);
-                });
-            z.store(m);
-          });
-      return;
-    case Engine::CGep:
-      detail::with_pow2_padding(
-          reach, std::uint8_t{0}, std::uint8_t{0},
-          [&](Matrix<std::uint8_t>& m) {
-            run_cgep(m, OrAndF{}, FullSet{m.rows()}, {opts.base_size});
-          });
-      return;
-    case Engine::CGepCompact:
-      detail::with_pow2_padding(
-          reach, std::uint8_t{0}, std::uint8_t{0},
-          [&](Matrix<std::uint8_t>& m) {
-            run_cgep_compact(m, OrAndF{}, FullSet{m.rows()},
-                             {opts.base_size});
-          });
-      return;
     case Engine::Blocked:
       throw std::invalid_argument("tc: no blocked baseline; use IGep");
+    default:
+      // Zero padding is neutral: padded vertices have no edges.
+      detail::run_gep<FullSet>(
+          "tc", engine, opts, reach, std::uint8_t{0}, std::uint8_t{0},
+          OrAndF{}, [](auto&&... x) { igep_transitive_closure(x...); });
   }
-  throw std::invalid_argument("tc: unknown engine");
 }
 
 }  // namespace gep::apps

@@ -65,31 +65,55 @@ class IdealCache {
   CacheStats stats_;
 };
 
-// Trace-feeding accessor: wraps a matrix, forwards every element load and
-// store to a simulator before touching memory. Satisfies the generic
-// engines' Accessor concept, so G / I-GEP / C-GEP run unmodified under
-// simulation.
+// Simulated addresses. A replay addresses the simulator at a fixed base
+// per traced matrix plus the element's byte offset, never at the
+// matrix's heap address: set-associative set mapping then follows the
+// algorithm's accesses alone, so simulated counts repeat from process to
+// process whatever the allocator did. Matrix `slot` of a replay starts
+// at sim_base(slot): page-aligned, slots 4 GiB apart plus one page per
+// slot. The page stagger keeps equal power-of-two matrices from mapping
+// element (i, j) to the same cache set in each of them, as a heap that
+// gives every large block a header page would.
+inline constexpr std::uintptr_t kSimPageBytes = 4096;
+
+inline std::uintptr_t sim_base(int slot) {
+  const auto s = static_cast<std::uintptr_t>(slot);
+  return ((s + 1) << 32) + s * kSimPageBytes;
+}
+
+// Trace-feeding accessor: wraps a row-major matrix with row stride n,
+// forwards every element load and store to a simulator (at simulated
+// address sim_base(slot) + byte offset) before touching memory.
+// Satisfies the generic engines' Accessor concept, so G / I-GEP / C-GEP
+// run unmodified under simulation; a rectangular C-GEP slice store is
+// one with its own row stride as n.
 template <class T, class Sim>
 class TracedAccess {
  public:
   using value_type = T;
 
-  TracedAccess(T* data, index_t n, Sim* sim) : data_(data), n_(n), sim_(sim) {}
+  TracedAccess(T* data, index_t n, Sim* sim, int slot)
+      : data_(data), n_(n), sim_(sim), base_(sim_base(slot)) {}
 
   index_t n() const { return n_; }
   T get(index_t i, index_t j) const {
-    sim_->access(reinterpret_cast<std::uintptr_t>(data_ + i * n_ + j), false);
+    sim_->access(addr(i, j), false);
     return data_[i * n_ + j];
   }
   void set(index_t i, index_t j, T v) {
-    sim_->access(reinterpret_cast<std::uintptr_t>(data_ + i * n_ + j), true);
+    sim_->access(addr(i, j), true);
     data_[i * n_ + j] = v;
   }
 
  private:
+  std::uintptr_t addr(index_t i, index_t j) const {
+    return base_ + static_cast<std::uintptr_t>(i * n_ + j) * sizeof(T);
+  }
+
   T* data_;
   index_t n_;
   Sim* sim_;
+  std::uintptr_t base_;
 };
 
 }  // namespace gep

@@ -29,6 +29,7 @@
 #include "gep/access.hpp"
 #include "gep/functors.hpp"
 #include "gep/igep.hpp"
+#include "gep/typed.hpp"
 #include "gep/update_set.hpp"
 
 namespace gep {
@@ -82,54 +83,6 @@ class CGepEngine {
     rec(i0 + h, j0, k2, h);
     rec(i0, j0 + h, k2, h);
     rec(i0, j0, k2, h);
-  }
-
-  // Multithreaded C-GEP (paper Section 3: the Fig. 6 staging applies to
-  // H unchanged — "a similar parallel algorithm with the same parallel
-  // time bound applies to C-GEP"). Safe because parallel boxes within a
-  // stage have disjoint X regions and snapshot writes target only the
-  // updated cell's own slot, so all concurrent writes are disjoint.
-  // NOTE: the hook is not invoked on this path (hooks are for the
-  // sequential analysis/tests) — callers pass hook == nullptr.
-  template <class Inv>
-  void rec_parallel(Inv& inv, index_t i0, index_t j0, index_t k0,
-                    index_t m) {
-    if (!sigma_.intersects_box(i0, i0 + m - 1, j0, j0 + m - 1, k0,
-                               k0 + m - 1))
-      return;
-    if (m <= base_) {
-      box_kernel(i0, j0, k0, m);
-      return;
-    }
-    const index_t h = m / 2;
-    const index_t ka = k0, kb = k0 + h;
-    auto R = [&](index_t ii, index_t jj, index_t kk) {
-      rec_parallel(inv, ii, jj, kk, h);
-    };
-    const bool ik = (i0 == k0), jk = (j0 == k0);
-    if (ik && jk) {  // A
-      R(i0, j0, ka);
-      inv.invoke([&] { R(i0, j0 + h, ka); }, [&] { R(i0 + h, j0, ka); });
-      R(i0 + h, j0 + h, ka);
-      R(i0 + h, j0 + h, kb);
-      inv.invoke([&] { R(i0 + h, j0, kb); }, [&] { R(i0, j0 + h, kb); });
-      R(i0, j0, kb);
-    } else if (ik) {  // B
-      inv.invoke([&] { R(i0, j0, ka); }, [&] { R(i0, j0 + h, ka); });
-      inv.invoke([&] { R(i0 + h, j0, ka); }, [&] { R(i0 + h, j0 + h, ka); });
-      inv.invoke([&] { R(i0 + h, j0, kb); }, [&] { R(i0 + h, j0 + h, kb); });
-      inv.invoke([&] { R(i0, j0, kb); }, [&] { R(i0, j0 + h, kb); });
-    } else if (jk) {  // C
-      inv.invoke([&] { R(i0, j0, ka); }, [&] { R(i0 + h, j0, ka); });
-      inv.invoke([&] { R(i0, j0 + h, ka); }, [&] { R(i0 + h, j0 + h, ka); });
-      inv.invoke([&] { R(i0, j0 + h, kb); }, [&] { R(i0 + h, j0 + h, kb); });
-      inv.invoke([&] { R(i0, j0, kb); }, [&] { R(i0 + h, j0, kb); });
-    } else {  // D
-      inv.invoke([&] { R(i0, j0, ka); }, [&] { R(i0, j0 + h, ka); },
-                 [&] { R(i0 + h, j0, ka); }, [&] { R(i0 + h, j0 + h, ka); });
-      inv.invoke([&] { R(i0, j0, kb); }, [&] { R(i0, j0 + h, kb); },
-                 [&] { R(i0 + h, j0, kb); }, [&] { R(i0 + h, j0 + h, kb); });
-    }
   }
 
   // Iterative kernel over a box. Operand cells inside the box's own
@@ -254,20 +207,35 @@ void run_cgep(Matrix<T>& c, const F& f, const S& sigma, CGepOptions opts = {},
 
 // Multithreaded C-GEP (4n²-space) driven by a fork-join Invoker (see
 // parallel/work_stealing.hpp's WsParInvoker; without a pool it stages
-// sequentially). Same T_p = O(n³/p + n log² n) bound as parallel I-GEP.
+// sequentially). Paper Section 3: the Fig. 6 staging applies to H
+// unchanged ("a similar parallel algorithm with the same parallel time
+// bound applies to C-GEP"), so this is typed_rec's full-cube recursion
+// (gep/typed.hpp) with box_kernel as its leaf: T_p = O(n³/p + n log² n),
+// as for parallel I-GEP. Safe because parallel boxes within a stage have
+// disjoint X regions and snapshot writes target only the updated cell's
+// own slot, so all concurrent writes are disjoint. Boxes that miss Σ are
+// skipped (box_kernel would apply none of their updates anyway).
 template <class Inv, class T, class F, UpdateSet S>
 void run_cgep_parallel(Inv& inv, Matrix<T>& c, const F& f, const S& sigma,
                        CGepOptions opts = {}) {
   const index_t n = c.rows();
   assert(is_pow2(n) && c.cols() == n);
+  const index_t base = std::max<index_t>(1, opts.base_size);
   Matrix<T> u0(c), u1(c), v0(c), v1(c);
   DirectAccess<T> ca(c.view()), a0(u0.view()), a1(u1.view()), b0(v0.view()),
       b1(v1.view());
   detail::CGepEngine<DirectAccess<T>, DirectAccess<T>, DirectAccess<T>, F, S,
                      NoHook>
       eng(ca, a0, a1, b0, b1, f, sigma, nullptr, /*kbase=*/0, /*kwidth=*/n,
-          std::max<index_t>(1, opts.base_size));
-  eng.rec_parallel(inv, 0, 0, 0, n);
+          base);
+  detail::typed_rec(inv, DagProblem::FloydWarshall, n, 0, 0, 0, n, base,
+                    [&](const BlockTask& t) {
+                      const index_t e = t.m - 1;
+                      if (sigma.intersects_box(t.i0, t.i0 + e, t.j0, t.j0 + e,
+                                               t.k0, t.k0 + e)) {
+                        eng.box_kernel(t.i0, t.j0, t.k0, t.m);
+                      }
+                    });
 }
 
 // C-GEP, reduced-space variant over caller-supplied slice stores: u0/u1

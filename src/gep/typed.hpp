@@ -17,8 +17,9 @@
 // This header is the recursion itself, generic over an Invoker and a
 // leaf, and the only statement of these stage lists; the one prune rule
 // is prunes() (parallel/dag_sim.hpp). Every consumer of the schedule
-// reads it through an Invoker: WsParInvoker runs it (fork-join, Fig. 6;
-// sequential without a pool), SeqInvoker streams its leaves in order
+// reads it through an Invoker: WsParInvoker runs it (fork-join, Fig. 6,
+// for I-GEP and for parallel C-GEP, gep/cgep.hpp; sequential without a
+// pool), SeqInvoker streams its leaves in order
 // (the task-graph emitter, traced cache replays), and dag_sim's
 // recorder turns its stages into the Fig. 12 simulator's DAG. The
 // problem drivers (igep_floyd_warshall, igep_lu, ...) live in

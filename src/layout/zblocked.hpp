@@ -5,10 +5,13 @@
 // stored contiguously, ordered by the Morton interleave of their (tile
 // row, tile column) index, with row-major data inside each tile. The
 // I-GEP recursion then touches physically contiguous memory at every
-// level, reducing TLB misses at large n. Conversion to/from row-major is
-// O(n²) and is included in reported timings, as in the paper.
+// level, reducing TLB misses at large n. Any n works: the tiles cover
+// the recursion's virtual power-of-two grid, and only the n x n part is
+// converted. Conversion to/from row-major is O(n²) and is included in
+// reported timings, as in the paper.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "matrix/matrix.hpp"
@@ -33,14 +36,20 @@ inline std::uint64_t morton2(index_t row, index_t col) {
          spread_bits(static_cast<std::uint64_t>(col));
 }
 
-// Owning Z-Morton tiled buffer for an n x n matrix (n, bs powers of two,
-// bs divides n).
+// Owning Z-Morton tiled buffer for an n x n matrix with bs x bs tiles
+// (bs a power of two). The tiles cover the typed recursion's virtual
+// grid (gep/typed.hpp) for any n: ceil(n / bs) tiles a side, the
+// buffer sized up to the last tile's Morton slot. load/store copy only
+// the n x n part; the rest of an edge tile is never read, because the
+// recursion clips its edge leaves to n. When bs divides a power-of-two
+// n, that is n² cells and whole-tile copies.
 template <class T>
 class ZBlocked {
  public:
   ZBlocked(index_t n, index_t bs)
-      : n_(n), bs_(bs), buf_(make_aligned<T>(static_cast<std::size_t>(n * n))) {
-    assert(is_pow2(n) && is_pow2(bs) && bs <= n);
+      : n_(n), bs_(bs), tiles_((n + bs - 1) / bs),
+        buf_(make_aligned<T>(static_cast<std::size_t>(slots() * bs * bs))) {
+    assert(n >= 0 && is_pow2(bs));
   }
 
   index_t n() const { return n_; }
@@ -64,13 +73,14 @@ class ZBlocked {
 
   void load(const Matrix<T>& m) {
     assert(m.rows() == n_ && m.cols() == n_);
-    const index_t tiles = n_ / bs_;
-    for (index_t ti = 0; ti < tiles; ++ti) {
-      for (index_t tj = 0; tj < tiles; ++tj) {
+    for (index_t ti = 0; ti < tiles_; ++ti) {
+      const index_t rows = std::min(bs_, n_ - ti * bs_);
+      for (index_t tj = 0; tj < tiles_; ++tj) {
+        const index_t cols = std::min(bs_, n_ - tj * bs_);
         T* dst = tile(ti, tj);
         const T* src = m.data() + ti * bs_ * n_ + tj * bs_;
-        for (index_t r = 0; r < bs_; ++r) {
-          for (index_t c = 0; c < bs_; ++c) dst[r * bs_ + c] = src[r * n_ + c];
+        for (index_t r = 0; r < rows; ++r) {
+          for (index_t c = 0; c < cols; ++c) dst[r * bs_ + c] = src[r * n_ + c];
         }
       }
     }
@@ -78,21 +88,30 @@ class ZBlocked {
 
   void store(Matrix<T>& m) const {
     assert(m.rows() == n_ && m.cols() == n_);
-    const index_t tiles = n_ / bs_;
-    for (index_t ti = 0; ti < tiles; ++ti) {
-      for (index_t tj = 0; tj < tiles; ++tj) {
+    for (index_t ti = 0; ti < tiles_; ++ti) {
+      const index_t rows = std::min(bs_, n_ - ti * bs_);
+      for (index_t tj = 0; tj < tiles_; ++tj) {
+        const index_t cols = std::min(bs_, n_ - tj * bs_);
         const T* src = tile(ti, tj);
         T* dst = m.data() + ti * bs_ * n_ + tj * bs_;
-        for (index_t r = 0; r < bs_; ++r) {
-          for (index_t c = 0; c < bs_; ++c) dst[r * n_ + c] = src[r * bs_ + c];
+        for (index_t r = 0; r < rows; ++r) {
+          for (index_t c = 0; c < cols; ++c) dst[r * n_ + c] = src[r * bs_ + c];
         }
       }
     }
   }
 
  private:
+  // Tile slots up to the last tile's: Morton order is monotone in each
+  // coordinate, so (tiles-1, tiles-1) has the highest code.
+  index_t slots() const {
+    if (tiles_ == 0) return 0;
+    return static_cast<index_t>(morton2(tiles_ - 1, tiles_ - 1)) + 1;
+  }
+
   index_t n_;
   index_t bs_;
+  index_t tiles_;  // tiles a side
   AlignedPtr<T> buf_;
 };
 

@@ -255,13 +255,14 @@ Matrix<std::uint8_t> reach_input(index_t n) {
   return r;
 }
 
-// One app: its IGep entry point on the seeded n x n input, and the
-// padded reference.
+// One app: its entry point on the seeded n x n input under a typed
+// engine, and the padded reference.
 struct PaddingFreeApp {
   const char* name;
-  Bytes (*run)(index_t n, const apps::RunOptions& opts);
+  Bytes (*run)(index_t n, Engine e, const apps::RunOptions& opts);
   Bytes (*padded)(index_t n, Runtime rt);
-  bool at_2000;  // also n = 2000 on the DAG at 4 threads
+  bool at_2000;  // also n = 2000 on the DAG at 4 threads (IGep)
+  bool z;        // also runs Engine::IGepZ
 };
 
 // Print the app by name: gtest would otherwise dump the struct's bytes,
@@ -271,9 +272,9 @@ void PrintTo(const PaddingFreeApp& app, std::ostream* os) { *os << app.name; }
 
 const PaddingFreeApp kPaddingFreeApps[] = {
     {"ge",
-     [](index_t n, const apps::RunOptions& o) {
+     [](index_t n, Engine e, const apps::RunOptions& o) {
        Matrix<double> a = dd_input(n);
-       apps::gaussian_eliminate(a, Engine::IGep, o);
+       apps::gaussian_eliminate(a, e, o);
        Bytes b;
        append(b, a);
        return b;
@@ -288,11 +289,11 @@ const PaddingFreeApp kPaddingFreeApps[] = {
        append(b, unpad(p, n, n));
        return b;
      },
-     false},
+     false, true},
     {"lu",
-     [](index_t n, const apps::RunOptions& o) {
+     [](index_t n, Engine e, const apps::RunOptions& o) {
        Matrix<double> a = dd_input(n);
-       apps::lu_decompose(a, Engine::IGep, o);
+       apps::lu_decompose(a, e, o);
        Bytes b;
        append(b, a);
        return b;
@@ -307,11 +308,11 @@ const PaddingFreeApp kPaddingFreeApps[] = {
        append(b, unpad(p, n, n));
        return b;
      },
-     true},
+     true, true},
     {"fw",
-     [](index_t n, const apps::RunOptions& o) {
+     [](index_t n, Engine e, const apps::RunOptions& o) {
        Matrix<double> d = random_graph(n, 1000 + n, 0.25);
-       apps::floyd_warshall(d, Engine::IGep, o);
+       apps::floyd_warshall(d, e, o);
        Bytes b;
        append(b, d);
        return b;
@@ -327,12 +328,12 @@ const PaddingFreeApp kPaddingFreeApps[] = {
        append(b, unpad(p, n, n));
        return b;
      },
-     true},
+     true, true},
     {"fw_paths",
-     [](index_t n, const apps::RunOptions& o) {
+     [](index_t n, Engine e, const apps::RunOptions& o) {
        Matrix<double> d = random_graph(n, 1300 + n, 0.25);
        Matrix<std::int32_t> succ;
-       apps::floyd_warshall_paths(d, succ, Engine::IGep, o);
+       apps::floyd_warshall_paths(d, succ, e, o);
        Bytes b;
        append(b, d);
        append(b, succ);
@@ -356,11 +357,11 @@ const PaddingFreeApp kPaddingFreeApps[] = {
        append(b, unpad(sp, n, n));
        return b;
      },
-     false},
+     false, false},
     {"bottleneck",
-     [](index_t n, const apps::RunOptions& o) {
+     [](index_t n, Engine e, const apps::RunOptions& o) {
        Matrix<double> c = cap_input(n);
-       apps::bottleneck_paths(c, Engine::IGep, o);
+       apps::bottleneck_paths(c, e, o);
        Bytes b;
        append(b, c);
        return b;
@@ -378,11 +379,11 @@ const PaddingFreeApp kPaddingFreeApps[] = {
        append(b, unpad(p, n, n));
        return b;
      },
-     false},
+     false, true},
     {"tc",
-     [](index_t n, const apps::RunOptions& o) {
+     [](index_t n, Engine e, const apps::RunOptions& o) {
        Matrix<std::uint8_t> r = reach_input(n);
-       apps::transitive_closure(r, Engine::IGep, o);
+       apps::transitive_closure(r, e, o);
        Bytes b;
        append(b, r);
        return b;
@@ -398,12 +399,12 @@ const PaddingFreeApp kPaddingFreeApps[] = {
        append(b, unpad(p, n, n));
        return b;
      },
-     false},
+     false, true},
     {"mm",
-     [](index_t n, const apps::RunOptions& o) {
+     [](index_t n, Engine e, const apps::RunOptions& o) {
        Matrix<double> c = random_dd(n, 1400 + n);
-       apps::multiply_add(c, random_dd(n, 1500 + n), random_dd(n, 1600 + n),
-                          Engine::IGep, o);
+       apps::multiply_add(c, random_dd(n, 1500 + n), random_dd(n, 1600 + n), e,
+                          o);
        Bytes b;
        append(b, c);
        return b;
@@ -424,26 +425,30 @@ const PaddingFreeApp kPaddingFreeApps[] = {
        append(b, unpad(cp, n, n));
        return b;
      },
-     false},
+     false, true},
 };
 
 class PaddingFree : public ::testing::TestWithParam<PaddingFreeApp> {};
 
 TEST_P(PaddingFree, BitIdenticalToPaddedRun) {
   const PaddingFreeApp& app = GetParam();
+  std::vector<Engine> engines = {Engine::IGep};
+  if (app.z) engines.push_back(Engine::IGepZ);
   for (index_t n : {1, 63, 65, 1000}) {
     for (Runtime rt : {Runtime::ForkJoin, Runtime::Dag}) {
       const bool dag = rt == Runtime::Dag;
       const Bytes want = app.padded(n, rt);
-      for (int threads : {1, 4}) {
-        EXPECT_TRUE(app.run(n, {kPadBase, threads, rt}) == want)
-            << app.name << " n=" << n << " threads=" << threads
-            << (dag ? " dag" : " fork-join");
+      for (Engine e : engines) {
+        for (int threads : {1, 4}) {
+          EXPECT_TRUE(app.run(n, e, {kPadBase, threads, rt}) == want)
+              << app.name << " " << apps::engine_name(e) << " n=" << n
+              << " threads=" << threads << (dag ? " dag" : " fork-join");
+        }
       }
     }
   }
   if (app.at_2000) {
-    EXPECT_TRUE(app.run(2000, {kPadBase, 4, apps::Runtime::Dag}) ==
+    EXPECT_TRUE(app.run(2000, Engine::IGep, {kPadBase, 4, Runtime::Dag}) ==
                 app.padded(2000, Runtime::Dag))
         << app.name << " n=2000 dag threads=4";
   }

@@ -103,11 +103,11 @@ TEST(IoBounds, IGepIncursFarFewerMissesThanGep) {
   Matrix<double> a(n, n, 1.0), b(n, n, 1.0);
 
   IdealCache cg(M, B);
-  TracedAccess<double, IdealCache> ta(a.data(), n, &cg);
+  TracedAccess<double, IdealCache> ta(a.data(), n, &cg, 0);
   run_gep(ta, MinPlusF{}, FullSet{n});
 
   IdealCache ci(M, B);
-  TracedAccess<double, IdealCache> tb(b.data(), n, &ci);
+  TracedAccess<double, IdealCache> tb(b.data(), n, &ci, 0);
   run_igep(tb, MinPlusF{}, FullSet{n}, {8});
 
   EXPECT_GT(cg.stats().misses, 6 * ci.stats().misses)
@@ -121,7 +121,7 @@ TEST(IoBounds, IGepMissesScaleWithSqrtM) {
   auto igep_misses = [&](std::uint64_t M) {
     Matrix<double> m(n, n, 1.0);
     IdealCache c(M, B);
-    TracedAccess<double, IdealCache> t(m.data(), n, &c);
+    TracedAccess<double, IdealCache> t(m.data(), n, &c, 0);
     run_igep(t, MinPlusF{}, FullSet{n}, {4});
     return c.stats().misses;
   };
@@ -141,7 +141,7 @@ TEST(IoBounds, MissesScaleInverselyWithB) {
   auto misses = [&](std::uint64_t B) {
     Matrix<double> m(n, n, 1.0);
     IdealCache c(M, B);
-    TracedAccess<double, IdealCache> t(m.data(), n, &c);
+    TracedAccess<double, IdealCache> t(m.data(), n, &c, 0);
     run_gep(t, MinPlusF{}, FullSet{n});
     return c.stats().misses;
   };

@@ -96,39 +96,43 @@ INSTANTIATE_TEST_SUITE_P(
                       Instance{16, 16}, Instance{32, 4}, Instance{64, 8},
                       Instance{64, 64}, Instance{128, 32}));
 
+// n = 100 is not a power of two: both stores cover the recursion's
+// virtual tile grid, and the edge leaves are clipped to n.
 TEST(TypedEngineZ, FloydWarshallOnZLayoutMatchesRowMajor) {
-  const index_t n = 64;
-  for (index_t bs : {4, 8, 16}) {
-    Matrix<double> init = random_dist(n, 9);
+  for (index_t n : {64, 100}) {
+    for (index_t bs : {4, 8, 16}) {
+      Matrix<double> init = random_dist(n, 9);
+      Matrix<double> rm = init;
+      RowMajorStore<double> st{rm.data(), n, bs};
+      igep_floyd_warshall(nullptr, st, n, {bs, Runtime::ForkJoin});
+
+      Matrix<double> zm = init;
+      ZBlocked<double> z(n, bs);
+      z.load(zm);
+      ZStore<double> zst{&z};
+      igep_floyd_warshall(nullptr, zst, n, {bs, Runtime::ForkJoin});
+      z.store(zm);
+      EXPECT_TRUE(approx_equal(rm, zm, 0.0)) << "n=" << n << " bs=" << bs;
+    }
+  }
+}
+
+TEST(TypedEngineZ, LUOnZLayoutMatchesRowMajor) {
+  for (index_t n : {64, 100}) {
+    const index_t bs = 8;
+    Matrix<double> init = random_dd(n, 10);
     Matrix<double> rm = init;
     RowMajorStore<double> st{rm.data(), n, bs};
-    igep_floyd_warshall(nullptr, st, n, {bs, Runtime::ForkJoin});
+    igep_lu(nullptr, st, n, {bs, Runtime::ForkJoin});
 
     Matrix<double> zm = init;
     ZBlocked<double> z(n, bs);
     z.load(zm);
     ZStore<double> zst{&z};
-    igep_floyd_warshall(nullptr, zst, n, {bs, Runtime::ForkJoin});
+    igep_lu(nullptr, zst, n, {bs, Runtime::ForkJoin});
     z.store(zm);
-    EXPECT_TRUE(approx_equal(rm, zm, 0.0)) << "bs=" << bs;
+    EXPECT_TRUE(approx_equal(rm, zm, 0.0)) << "n=" << n;
   }
-}
-
-TEST(TypedEngineZ, LUOnZLayoutMatchesRowMajor) {
-  const index_t n = 64;
-  const index_t bs = 8;
-  Matrix<double> init = random_dd(n, 10);
-  Matrix<double> rm = init;
-  RowMajorStore<double> st{rm.data(), n, bs};
-  igep_lu(nullptr, st, n, {bs, Runtime::ForkJoin});
-
-  Matrix<double> zm = init;
-  ZBlocked<double> z(n, bs);
-  z.load(zm);
-  ZStore<double> zst{&z};
-  igep_lu(nullptr, zst, n, {bs, Runtime::ForkJoin});
-  z.store(zm);
-  EXPECT_TRUE(approx_equal(rm, zm, 0.0));
 }
 
 // The typed engine and the generic recursive engine must agree exactly
