@@ -10,13 +10,12 @@
 //   CGepCompact — C-GEP, reduced-space variant
 //   Blocked     — cache-aware tuned baseline (BLAS stand-in)
 //
-// IGep and IGepZ run any n with no pad: the recursion covers the
-// virtual power-of-two tile grid, prunes the boxes that start at or
-// beyond n and clips the edge leaves (gep/typed.hpp), with output bit-
-// identical to a run on the Σ-neutrally padded matrix. IGep works in
-// place on the caller's matrix; IGepZ on a Z-Morton copy of its n x n
-// part. CGep and CGepCompact still pad to the next power of two and
-// unpad on return. opts.threads > 1 runs IGep/IGepZ on that many
+// Every engine runs any n with no pad: the recursion covers the virtual
+// power-of-two grid, prunes the boxes that start at or beyond n and
+// clips the edge leaves (gep/typed.hpp, gep/cgep.hpp), with output bit-
+// identical to a run on the Σ-neutrally padded matrix. IGep, CGep and
+// CGepCompact work in place on the caller's matrix; IGepZ on a Z-Morton
+// copy of its n x n part. opts.threads > 1 runs IGep/IGepZ on that many
 // workers under opts.runtime (other engines are sequential by
 // construction).
 #pragma once

@@ -2,18 +2,18 @@
 // installed API.
 //
 // An app states its problem — the typed I-GEP driver and its operand
-// matrices, and for the in-place GEP form the update functor, the update
-// set Σ and its Σ-neutral pad values — and runs its own Iterative and
-// Blocked baselines. The GEP engines are run here:
+// matrices, and for the in-place GEP form the update functor and the
+// update set Σ — and runs its own Iterative and Blocked baselines. The
+// GEP engines are run here:
 //   IGep        — the driver over RowMajorStores of the operands, in place;
 //   IGepZ       — the operands converted to ZBlocked buffers (conversion
 //                 included, as the paper includes it in its timings), the
 //                 driver over their ZStores, the written ones stored back;
 //   CGep,
-//   CGepCompact — f over Σ, on a copy padded to the next power of two
-//                 when n is not one (C-GEP's recursion needs n = 2^q).
-// Neither typed engine pads: the recursion clips its edge leaves to n
-// (gep/typed.hpp) and ZBlocked covers the same tile grid.
+//   CGepCompact — f over Σ = S{n}, in place.
+// No engine pads: every recursion prunes the boxes past n and clips its
+// edge leaves to n (gep/typed.hpp, gep/cgep.hpp), and ZBlocked covers
+// the typed recursion's tile grid.
 #pragma once
 
 #include <algorithm>
@@ -106,35 +106,17 @@ void run_typed(Engine e, const RunOptions& opts, const Drive& drive,
 
 // Every GEP engine of an in-place app: c[i,j] = f(c[i,j], c[i,k], c[k,j],
 // c[k,k]) over Σ = S{n}, whose typed driver `drive` runs IGep and IGepZ.
-// C-GEP's pad holds `fill` off the diagonal and `diag` on it, values
-// that make every padded update a no-op on the original entries.
 template <class S, class T, class F, class Drive>
 void run_gep(const char* app, Engine e, const RunOptions& opts, Matrix<T>& a,
-             T fill, T diag, const F& f, const Drive& drive) {
+             const F& f, const Drive& drive) {
   if (e == Engine::IGep || e == Engine::IGepZ) {
     run_typed(e, opts, drive, a);
-    return;
-  }
-  if (e != Engine::CGep && e != Engine::CGepCompact) {
-    throw std::invalid_argument(std::string(app) + ": unknown engine");
-  }
-  const index_t n = a.rows(), np = next_pow2(n);
-  Matrix<T> pad;
-  if (np != n) {
-    pad = Matrix<T>(np, np, fill);
-    for (index_t i = 0; i < np; ++i) pad(i, i) = diag;
-    for (index_t i = 0; i < n; ++i)
-      for (index_t j = 0; j < n; ++j) pad(i, j) = a(i, j);
-  }
-  Matrix<T>& m = np != n ? pad : a;
-  if (e == Engine::CGep) {
-    run_cgep(m, f, S{np}, {opts.base_size});
+  } else if (e == Engine::CGep) {
+    run_cgep(a, f, S{a.rows()}, {opts.base_size});
+  } else if (e == Engine::CGepCompact) {
+    run_cgep_compact(a, f, S{a.rows()}, {opts.base_size});
   } else {
-    run_cgep_compact(m, f, S{np}, {opts.base_size});
-  }
-  if (np != n) {
-    for (index_t i = 0; i < n; ++i)
-      for (index_t j = 0; j < n; ++j) a(i, j) = pad(i, j);
+    throw std::invalid_argument(std::string(app) + ": unknown engine");
   }
 }
 

@@ -49,9 +49,8 @@ void floyd_warshall(Matrix<double>& d, Engine engine, RunOptions opts) {
       blas::fw_tiled(d.rows(), d.data(), d.cols(), opts.base_size);
       return;
     default:
-      // Padded vertices are isolated: +inf off the diagonal, 0 on it.
       detail::run_gep<FloydWarshallSet>(
-          "fw", engine, opts, d, kInfDist, 0.0, MinPlusF{},
+          "fw", engine, opts, d, MinPlusF{},
           [](auto&&... x) { igep_floyd_warshall(x...); });
   }
 }

@@ -52,9 +52,7 @@ void gaussian_eliminate(Matrix<double>& a, Engine engine, RunOptions opts) {
       return;
     }
     default:
-      // Identity padding keeps elimination on the padded block inert:
-      // padded pivots are 1 and padded off-diagonal entries 0.
-      detail::run_gep<GaussianSet>("ge", engine, opts, a, 0.0, 1.0, GaussF{},
+      detail::run_gep<GaussianSet>("ge", engine, opts, a, GaussF{},
                                    [](auto&&... x) { igep_gaussian(x...); });
   }
 }
@@ -69,7 +67,7 @@ void lu_decompose(Matrix<double>& a, Engine engine, RunOptions opts) {
       blas::lu_nopivot(a.rows(), a.data(), a.cols());
       return;
     default:
-      detail::run_gep<LUSet>("lu", engine, opts, a, 0.0, 1.0, LUIndexedF{},
+      detail::run_gep<LUSet>("lu", engine, opts, a, LUIndexedF{},
                              [](auto&&... x) { igep_lu(x...); });
   }
 }

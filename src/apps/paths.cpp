@@ -104,11 +104,7 @@ void bottleneck_paths(Matrix<double>& cap, Engine engine, RunOptions opts) {
     case Engine::Blocked:
       throw std::invalid_argument("bottleneck: no blocked baseline");
     default:
-      // Padding with zero capacity (no edges) is neutral under (max, min);
-      // padded diagonals get +inf like real vertices.
-      detail::run_gep<FullSet>("bottleneck", engine, opts, cap, 0.0,
-                               std::numeric_limits<double>::infinity(),
-                               MaxMinF{},
+      detail::run_gep<FullSet>("bottleneck", engine, opts, cap, MaxMinF{},
                                [](auto&&... x) { igep_bottleneck(x...); });
   }
 }

@@ -37,10 +37,9 @@ void transitive_closure(Matrix<std::uint8_t>& reach, Engine engine,
     case Engine::Blocked:
       throw std::invalid_argument("tc: no blocked baseline; use IGep");
     default:
-      // Zero padding is neutral: padded vertices have no edges.
       detail::run_gep<FullSet>(
-          "tc", engine, opts, reach, std::uint8_t{0}, std::uint8_t{0},
-          OrAndF{}, [](auto&&... x) { igep_transitive_closure(x...); });
+          "tc", engine, opts, reach, OrAndF{},
+          [](auto&&... x) { igep_transitive_closure(x...); });
   }
 }
 

@@ -42,14 +42,14 @@ namespace gep {
 
 namespace detail {
 
+// Any n: partial edge tiles are touched only in range (run_ooc).
 template <class T>
 void check_ooc_typed(const OocTiledMatrix<T>& m) {
-  const index_t n = m.rows();
-  if (m.cols() != n || !is_pow2(n)) {
-    throw std::invalid_argument("ooc typed engine: square pow2 matrix only");
+  if (m.cols() != m.rows()) {
+    throw std::invalid_argument("ooc typed engine: square matrix only");
   }
-  if (n % m.tile_side() != 0 || !is_pow2(m.tile_side())) {
-    throw std::invalid_argument("ooc typed engine: tile side must divide n");
+  if (!is_pow2(m.tile_side())) {
+    throw std::invalid_argument("ooc typed engine: tile side must be 2^q");
   }
 }
 
@@ -119,7 +119,9 @@ namespace detail {
 
 // The body every out-of-core driver shares: binds the checkpoint, wires
 // the frontier's prefetch hook (hint(task, dedupe) announces a task's
-// tiles) and runs leaf(task) on pinned tiles under the DAG runtime.
+// tiles) and runs leaf(task, extents) on pinned tiles under the DAG
+// runtime. The graph drops the boxes past n, and each leaf's extents
+// are clipped to n (LeafDims::clipped), so any n works.
 template <class Hint, class Leaf>
 void run_ooc(DagProblem prob, index_t n, index_t bs, WorkStealingPool* pool,
              const OocDagOptions& opts, const Hint& hint, const Leaf& leaf) {
@@ -140,7 +142,7 @@ void run_ooc(DagProblem prob, index_t n, index_t bs, WorkStealingPool* pool,
     // Cooperative SIGINT/SIGTERM: unwind before pinning so the bench can
     // flush write-behind instead of dying mid-update.
     obs::throw_if_stop_requested();
-    leaf(t);
+    leaf(t, LeafDims::clipped(n, t.i0, t.j0, t.k0, t.m));
   }, ro);
 }
 
@@ -161,11 +163,11 @@ void ooc_igep_floyd_warshall_dag(OocTiledMatrix<T>& m, WorkStealingPool* pool,
         if (dedupe.should_hint(0, bi, bk)) m.prefetch_tile(bi, bk);
         if (dedupe.should_hint(0, bk, bj)) m.prefetch_tile(bk, bj);
       },
-      [&m, bs](const BlockTask& t) {
+      [&m, bs](const BlockTask& t, LeafDims d) {
         auto x = m.pin_tile(t.i0 / bs, t.j0 / bs, /*for_write=*/true);
         auto u = m.pin_tile(t.i0 / bs, t.k0 / bs, /*for_write=*/false);
         auto v = m.pin_tile(t.k0 / bs, t.j0 / bs, /*for_write=*/false);
-        kernel_fw(x.ptr, u.ptr, v.ptr, t.m, bs, bs, bs);
+        kernel_fw(x.ptr, u.ptr, v.ptr, d, bs, bs, bs);
       });
 }
 
@@ -186,17 +188,17 @@ void ooc_igep_lu_dag(OocTiledMatrix<T>& m, WorkStealingPool* pool,
         if (dedupe.should_hint(0, bk, bj)) m.prefetch_tile(bk, bj);
         if (dedupe.should_hint(0, bk, bk)) m.prefetch_tile(bk, bk);
       },
-      [&m, bs, guard](const BlockTask& t) {
+      [&m, bs, guard](const BlockTask& t, LeafDims d) {
         auto x = m.pin_tile(t.i0 / bs, t.j0 / bs, /*for_write=*/true);
         auto u = m.pin_tile(t.i0 / bs, t.k0 / bs, /*for_write=*/false);
         auto v = m.pin_tile(t.k0 / bs, t.j0 / bs, /*for_write=*/false);
         auto w = m.pin_tile(t.k0 / bs, t.k0 / bs, /*for_write=*/false);
         const bool di = detail::diag_i(t.kind), dj = detail::diag_j(t.kind);
         if (guard != nullptr) {
-          kernel_lu_guarded(x.ptr, u.ptr, v.ptr, w.ptr, t.m, bs, bs, bs, bs,
-                            di, dj, *guard, t.k0);
+          kernel_lu_guarded(x.ptr, u.ptr, v.ptr, w.ptr, d, bs, bs, bs, bs, di,
+                            dj, *guard, t.k0);
         } else {
-          kernel_lu(x.ptr, u.ptr, v.ptr, w.ptr, t.m, bs, bs, bs, bs, di, dj);
+          kernel_lu(x.ptr, u.ptr, v.ptr, w.ptr, d, bs, bs, bs, bs, di, dj);
         }
       });
 }
@@ -224,11 +226,11 @@ void ooc_igep_matmul_dag(OocTiledMatrix<T>& c, OocTiledMatrix<T>& a,
         if (dedupe.should_hint(1, bi, bk)) a.prefetch_tile(bi, bk);
         if (dedupe.should_hint(2, bk, bj)) b.prefetch_tile(bk, bj);
       },
-      [&c, &a, &b, bs](const BlockTask& t) {
+      [&c, &a, &b, bs](const BlockTask& t, LeafDims d) {
         auto x = c.pin_tile(t.i0 / bs, t.j0 / bs, /*for_write=*/true);
         auto u = a.pin_tile(t.i0 / bs, t.k0 / bs, /*for_write=*/false);
         auto v = b.pin_tile(t.k0 / bs, t.j0 / bs, /*for_write=*/false);
-        kernel_mm(x.ptr, u.ptr, v.ptr, t.m, bs, bs, bs);
+        kernel_mm(x.ptr, u.ptr, v.ptr, d, bs, bs, bs);
       });
 }
 

@@ -12,6 +12,11 @@
 //
 // This makes H ≡ G for EVERY f and Σ_G, at the cost of 4n² extra cells.
 //
+// Any n runs in place: the recursion covers the virtual next_pow2(n)
+// cube, prunes every box that starts at or beyond n and clips the rest
+// to the matrix (LeafDims::clipped), as the typed engine does. That is
+// H on the padded matrix with Σ_G restricted to [0, n)³, so H ≡ G holds.
+//
 // The reduced-space variant (run_cgep_compact) exploits that during the
 // k-half [k1,k2] only u-columns and v-rows in [k1,k2] are ever read, and
 // that at the half boundary every needed save with index >= k2 equals the
@@ -48,7 +53,7 @@ class CGepEngine {
              const S& sigma, Hook* hook, index_t kbase, index_t kwidth,
              index_t base)
       : c_(c), u0_(u0), u1_(u1), v0_(v0), v1_(v1), f_(f), sigma_(sigma),
-        hook_(hook), kbase_(kbase), kwidth_(kwidth), base_(base) {
+        hook_(hook), n_(c.n()), kbase_(kbase), kwidth_(kwidth), base_(base) {
     // The w operand only ever reads u0/u1 at diagonal cells (k,k); two
     // length-kwidth vectors (the "+n" of the paper's reduced variant)
     // serve those reads without touching the snapshot matrices. At
@@ -66,8 +71,10 @@ class CGepEngine {
   }
 
   void rec(index_t i0, index_t j0, index_t k0, index_t m) {
-    if (!sigma_.intersects_box(i0, i0 + m - 1, j0, j0 + m - 1, k0,
-                               k0 + m - 1))
+    if (i0 >= n_ || j0 >= n_ || k0 >= n_) return;
+    const LeafDims d = LeafDims::clipped(n_, i0, j0, k0, m);
+    if (!sigma_.intersects_box(i0, i0 + d.mi - 1, j0, j0 + d.mj - 1, k0,
+                               k0 + d.mk - 1))
       return;
     if (m <= base_) {
       box_kernel(i0, j0, k0, m);
@@ -85,24 +92,25 @@ class CGepEngine {
     rec(i0, j0, k2, h);
   }
 
-  // Iterative kernel over a box. Operand cells inside the box's own
-  // I x J region are read live (G's k/i/j order makes the live value
-  // exactly the state Table 1 column G prescribes); all other operands
-  // come from the saved snapshots. With base == 1 this is literally
-  // Fig. 3 line 4 (the live/saved distinction coincides).
+  // Iterative kernel over a box, clipped to the matrix. Operand cells
+  // inside the box's own I x J region are read live (G's k/i/j order
+  // makes the live value exactly the state Table 1 column G prescribes);
+  // all other operands come from the saved snapshots. With base == 1
+  // this is literally Fig. 3 line 4 (the live/saved distinction
+  // coincides).
   //
   // The operand selectors (u0 vs u1 etc.) depend on j and i only through
   // the comparisons j <= k and i <= k, so the j-loop is split at j = k
   // and the u/w sources hoisted per segment — the same updates in the
   // same order, with the ternaries lifted out of the inner loop.
   void box_kernel(index_t i0, index_t j0, index_t k0, index_t m) {
-    using T = typename Acc::value_type;
+    const LeafDims d = LeafDims::clipped(n_, i0, j0, k0, m);
     const bool u_live = (j0 == k0);
     const bool v_live = (i0 == k0);
     const bool w_live = u_live && v_live;
-    const index_t jend = j0 + m;
-    for (index_t k = k0; k < k0 + m; ++k) {
-      for (index_t i = i0; i < i0 + m; ++i) {
+    const index_t jend = j0 + d.mj;
+    for (index_t k = k0; k < k0 + d.mk; ++k) {
+      for (index_t i = i0; i < i0 + d.mi; ++i) {
         // v source and (for i != k) w source are j-invariant.
         const bool i_gt_k = i > k;
         // Segment 1: j <= k (u0/u0-flavored); segment 2: j > k.
@@ -172,6 +180,7 @@ class CGepEngine {
   const F& f_;
   const S& sigma_;
   Hook* hook_;
+  index_t n_;  // matrix side; boxes clip to it
   index_t kbase_;
   index_t kwidth_;
   index_t base_;
@@ -188,11 +197,10 @@ void run_cgep_with_aux(Acc& c, AuxU& u0, AuxU& u1, AuxV& v0, AuxV& v1,
                        const F& f, const S& sigma, CGepOptions opts = {},
                        Hook* hook = nullptr) {
   const index_t n = c.n();
-  assert(is_pow2(n));
   detail::CGepEngine<Acc, AuxU, AuxV, F, S, Hook> eng(
       c, u0, u1, v0, v1, f, sigma, hook, /*kbase=*/0, /*kwidth=*/n,
       std::max<index_t>(1, opts.base_size));
-  eng.rec(0, 0, 0, n);
+  eng.rec(0, 0, 0, next_pow2(n));
 }
 
 // C-GEP, 4n²-space variant: allocates the four snapshot matrices.
@@ -213,13 +221,13 @@ void run_cgep(Matrix<T>& c, const F& f, const S& sigma, CGepOptions opts = {},
 // (gep/typed.hpp) with box_kernel as its leaf: T_p = O(n³/p + n log² n),
 // as for parallel I-GEP. Safe because parallel boxes within a stage have
 // disjoint X regions and snapshot writes target only the updated cell's
-// own slot, so all concurrent writes are disjoint. Boxes that miss Σ are
-// skipped (box_kernel would apply none of their updates anyway).
+// own slot, so all concurrent writes are disjoint. Each leaf runs
+// through rec, which prunes and clips it as the sequential run does.
 template <class Inv, class T, class F, UpdateSet S>
 void run_cgep_parallel(Inv& inv, Matrix<T>& c, const F& f, const S& sigma,
                        CGepOptions opts = {}) {
   const index_t n = c.rows();
-  assert(is_pow2(n) && c.cols() == n);
+  assert(c.cols() == n);
   const index_t base = std::max<index_t>(1, opts.base_size);
   Matrix<T> u0(c), u1(c), v0(c), v1(c);
   DirectAccess<T> ca(c.view()), a0(u0.view()), a1(u1.view()), b0(v0.view()),
@@ -228,24 +236,26 @@ void run_cgep_parallel(Inv& inv, Matrix<T>& c, const F& f, const S& sigma,
                      NoHook>
       eng(ca, a0, a1, b0, b1, f, sigma, nullptr, /*kbase=*/0, /*kwidth=*/n,
           base);
-  detail::typed_rec(inv, DagProblem::FloydWarshall, n, 0, 0, 0, n, base,
-                    [&](const BlockTask& t) {
-                      const index_t e = t.m - 1;
-                      if (sigma.intersects_box(t.i0, t.i0 + e, t.j0, t.j0 + e,
-                                               t.k0, t.k0 + e)) {
-                        eng.box_kernel(t.i0, t.j0, t.k0, t.m);
-                      }
-                    });
+  detail::typed_rec(
+      inv, DagProblem::FloydWarshall, n, 0, 0, 0, next_pow2(n), base,
+      [&](const BlockTask& t) { eng.rec(t.i0, t.j0, t.k0, t.m); });
 }
 
-// C-GEP, reduced-space variant over caller-supplied slice stores: u0/u1
-// must behave as n x (n/2) stores, v0/v1 as (n/2) x n stores (any
-// Accessor-like get/set object — in-core matrices or OocMatrix slices).
-// The engine re-initializes the slices from c between the two top-level
-// k-phases: at the phase boundary every update with k < n/2 has been
-// applied and none with k >= n/2, so for any save index l >= n/2-1 the
-// needed snapshot c_{τ_ij(l)} equals the current c (no update of cell
-// (i,j) lies in (τ_ij(l), l] ⊇ (τ_ij(l), n/2-1], by maximality of τ).
+// The compact variant's k split: half the virtual 2^q cube, and 1 at
+// n = 1 (the second phase is then empty).
+inline index_t cgep_compact_half(index_t n) {
+  return std::max<index_t>(1, next_pow2(n) / 2);
+}
+
+// C-GEP, reduced-space variant over caller-supplied slice stores: with
+// h = cgep_compact_half(n), u0/u1 must behave as n x h stores, v0/v1 as
+// h x n stores (any Accessor-like get/set object — in-core matrices or
+// OocMatrix slices). The top-level k-halves are [0, h) and [h, n); the
+// engine re-initializes the slices from c between them: at the phase
+// boundary every update with k < h has been applied and none with
+// k >= h, so for any save index l >= h-1 the needed snapshot
+// c_{τ_ij(l)} equals the current c (no update of cell (i,j) lies in
+// (τ_ij(l), l] ⊇ (τ_ij(l), h-1], by maximality of τ).
 template <Accessor Acc, class AuxU, class AuxV, class F, UpdateSet S,
           class Hook = NoHook>
 void run_cgep_compact_with_aux(Acc& c, AuxU& u0, AuxU& u1, AuxV& v0,
@@ -253,29 +263,18 @@ void run_cgep_compact_with_aux(Acc& c, AuxU& u0, AuxU& u1, AuxV& v0,
                                CGepOptions opts = {}, Hook* hook = nullptr) {
   using T = typename Acc::value_type;
   const index_t n = c.n();
-  assert(is_pow2(n));
-  if (n == 1) {
-    // Single cell: operands coincide with the cell itself.
-    if (sigma.contains(0, 0, 0)) {
-      if (hook) hook->on_update(0, 0, 0);
-      T x = c.get(0, 0);
-      c.set(0, 0,
-            apply_f(f, x, x, x, x, index_t{0}, index_t{0}, index_t{0}));
-    }
-    return;
-  }
-  const index_t h = n / 2;
+  const index_t h = cgep_compact_half(n);
   const index_t base = std::max<index_t>(1, opts.base_size);
 
-  auto load_slices = [&](index_t kbase) {
+  auto load_slices = [&](index_t kbase, index_t width) {
     for (index_t i = 0; i < n; ++i) {
-      for (index_t kk = 0; kk < h; ++kk) {
+      for (index_t kk = 0; kk < width; ++kk) {
         T val = c.get(i, kbase + kk);
         u0.set(i, kk, val);
         u1.set(i, kk, val);
       }
     }
-    for (index_t kk = 0; kk < h; ++kk) {
+    for (index_t kk = 0; kk < width; ++kk) {
       for (index_t j = 0; j < n; ++j) {
         T val = c.get(kbase + kk, j);
         v0.set(kk, j, val);
@@ -286,7 +285,7 @@ void run_cgep_compact_with_aux(Acc& c, AuxU& u0, AuxU& u1, AuxV& v0,
 
   // Phase 1: k in [0, h). Slice values start at c's initial state, which
   // is the correct snapshot for every save not yet performed.
-  load_slices(0);
+  load_slices(0, h);
   {
     detail::CGepEngine<Acc, AuxU, AuxV, F, S, Hook> eng(
         c, u0, u1, v0, v1, f, sigma, hook, /*kbase=*/0, /*kwidth=*/h, base);
@@ -296,10 +295,11 @@ void run_cgep_compact_with_aux(Acc& c, AuxU& u0, AuxU& u1, AuxV& v0,
     eng.rec(h, h, 0, h);  // X22
   }
   // Phase 2: k in [h, n).
-  load_slices(h);
+  load_slices(h, n - h);
   {
     detail::CGepEngine<Acc, AuxU, AuxV, F, S, Hook> eng(
-        c, u0, u1, v0, v1, f, sigma, hook, /*kbase=*/h, /*kwidth=*/h, base);
+        c, u0, u1, v0, v1, f, sigma, hook, /*kbase=*/h, /*kwidth=*/n - h,
+        base);
     eng.rec(h, h, h, h);  // X22 backward
     eng.rec(h, 0, h, h);  // X21
     eng.rec(0, h, h, h);  // X12
@@ -313,12 +313,8 @@ void run_cgep_compact(Matrix<T>& c, const F& f, const S& sigma,
                       CGepOptions opts = {}, Hook* hook = nullptr) {
   const index_t n = c.rows();
   assert(c.cols() == n);
+  const index_t h = cgep_compact_half(n);
   DirectAccess<T> ca(c.view());
-  if (n == 1) {
-    run_cgep_compact_with_aux(ca, ca, ca, ca, ca, f, sigma, opts, hook);
-    return;
-  }
-  const index_t h = n / 2;
   Matrix<T> u0(n, h), u1(n, h), v0(h, n), v1(h, n);
   DirectAccess<T> a0(u0.view()), a1(u1.view()), b0(v0.view()), b1(v1.view());
   run_cgep_compact_with_aux(ca, a0, a1, b0, b1, f, sigma, opts, hook);

@@ -12,6 +12,8 @@
 // restricted to the box) once subproblems reach that size — the standard
 // recursion-overhead optimization of Section 4.2. With base_size == 1 the
 // execution matches Fig. 2 exactly (used by the theorem tests).
+// Any n runs in place: boxes past n are pruned and the rest clipped,
+// as in C-GEP (cgep.hpp) and the typed engine.
 #pragma once
 
 #include "gep/access.hpp"
@@ -26,16 +28,16 @@ struct IGepOptions {
 
 namespace detail {
 
-// Iterative kernel over the box [i0,i0+m) x [j0,j0+m) x [k0,k0+m),
-// reading live values in G's k/i/j order (legal refinement of the
-// recursion for I-GEP-correct instances; see DESIGN.md §6).
+// Iterative kernel over the box [i0,i0+d.mi) x [j0,j0+d.mj) x
+// [k0,k0+d.mk), reading live values in G's k/i/j order (legal refinement
+// of the recursion for I-GEP-correct instances; see DESIGN.md §6).
 template <class Acc, class F, class S, class Hook>
 void igep_box_kernel(Acc& c, const F& f, const S& sigma, Hook* hook,
-                     index_t i0, index_t j0, index_t k0, index_t m) {
+                     index_t i0, index_t j0, index_t k0, LeafDims d) {
   using T = typename Acc::value_type;
-  for (index_t k = k0; k < k0 + m; ++k) {
-    for (index_t i = i0; i < i0 + m; ++i) {
-      for (index_t j = j0; j < j0 + m; ++j) {
+  for (index_t k = k0; k < k0 + d.mk; ++k) {
+    for (index_t i = i0; i < i0 + d.mi; ++i) {
+      for (index_t j = j0; j < j0 + d.mj; ++j) {
         if (!sigma.contains(i, j, k)) continue;
         if (hook) hook->on_update(i, j, k);
         T x = c.get(i, j);
@@ -49,26 +51,29 @@ void igep_box_kernel(Acc& c, const F& f, const S& sigma, Hook* hook,
 }
 
 template <class Acc, class F, class S, class Hook>
-void igep_rec(Acc& c, const F& f, const S& sigma, Hook* hook, index_t i0,
-              index_t j0, index_t k0, index_t m, index_t base) {
-  if (!sigma.intersects_box(i0, i0 + m - 1, j0, j0 + m - 1, k0, k0 + m - 1))
+void igep_rec(Acc& c, const F& f, const S& sigma, Hook* hook, index_t n,
+              index_t i0, index_t j0, index_t k0, index_t m, index_t base) {
+  if (i0 >= n || j0 >= n || k0 >= n) return;
+  const LeafDims d = LeafDims::clipped(n, i0, j0, k0, m);
+  if (!sigma.intersects_box(i0, i0 + d.mi - 1, j0, j0 + d.mj - 1, k0,
+                            k0 + d.mk - 1))
     return;
   if (m <= base) {
-    igep_box_kernel(c, f, sigma, hook, i0, j0, k0, m);
+    igep_box_kernel(c, f, sigma, hook, i0, j0, k0, d);
     return;
   }
   const index_t h = m / 2;
   const index_t k2 = k0 + h;
   // Forward pass: X11, X12, X21, X22 with the lower k-half.
-  igep_rec(c, f, sigma, hook, i0, j0, k0, h, base);
-  igep_rec(c, f, sigma, hook, i0, j0 + h, k0, h, base);
-  igep_rec(c, f, sigma, hook, i0 + h, j0, k0, h, base);
-  igep_rec(c, f, sigma, hook, i0 + h, j0 + h, k0, h, base);
+  igep_rec(c, f, sigma, hook, n, i0, j0, k0, h, base);
+  igep_rec(c, f, sigma, hook, n, i0, j0 + h, k0, h, base);
+  igep_rec(c, f, sigma, hook, n, i0 + h, j0, k0, h, base);
+  igep_rec(c, f, sigma, hook, n, i0 + h, j0 + h, k0, h, base);
   // Backward pass: X22, X21, X12, X11 with the upper k-half.
-  igep_rec(c, f, sigma, hook, i0 + h, j0 + h, k2, h, base);
-  igep_rec(c, f, sigma, hook, i0 + h, j0, k2, h, base);
-  igep_rec(c, f, sigma, hook, i0, j0 + h, k2, h, base);
-  igep_rec(c, f, sigma, hook, i0, j0, k2, h, base);
+  igep_rec(c, f, sigma, hook, n, i0 + h, j0 + h, k2, h, base);
+  igep_rec(c, f, sigma, hook, n, i0 + h, j0, k2, h, base);
+  igep_rec(c, f, sigma, hook, n, i0, j0 + h, k2, h, base);
+  igep_rec(c, f, sigma, hook, n, i0, j0, k2, h, base);
 }
 
 }  // namespace detail
@@ -77,8 +82,7 @@ template <Accessor Acc, class F, UpdateSet S, class Hook = NoHook>
 void run_igep(Acc& c, const F& f, const S& sigma, IGepOptions opts = {},
               Hook* hook = nullptr) {
   const index_t n = c.n();
-  assert(is_pow2(n));
-  detail::igep_rec(c, f, sigma, hook, 0, 0, 0, n,
+  detail::igep_rec(c, f, sigma, hook, n, 0, 0, 0, next_pow2(n),
                    std::max<index_t>(1, opts.base_size));
 }
 

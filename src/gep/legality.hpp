@@ -47,7 +47,6 @@ struct CheckOptions {
 template <class F, UpdateSet S>
 CheckResult differential_check(const F& f, const S& sigma, index_t n,
                                CheckOptions opts = {}) {
-  assert(is_pow2(n));
   CheckResult result;
   SplitMix64 rng(opts.seed);
   for (int t = 0; t < opts.trials; ++t) {

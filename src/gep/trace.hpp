@@ -57,32 +57,27 @@ struct UpdateLogHook {
 };
 
 // Tracks, per cell, the largest k whose update has been applied (-1 when
-// untouched) and the number of applied updates. Because Theorem 2.1(c)
-// guarantees per-cell updates arrive in increasing k, `last_k` fully
-// identifies the state c_l(i,j) a cell is in. The verify callback runs
-// BEFORE the state table is bumped, i.e. it sees the pre-update states.
+// untouched). Because Theorem 2.1(c) guarantees per-cell updates arrive
+// in increasing k, `last_k` fully identifies the state c_l(i,j) a cell
+// is in. The verify callback runs BEFORE the state table is bumped,
+// i.e. it sees the pre-update states.
 template <class Verify>
 struct StateTrackHook {
   index_t n;
   std::vector<index_t> last_k;  // n*n, init -1
-  std::vector<index_t> count;   // n*n, init 0
   Verify verify;                // void(i, j, k, const StateTrackHook&)
 
   StateTrackHook(index_t n_, Verify v)
       : n(n_), last_k(static_cast<std::size_t>(n_ * n_), -1),
-        count(static_cast<std::size_t>(n_ * n_), 0), verify(std::move(v)) {}
+        verify(std::move(v)) {}
 
   index_t state_of(index_t i, index_t j) const {
     return last_k[static_cast<std::size_t>(i * n + j)];
-  }
-  index_t count_of(index_t i, index_t j) const {
-    return count[static_cast<std::size_t>(i * n + j)];
   }
 
   void on_update(index_t i, index_t j, index_t k) {
     verify(i, j, k, *this);
     last_k[static_cast<std::size_t>(i * n + j)] = k;
-    count[static_cast<std::size_t>(i * n + j)] += 1;
   }
 };
 

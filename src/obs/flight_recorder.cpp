@@ -14,6 +14,7 @@
 #include <cstring>
 #include <ctime>
 #include <string>
+#include <thread>
 
 #include "obs/registry.hpp"
 
@@ -221,12 +222,30 @@ void crash_handler(int sig) {
   ::raise(sig);
 }
 
+// SIGUSR1 asks for a dump with metrics, and snapshot_json() allocates,
+// which a handler must not: it writes one byte here instead, and
+// usr1_dump_loop (started by install_crash_handlers) dumps.
+int g_usr1_pipe[2] = {-1, -1};
+
 void usr1_handler(int sig) {
   record(flightfmt::kSignal, static_cast<std::uint64_t>(sig));
-  // Operator-requested diagnostic on a presumed-healthy process: include
-  // the metrics section (technically allocates in handler context — the
-  // standard trade every thread-dump-on-signal runtime makes).
-  dump_impl(g_path, sig, /*with_metrics=*/true);
+  const int saved_errno = errno;
+  const char byte = 1;
+  // Non-blocking: a full pipe already holds a pending dump request.
+  [[maybe_unused]] const ssize_t k = ::write(g_usr1_pipe[1], &byte, 1);
+  errno = saved_errno;
+}
+
+void usr1_dump_loop() {
+  // No handler runs here (it would allocate this thread a ring), so
+  // read() is never interrupted either.
+  sigset_t all;
+  sigfillset(&all);
+  ::pthread_sigmask(SIG_BLOCK, &all, nullptr);
+  char byte = 0;
+  while (::read(g_usr1_pipe[0], &byte, 1) == 1) {
+    dump_impl(dump_path(), SIGUSR1, /*with_metrics=*/true);
+  }
 }
 
 void job_signal_handler(int sig) {
@@ -312,7 +331,11 @@ void install_crash_handlers() {
   install_action(SIGBUS, crash_handler, &g_old.bus);
   install_action(SIGFPE, crash_handler, &g_old.fpe);
   install_action(SIGABRT, crash_handler, &g_old.abrt);
-  install_action(SIGUSR1, usr1_handler, nullptr);
+  if (::pipe2(g_usr1_pipe, O_CLOEXEC) == 0 &&
+      ::fcntl(g_usr1_pipe[1], F_SETFL, O_NONBLOCK) == 0) {
+    std::thread(usr1_dump_loop).detach();
+    install_action(SIGUSR1, usr1_handler, nullptr);
+  }
 }
 
 void install_job_signal_handlers() {

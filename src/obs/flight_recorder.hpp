@@ -13,8 +13,8 @@
 //     benches' clean-shutdown path; includes the metrics JSON.
 //   * signal handler (install_crash_handlers) — SIGSEGV / SIGABRT /
 //     SIGBUS / SIGFPE write an events-only dump with raw write(2)
-//     calls (async-signal-safe), then re-raise; SIGUSR1 dumps (with
-//     metrics — the process is presumed healthy) and continues.
+//     calls (async-signal-safe), then re-raise; SIGUSR1 has a dump
+//     thread write a dump with metrics, and the process continues.
 //
 // install_job_signal_handlers() adds cooperative SIGINT/SIGTERM
 // handling for long OOC jobs: the first signal records the event, sets
@@ -215,8 +215,8 @@ bool dump(const char* path, std::int32_t reason = flightfmt::kReasonManual);
 bool dump_default(std::int32_t reason = flightfmt::kReasonManual);
 
 // Installs SIGSEGV/SIGABRT/SIGBUS/SIGFPE handlers (events-only dump,
-// then re-raise with the default disposition) and SIGUSR1 (dump with
-// metrics, continue). Idempotent.
+// then re-raise with the default disposition) and SIGUSR1 (a dump thread
+// started here writes a dump with metrics, then the run goes on). Idempotent.
 void install_crash_handlers();
 
 // Installs SIGINT/SIGTERM: record the signal, dump, set the stop flag,

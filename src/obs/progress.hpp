@@ -9,11 +9,10 @@
 // the closed-form total. ETA assumes a constant update rate (exact for
 // FW/MM whose leaves are uniform; a mild approximation for LU/GE).
 //
-// Closed forms (leaf-granularity update volume, t = n/bs):
+// Totals (update volume of the leaves bs = leaf_side(base, n), clipped):
 //   full cube (FW, TC, bottleneck, MM):  n^3
-//   LU / GE (prune i0<k0 || j0<k0):      bs^3 * t(t+1)(2t+1)/6
-// The LU sum counts the (t-k)^2 surviving base boxes of each of the t
-// elimination slabs, each contributing bs^3 updates.
+//   LU / GE (prune i0<k0 || j0<k0):      Σ_bk min(bs, r) r^2, r = n - bk bs
+// slab bk keeping the tiles bi, bj >= bk (bs^3 t(t+1)(2t+1)/6, t = n/bs).
 //
 // GEP_OBS=0: the counters do not exist, so the meter reports fraction 0
 // and unknown ETA (and the reporter thread never starts).
@@ -23,6 +22,7 @@
 #define GEP_OBS 1
 #endif
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -42,10 +42,15 @@ namespace gep::obs {
 // Update volume of a full-cube typed run (FW / TC / bottleneck / MM).
 inline double typed_cube_updates(double n) { return n * n * n; }
 
-// Update volume of a typed LU/GE run at base size bs.
-inline double typed_lu_updates(double n, double bs) {
-  const double t = n / bs;
-  return bs * bs * bs * (t * (t + 1.0) * (2.0 * t + 1.0) / 6.0);
+// Update volume of a typed LU/GE run at base size `base`.
+inline double typed_lu_updates(double n, double base) {
+  double bs = 1;  // leaf_side(base, n) (matrix/matrix.hpp)
+  while (bs < n) bs *= 2;
+  bs = std::min(bs, base);
+  double total = 0;
+  for (double rest = n; rest > 0; rest -= bs)
+    total += std::min(bs, rest) * rest * rest;
+  return total;
 }
 
 struct ProgressSample {

@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "apps/apps.hpp"
+#include "gep/cgep.hpp"
+#include "gep/functors.hpp"
 #include "parallel/task_graph.hpp"
 #include "util/prng.hpp"
 
@@ -195,14 +197,14 @@ TEST(MultiThreadedApps, MatchSingleThreaded) {
   EXPECT_TRUE(approx_equal(c1, c2, 0.0));
 }
 
-// --- padding-free I-GEP ----------------------------------------------------
+// --- padding-free engines -------------------------------------------------
 //
-// Engine::IGep runs any n in place, pruning the boxes past n and
+// Every engine runs any n in place, pruning the boxes past n and
 // clipping the edge leaves. Every app's output must be memcmp-equal to
 // the explicit padded run it replaces: pad_to_pow2 with the problem's
 // Σ-neutral fill and diagonal, the same typed driver (either schedule,
-// on 4 workers) at the next power of two, unpad. Every thread count
-// must give those bytes.
+// on 4 workers) or the same C-GEP variant over Σ at the next power of
+// two, unpad. Every thread count must give those bytes.
 
 using Bytes = std::vector<unsigned char>;
 
@@ -255,14 +257,32 @@ Matrix<std::uint8_t> reach_input(index_t n) {
   return r;
 }
 
-// One app: its entry point on the seeded n x n input under a typed
-// engine, and the padded reference.
+// C-GEP (e: CGep or CGepCompact) with f over S{2^q} on `a` padded to the
+// next power of two with `fill` off the diagonal and `diag` on it.
+template <class S, class T, class F>
+Bytes cgep_padded(const Matrix<T>& a, T fill, T diag, const F& f, Engine e) {
+  Matrix<T> p = padded(a, fill, diag);
+  const S sigma{p.rows()};
+  if (e == Engine::CGep) {
+    run_cgep(p, f, sigma, {kPadBase});
+  } else {
+    run_cgep_compact(p, f, sigma, {kPadBase});
+  }
+  Bytes b;
+  append(b, unpad(p, a.rows(), a.cols()));
+  return b;
+}
+
+// One app: its entry point on the seeded n x n input under an engine,
+// and the padded references.
 struct PaddingFreeApp {
   const char* name;
   Bytes (*run)(index_t n, Engine e, const apps::RunOptions& opts);
   Bytes (*padded)(index_t n, Runtime rt);
   bool at_2000;  // also n = 2000 on the DAG at 4 threads (IGep)
   bool z;        // also runs Engine::IGepZ
+  // The padded C-GEP run, for apps that accept CGep and CGepCompact.
+  Bytes (*cgep)(index_t n, Engine e) = nullptr;
 };
 
 // Print the app by name: gtest would otherwise dump the struct's bytes,
@@ -289,7 +309,10 @@ const PaddingFreeApp kPaddingFreeApps[] = {
        append(b, unpad(p, n, n));
        return b;
      },
-     false, true},
+     false, true,
+     [](index_t n, Engine e) {
+       return cgep_padded<GaussianSet>(dd_input(n), 0.0, 1.0, GaussF{}, e);
+     }},
     {"lu",
      [](index_t n, Engine e, const apps::RunOptions& o) {
        Matrix<double> a = dd_input(n);
@@ -308,7 +331,10 @@ const PaddingFreeApp kPaddingFreeApps[] = {
        append(b, unpad(p, n, n));
        return b;
      },
-     true, true},
+     true, true,
+     [](index_t n, Engine e) {
+       return cgep_padded<LUSet>(dd_input(n), 0.0, 1.0, LUIndexedF{}, e);
+     }},
     {"fw",
      [](index_t n, Engine e, const apps::RunOptions& o) {
        Matrix<double> d = random_graph(n, 1000 + n, 0.25);
@@ -328,7 +354,11 @@ const PaddingFreeApp kPaddingFreeApps[] = {
        append(b, unpad(p, n, n));
        return b;
      },
-     true, true},
+     true, true,
+     [](index_t n, Engine e) {
+       return cgep_padded<FloydWarshallSet>(random_graph(n, 1000 + n, 0.25),
+                                            kInfDist, 0.0, MinPlusF{}, e);
+     }},
     {"fw_paths",
      [](index_t n, Engine e, const apps::RunOptions& o) {
        Matrix<double> d = random_graph(n, 1300 + n, 0.25);
@@ -379,7 +409,13 @@ const PaddingFreeApp kPaddingFreeApps[] = {
        append(b, unpad(p, n, n));
        return b;
      },
-     false, true},
+     false, true,
+     [](index_t n, Engine e) {
+       const double inf = std::numeric_limits<double>::infinity();
+       Matrix<double> c = cap_input(n);
+       for (index_t i = 0; i < n; ++i) c(i, i) = inf;
+       return cgep_padded<FullSet>(c, 0.0, inf, MaxMinF{}, e);
+     }},
     {"tc",
      [](index_t n, Engine e, const apps::RunOptions& o) {
        Matrix<std::uint8_t> r = reach_input(n);
@@ -399,7 +435,11 @@ const PaddingFreeApp kPaddingFreeApps[] = {
        append(b, unpad(p, n, n));
        return b;
      },
-     false, true},
+     false, true,
+     [](index_t n, Engine e) {
+       return cgep_padded<FullSet>(reach_input(n), std::uint8_t{0},
+                                   std::uint8_t{0}, OrAndF{}, e);
+     }},
     {"mm",
      [](index_t n, Engine e, const apps::RunOptions& o) {
        Matrix<double> c = random_dd(n, 1400 + n);
@@ -451,6 +491,14 @@ TEST_P(PaddingFree, BitIdenticalToPaddedRun) {
     EXPECT_TRUE(app.run(2000, Engine::IGep, {kPadBase, 4, Runtime::Dag}) ==
                 app.padded(2000, Runtime::Dag))
         << app.name << " n=2000 dag threads=4";
+  }
+  if (app.cgep != nullptr) {
+    for (index_t n : {1, 63, 65, 100}) {
+      for (Engine e : {Engine::CGep, Engine::CGepCompact}) {
+        EXPECT_TRUE(app.run(n, e, {kPadBase}) == app.cgep(n, e))
+            << app.name << " " << apps::engine_name(e) << " n=" << n;
+      }
+    }
   }
 }
 

@@ -9,6 +9,7 @@
 #include "gep/cgep.hpp"
 #include "gep/igep.hpp"
 #include "gep/iterative.hpp"
+#include "parallel/work_stealing.hpp"
 #include "util/prng.hpp"
 
 namespace gep {
@@ -68,36 +69,74 @@ TEST_P(CGepFullGenerality, NonlinearFMatchesG) {
   EXPECT_TRUE(approx_equal(ref, hc, 1e-9));
 }
 
+// SumF and the paper's instances under all three variants (the parallel
+// one on 4 workers): each equals G bit for bit, at any n.
+TEST_P(CGepFullGenerality, EveryVariantMatchesGOnPaperInstances) {
+  auto [n, base] = GetParam();
+  WorkStealingPool pool(4);
+  WsParInvoker inv{&pool};
+  auto check = [&](const char* name, const Matrix<double>& init,
+                   const auto& f, const auto& sigma) {
+    Matrix<double> ref = init, h4 = init, hc = init, hp = init;
+    run_gep(ref, f, sigma);
+    run_cgep(h4, f, sigma, {base});
+    run_cgep_compact(hc, f, sigma, {base});
+    run_cgep_parallel(inv, hp, f, sigma, {base});
+    EXPECT_TRUE(approx_equal(ref, h4, 0.0)) << name << " 4n^2 n=" << n;
+    EXPECT_TRUE(approx_equal(ref, hc, 0.0)) << name << " compact n=" << n;
+    EXPECT_TRUE(approx_equal(ref, hp, 0.0)) << name << " parallel n=" << n;
+  };
+  const auto seed = 41 + static_cast<unsigned>(n);
+  check("SumF", random_matrix(n, seed), SumF{}, FullSet{n});
+  Matrix<double> dist = random_matrix(n, seed + 1);
+  Matrix<double> dd = random_matrix(n, seed + 2);
+  for (index_t i = 0; i < n; ++i) {
+    for (index_t j = 0; j < n; ++j) dist(i, j) = std::abs(dist(i, j));
+    dist(i, i) = 0.0;
+    dd(i, i) += static_cast<double>(n) + 1.0;
+  }
+  check("MinPlusF", dist, MinPlusF{}, FullSet{n});
+  check("GaussF", dd, GaussF{}, GaussianSet{n});
+  check("LUIndexedF", dd, LUIndexedF{}, LUSet{n});
+}
+
+// Instances past {64, 16} have n != 2^q: the recursion prunes at n and
+// clips its leaves.
 INSTANTIATE_TEST_SUITE_P(
     SizesAndBases, CGepFullGenerality,
     ::testing::Values(Instance{1, 1}, Instance{2, 1}, Instance{4, 1},
                       Instance{8, 1}, Instance{8, 4}, Instance{16, 1},
                       Instance{16, 8}, Instance{32, 1}, Instance{32, 8},
-                      Instance{64, 16}));
+                      Instance{64, 16}, Instance{3, 1}, Instance{5, 1},
+                      Instance{5, 4}, Instance{63, 16}, Instance{65, 4},
+                      Instance{100, 1}, Instance{100, 16}));
 
-// Randomized sparse update sets: each (i,j,k) independently in Σ.
+// Randomized sparse update sets: each (i,j,k) independently in Σ, at a
+// power-of-two n and at n != 2^q. LinearF's values grow about
+// geometrically with n (|c| ~ 1e8 at n = 64), so the sizes stay where
+// the absolute tolerance is still ulp-scale.
 TEST(CGepRandomSigma, MatchesGOnRandomSets) {
-  const index_t n = 16;
-  for (std::uint64_t seed = 0; seed < 12; ++seed) {
-    // Deterministic hash-based membership: pure predicate, ~35% density.
-    auto member = [seed, n](index_t i, index_t j, index_t k) {
-      std::uint64_t h = static_cast<std::uint64_t>(
-          (i * n + j) * n + k);
-      h ^= seed * 0x9e3779b97f4a7c15ULL;
-      h *= 0xbf58476d1ce4e5b9ULL;
-      h ^= h >> 29;
-      return (h % 100) < 35;
-    };
-    auto sigma = make_predicate_set(n, member);
-    LinearF f{1.0, 0.7, -0.6, 0.25};
-    Matrix<double> init = random_matrix(n, 1000 + seed);
-    Matrix<double> ref = init, h4 = init, hc = init;
-    run_gep(ref, f, sigma);
-    run_cgep(h4, f, sigma, {1});
-    run_cgep_compact(hc, f, sigma, {1});
-    // LinearF multiplies: tolerate FMA-contraction ulp drift (see above).
-    EXPECT_TRUE(approx_equal(ref, h4, 1e-9)) << "seed=" << seed;
-    EXPECT_TRUE(approx_equal(ref, hc, 1e-9)) << "seed=" << seed;
+  for (index_t n : {16, 5, 17, 31}) {
+    for (std::uint64_t seed = 0; seed < 12; ++seed) {
+      // Deterministic hash-based membership: pure predicate, ~35% density.
+      auto member = [seed, n](index_t i, index_t j, index_t k) {
+        std::uint64_t h = static_cast<std::uint64_t>((i * n + j) * n + k);
+        h ^= seed * 0x9e3779b97f4a7c15ULL;
+        h *= 0xbf58476d1ce4e5b9ULL;
+        h ^= h >> 29;
+        return (h % 100) < 35;
+      };
+      auto sigma = make_predicate_set(n, member);
+      LinearF f{1.0, 0.7, -0.6, 0.25};
+      Matrix<double> init = random_matrix(n, 1000 + seed);
+      Matrix<double> ref = init, h4 = init, hc = init;
+      run_gep(ref, f, sigma);
+      run_cgep(h4, f, sigma, {1});
+      run_cgep_compact(hc, f, sigma, {1});
+      // LinearF multiplies: tolerate FMA-contraction ulp drift (see above).
+      EXPECT_TRUE(approx_equal(ref, h4, 1e-9)) << "n=" << n << " seed=" << seed;
+      EXPECT_TRUE(approx_equal(ref, hc, 1e-9)) << "n=" << n << " seed=" << seed;
+    }
   }
 }
 

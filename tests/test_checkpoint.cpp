@@ -204,16 +204,17 @@ CheckpointOptions ckpt_opts(const std::string& dir,
 // resume leg then rebuilds from the input, which is the documented
 // fallback path. Legs (1)-(3) run on `workers`, the resume leg on
 // `resume_workers` (default: the same): the fingerprint leaves the
-// worker count out, so a cut taken on a pool resumes without one.
+// worker count out, so a cut taken on a pool resumes without one. The
+// job is n x n in bs-wide tiles.
 void kill_resume_case(Algo algo, int workers, bool async, double frac,
-                      std::uint64_t frames, int resume_workers = -1) {
+                      std::uint64_t frames, int resume_workers = -1,
+                      index_t n = 32, index_t bs = 8) {
   if (resume_workers < 0) resume_workers = workers;
   SCOPED_TRACE(std::string(algo_str(algo)) + " workers " +
                std::to_string(workers) + " -> " +
                std::to_string(resume_workers) +
                (async ? " async" : " sync") + " frac " +
-               std::to_string(frac));
-  const index_t n = 32, bs = 8;
+               std::to_string(frac) + " n " + std::to_string(n));
 
   Matrix<double> ref;
   {
@@ -329,6 +330,11 @@ TEST(CkptKillResume, MmDagAsyncMid) {
 // A chain cut on 4 workers resumes with no pool.
 TEST(CkptKillResume, FwDagCutResumesWithoutPool) {
   kill_resume_case(Algo::FW, 4, false, 0.5, 28, /*resume_workers=*/0);
+}
+// n != 2^q: partial edge tiles, clipped leaves.
+TEST(CkptKillResume, FwDagCutResumesAtNonPow2N) {
+  kill_resume_case(Algo::FW, 2, false, 0.5, 12, /*resume_workers=*/-1,
+                   /*n=*/200, /*bs=*/64);
 }
 
 // ---- Snapshot format validation ----

@@ -269,40 +269,47 @@ TEST(BandedSet, PruningSkipsWork) {
 
 class ParallelCGep : public ::testing::TestWithParam<int> {};
 
+// Power-of-two n and n != 2^q (the recursion prunes at n and clips).
+constexpr index_t kParallelCGepSizes[] = {64, 3, 5, 63, 65, 100};
+
 TEST_P(ParallelCGep, MatchesSequentialOnSumF) {
   const int threads = GetParam();
-  const index_t n = 64;
-  SplitMix64 g(5);
-  Matrix<double> init(n, n);
-  for (index_t i = 0; i < n; ++i)
-    for (index_t j = 0; j < n; ++j) init(i, j) = g.uniform(-1, 1);
-  Matrix<double> seq = init;
-  run_cgep(seq, SumF{}, FullSet{n}, {8});
-
-  Matrix<double> par = init;
   WorkStealingPool pool(threads);
   WsParInvoker inv{&pool};
-  run_cgep_parallel(inv, par, SumF{}, FullSet{n}, {8});
-  EXPECT_TRUE(approx_equal(seq, par, 0.0)) << "threads=" << threads;
+  for (index_t n : kParallelCGepSizes) {
+    SplitMix64 g(5);
+    Matrix<double> init(n, n);
+    for (index_t i = 0; i < n; ++i)
+      for (index_t j = 0; j < n; ++j) init(i, j) = g.uniform(-1, 1);
+    Matrix<double> seq = init;
+    run_cgep(seq, SumF{}, FullSet{n}, {8});
+
+    Matrix<double> par = init;
+    run_cgep_parallel(inv, par, SumF{}, FullSet{n}, {8});
+    EXPECT_TRUE(approx_equal(seq, par, 0.0))
+        << "threads=" << threads << " n=" << n;
+  }
 }
 
 TEST_P(ParallelCGep, MatchesSequentialOnLU) {
   const int threads = GetParam();
-  const index_t n = 64;
-  SplitMix64 g(6);
-  Matrix<double> init(n, n);
-  for (index_t i = 0; i < n; ++i) {
-    for (index_t j = 0; j < n; ++j) init(i, j) = g.uniform(-1, 1);
-    init(i, i) += n + 2.0;
-  }
-  Matrix<double> seq = init;
-  run_cgep(seq, LUIndexedF{}, LUSet{n}, {8});
-
-  Matrix<double> par = init;
   WorkStealingPool pool(threads);
   WsParInvoker inv{&pool};
-  run_cgep_parallel(inv, par, LUIndexedF{}, LUSet{n}, {8});
-  EXPECT_TRUE(approx_equal(seq, par, 0.0)) << "threads=" << threads;
+  for (index_t n : kParallelCGepSizes) {
+    SplitMix64 g(6);
+    Matrix<double> init(n, n);
+    for (index_t i = 0; i < n; ++i) {
+      for (index_t j = 0; j < n; ++j) init(i, j) = g.uniform(-1, 1);
+      init(i, i) += n + 2.0;
+    }
+    Matrix<double> seq = init;
+    run_cgep(seq, LUIndexedF{}, LUSet{n}, {8});
+
+    Matrix<double> par = init;
+    run_cgep_parallel(inv, par, LUIndexedF{}, LUSet{n}, {8});
+    EXPECT_TRUE(approx_equal(seq, par, 0.0))
+        << "threads=" << threads << " n=" << n;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, ParallelCGep, ::testing::Values(2, 4, 8));

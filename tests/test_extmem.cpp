@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
+#include <string>
 #include <utility>
 
+#include "apps/apps.hpp"
 #include "extmem/ooc_matrix.hpp"
 #include "extmem/ooc_typed.hpp"
 #include "gep/cgep.hpp"
@@ -462,6 +465,59 @@ TEST(OocTyped, RejectsBadShapes) {
   OocTiledMatrix<double> rect(cache, 16, 32, 8);
   EXPECT_THROW(ooc_igep_floyd_warshall_dag(rect, nullptr),
                std::invalid_argument);
+}
+
+// Any n: with a 64-wide tile the drivers clip their edge tiles and write
+// the bytes of in-core Engine::IGep (base 64), with no pool and on 4
+// workers.
+TEST(OocTyped, AnyNMatchesInCoreIGepBytes) {
+  const index_t bs = 64;
+  const std::uint64_t B = bs * bs * sizeof(double);
+  auto same_bytes = [](const Matrix<double>& a, const Matrix<double>& b) {
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<std::size_t>(a.size()) * sizeof(double)) ==
+               0;
+  };
+  for (index_t n : {1, 65, 100, 200}) {
+    SplitMix64 g(31 + static_cast<std::uint64_t>(n));
+    Matrix<double> dist(n, n), dd(n, n), am(n, n), bm(n, n);
+    for (index_t i = 0; i < n; ++i) {
+      for (index_t j = 0; j < n; ++j) {
+        dist(i, j) = g.uniform(1.0, 9.0);
+        dd(i, j) = g.uniform(-1.0, 1.0);
+        am(i, j) = g.uniform(-1.0, 1.0);
+        bm(i, j) = g.uniform(-1.0, 1.0);
+      }
+      dist(i, i) = 0.0;
+      dd(i, i) += static_cast<double>(n) + 2.0;
+    }
+    Matrix<double> fw = dist, lu = dd, mm(n, n, 0.0);
+    apps::floyd_warshall(fw, apps::Engine::IGep, {bs});
+    apps::lu_decompose(lu, apps::Engine::IGep, {bs});
+    apps::multiply_add(mm, am, bm, apps::Engine::IGep, {bs});
+    for (int workers : {0, 4}) {
+      SCOPED_TRACE("n " + std::to_string(n) + " workers " +
+                   std::to_string(workers));
+      std::unique_ptr<WorkStealingPool> pool;
+      if (workers > 0) pool = std::make_unique<WorkStealingPool>(workers);
+      PageCache cache(24 * B, B);
+      OocTiledMatrix<double> m(cache, n, n, bs);
+      m.load(dist);
+      ooc_igep_floyd_warshall_dag(m, pool.get());
+      EXPECT_TRUE(same_bytes(fw, m.to_matrix())) << "fw";
+      m.load(dd);
+      ooc_igep_lu_dag(m, pool.get());
+      EXPECT_TRUE(same_bytes(lu, m.to_matrix())) << "lu";
+      OocTiledMatrix<double> c(cache, n, n, bs), a(cache, n, n, bs),
+          b(cache, n, n, bs);
+      c.load(Matrix<double>(n, n, 0.0));
+      a.load(am);
+      b.load(bm);
+      ooc_igep_matmul_dag(c, a, b, pool.get());
+      EXPECT_TRUE(same_bytes(mm, c.to_matrix())) << "mm";
+    }
+  }
 }
 
 }  // namespace ooc_typed_tests

@@ -77,7 +77,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Instance{1, 1}, Instance{2, 1}, Instance{4, 1},
                       Instance{8, 1}, Instance{8, 2}, Instance{16, 1},
                       Instance{16, 4}, Instance{32, 8}, Instance{32, 32},
-                      Instance{64, 16}, Instance{128, 32}));
+                      Instance{64, 16}, Instance{128, 32}, Instance{5, 1},
+                      Instance{5, 2}, Instance{65, 16}, Instance{100, 1},
+                      Instance{100, 8}));
 
 // Paper Section 2.2.1: 2x2, f = sum of operands, Σ = full cube, initial
 // c = [[0,0],[1? ...]] — paper: c[1,1]=c[1,2]=c[2,1]=0, c[2,2]=1 (1-based)

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "obs/obs.hpp"
+#include "util/prng.hpp"
 
 namespace gep {
 namespace {
@@ -169,6 +171,141 @@ TEST(JsonReader, LookupChainsThroughMissingKeys) {
   EXPECT_EQ(v["nope"].as_double(7.5), 7.5);  // null -> caller's default
   EXPECT_EQ(v["a"]["b"].as_double(), 3.0);
   EXPECT_EQ(v[std::size_t{0}].type(), obs::JsonValue::Type::Null);
+}
+
+// Deterministic mutational fuzzing of the reader. Seeds are writer
+// outputs (a metrics snapshot, escaped strings, surrogate pairs, nesting
+// at and one past the depth cap); each mutant is 1-4 byte flips,
+// inserts, deletes, truncations or splices with another seed. Every
+// mutant must either parse to a value that can be walked in full, or
+// fail with an error whose offset lies inside the text. One JsonValue is
+// reused throughout, as the bench-diff gate reuses its values.
+namespace json_fuzz {
+
+// Visits every node and reads every key, string and number; returns
+// the decoded bytes of all keys and strings, which an escape never
+// makes longer than its source text.
+std::size_t walk(const obs::JsonValue& v) {
+  std::size_t bytes = 0;
+  switch (v.type()) {
+    case obs::JsonValue::Type::Array:
+      for (const obs::JsonValue& x : v.items()) bytes += walk(x);
+      break;
+    case obs::JsonValue::Type::Object:
+      for (const auto& [k, x] : v.members()) {
+        EXPECT_NE(v.find(k), nullptr);
+        bytes += k.size() + walk(x);
+      }
+      break;
+    case obs::JsonValue::Type::String:
+      bytes += v.as_string().size();
+      break;
+    case obs::JsonValue::Type::Number:
+      EXPECT_TRUE(std::isfinite(v.as_double()));
+      break;
+    default:
+      break;
+  }
+  return bytes;
+}
+
+std::vector<std::string> seeds() {
+  obs::counter("fuzz.seed.counter").inc(42);
+  obs::gauge("fuzz.seed.gauge").set(-1.5e-3);
+  obs::histogram("fuzz.seed.hist").observe(1000);
+  std::vector<std::string> out = {obs::snapshot_json()};
+  std::ostringstream os;
+  obs::JsonWriter w(os);
+  w.begin_object();
+  w.kv("esc", "q\"b\\s/\n\t\r\b\f\x01\x1f");
+  w.kv("utf8", "\xC3\xA9\xF0\x9F\x98\x80");
+  w.kv("num", -12.5e-7);
+  w.kv("big", std::uint64_t{9007199254740993ull});
+  w.kv("flag", true);
+  w.key("list");
+  w.begin_array();
+  w.value(std::int64_t{-3});
+  w.value("x");
+  w.end_array();
+  w.end_object();
+  out.push_back(os.str());
+  out.push_back("[\"\\uD83D\\uDE00\", \"\\u00E9\\u0041\", null, false]");
+  // The reader caps nesting at 256 levels below the top value: the
+  // innermost number sits at the cap, then (the last seed) one past it.
+  for (int depth : {255, 256}) {
+    std::string s(static_cast<std::size_t>(depth), '[');
+    s += "{\"k\": 1}";
+    s.append(static_cast<std::size_t>(depth), ']');
+    out.push_back(s);
+  }
+  return out;
+}
+
+std::string mutate(std::string s, const std::vector<std::string>& pool,
+                   SplitMix64& rng) {
+  static const char kBytes[] = "{}[]\",:\\/-+.eE0123456789tfnu \x00\xff";
+  const int edits = 1 + static_cast<int>(rng.below(4));
+  for (int e = 0; e < edits; ++e) {
+    const std::size_t at = s.empty() ? 0 : rng.below(s.size() + 1);
+    switch (rng.below(5)) {
+      case 0:  // bit flip
+        if (!s.empty()) {
+          s[at % s.size()] = static_cast<char>(
+              s[at % s.size()] ^ static_cast<char>(1u << rng.below(8)));
+        }
+        break;
+      case 1:  // insert a structural, numeric or arbitrary byte
+        s.insert(at, 1,
+                 rng.chance(0.5) ? kBytes[rng.below(sizeof kBytes - 1)]
+                                 : static_cast<char>(rng.below(256)));
+        break;
+      case 2:  // delete a short run
+        s.erase(at, 1 + rng.below(8));
+        break;
+      case 3:  // truncate
+        s.resize(at);
+        break;
+      default: {  // splice: our prefix, another seed's suffix
+        const std::string& o = pool[rng.below(pool.size())];
+        s = s.substr(0, at) + o.substr(o.empty() ? 0 : rng.below(o.size()));
+        break;
+      }
+    }
+  }
+  return s;
+}
+
+}  // namespace json_fuzz
+
+TEST(JsonReader, MutationFuzzParsesOrFailsInsideTheText) {
+  const std::vector<std::string> pool = json_fuzz::seeds();
+  obs::JsonValue v;
+  std::string err;
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    err.clear();
+    EXPECT_EQ(obs::JsonValue::parse(pool[i], &v, &err), i + 1 < pool.size())
+        << "seed " << i << ": " << err;
+  }
+  SplitMix64 rng(0x6a736f6e66757a7aULL);
+  constexpr int kMutants = 20000;
+  int accepted = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    const std::string text =
+        json_fuzz::mutate(pool[rng.below(pool.size())], pool, rng);
+    err.clear();
+    if (obs::JsonValue::parse(text, &v, &err)) {
+      ++accepted;
+      EXPECT_LE(json_fuzz::walk(v), text.size()) << "mutant " << i;
+      continue;
+    }
+    const std::size_t at = err.rfind(" at offset ");
+    ASSERT_NE(at, std::string::npos) << "mutant " << i << ": " << err;
+    const std::size_t off = std::stoull(err.substr(at + 11));
+    ASSERT_LE(off, text.size()) << "mutant " << i << ": " << err;
+  }
+  // Both outcomes occur: the mutants probe past the happy path.
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, kMutants);
 }
 
 #if GEP_OBS

@@ -20,6 +20,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "extmem/fault_injector.hpp"
@@ -85,6 +86,7 @@ struct DecodedDump {
   bool ok = false;
   ff::FileHeader hdr{};
   std::vector<DecodedThread> threads;
+  std::uint32_t metrics_len = 0;  // as declared by the dump
   std::string metrics;
 };
 
@@ -115,6 +117,7 @@ DecodedDump decode_dump(const std::string& path) {
   }
   std::uint32_t mlen = 0;
   in.read(reinterpret_cast<char*>(&mlen), sizeof mlen);
+  if (in) d.metrics_len = mlen;
   if (in && mlen > 0) {
     d.metrics.resize(mlen);
     in.read(d.metrics.data(), mlen);
@@ -301,11 +304,19 @@ TEST(TelemetryFlight, DumpToUnwritablePathReturnsFalse) {
 TEST(TelemetryFlight, Sigusr1DumpsWithMetricsAndContinues) {
   obs::flight::install_crash_handlers();
   const char* path = "telemetry_usr1.gepdump";
+  std::remove(path);
   obs::flight::set_dump_path(path);
   obs::flight::record(ff::kMark, 77);
   ASSERT_EQ(std::raise(SIGUSR1), 0);
-  // The handler ran synchronously; the process is still alive here.
-  const DecodedDump d = decode_dump(path);
+  // The process is still alive here. The handler only recorded the
+  // signal; the dump thread writes the file: wait (bounded) for all of
+  // it to land.
+  DecodedDump d;
+  for (int i = 0; i < 1000; ++i) {
+    d = decode_dump(path);
+    if (d.ok && d.metrics_len > 0 && d.metrics.size() == d.metrics_len) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
   ASSERT_TRUE(d.ok);
   EXPECT_EQ(d.hdr.reason, SIGUSR1);
   EXPECT_TRUE(any_event(d, ff::kSignal));
@@ -589,17 +600,22 @@ TEST(TelemetryProgress, CubeClosedFormIsExactForFloydWarshall) {
   EXPECT_EQ(s.eta_s, 0.0);
 }
 
+// Exact at any (n, base): bs divides n, bs does not (clipped last slab),
+// and a base above n (one clipped leaf).
 TEST(TelemetryProgress, LuClosedFormMatchesThePrunedRecursion) {
-  const index_t n = 64, bs = 16;
-  Matrix<double> a = dd_matrix(n, 52);
-  obs::ProgressMeter meter;
-  meter.begin(obs::typed_lu_updates(static_cast<double>(n),
-                                    static_cast<double>(bs)));
-  RowMajorStore<double> st{a.data(), n, bs};
-  igep_lu(nullptr, st, n, {bs, Runtime::ForkJoin});
-  const obs::ProgressSample s = meter.sample();
-  EXPECT_EQ(s.fraction, 1.0)
-      << "done=" << s.updates_done << " total=" << s.updates_total;
+  const std::pair<index_t, index_t> cases[] = {{64, 16}, {1000, 64}, {10, 64}};
+  for (const auto& [n, base] : cases) {
+    Matrix<double> a = dd_matrix(n, 52);
+    obs::ProgressMeter meter;
+    meter.begin(obs::typed_lu_updates(static_cast<double>(n),
+                                      static_cast<double>(base)));
+    RowMajorStore<double> st{a.data(), n, leaf_side(base, n)};
+    igep_lu(nullptr, st, n, {base, Runtime::ForkJoin});
+    const obs::ProgressSample s = meter.sample();
+    EXPECT_EQ(s.fraction, 1.0) << "n=" << n << " base=" << base
+                               << " done=" << s.updates_done
+                               << " total=" << s.updates_total;
+  }
 }
 
 #endif  // GEP_OBS
