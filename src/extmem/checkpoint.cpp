@@ -449,7 +449,7 @@ void CheckpointCoordinator::leaf_enter() {
     // watchdog fed (this is a legitimate stall) and stay cancellable —
     // leaf_enter runs BEFORE the runtime's cancel bracket, so throwing
     // here needs no leaf_cancel().
-    obs::Watchdog::beat_this_thread();
+    obs::Watchdog::beat_this_thread(obs::flight::now_ns());
     if (obs::flight::stop_requested()) throw obs::JobCancelled();
     cv_.wait_for(lk, std::chrono::milliseconds(50));
   }

@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <mutex>
 #include <string>
 #include <thread>
 
@@ -37,13 +38,19 @@ static_assert((kRingEvents & kRingMask) == 0, "ring size must be pow2");
 // dump is for. An exiting thread marks its ring free instead, and the
 // next thread to start recording takes it over, so the number of rings
 // follows the peak number of live threads rather than every thread the
-// process ever started (each DAG solve starts a fresh pool).
+// process ever started (each DAG solve starts a fresh pool). A ring
+// taken over keeps its span log: spans of threads that ran one after the
+// other share a trace tid.
 struct Ring {
   Event ev[kRingEvents];
   std::atomic<std::uint64_t> seq{0};
   std::atomic<bool> in_use{true};
   char name[24] = {};
   std::uint32_t tid = 0;
+  // The tracer's span log: appended by the owner, read by the Tracer,
+  // both under log_mu. Never touched by a dump or a signal handler.
+  std::mutex log_mu;
+  ThreadTrace log;
 };
 
 // Fixed global table of ring pointers: iterable from a signal handler
@@ -104,6 +111,7 @@ Ring* ring_slow() {
     r = new Ring();
     r->tid = static_cast<std::uint32_t>(
         g_nrings.fetch_add(1, std::memory_order_acq_rel) + 1);
+    r->log.tid = static_cast<int>(r->tid);
   }
   r->seq.store(0, std::memory_order_release);
   std::snprintf(r->name, sizeof r->name, "thread-%u", r->tid);
@@ -288,11 +296,37 @@ std::uint64_t now_ns() {
 }
 
 void record(flightfmt::Ev type, std::uint64_t payload) {
+  record(type, payload, now_ns());
+}
+
+void record(flightfmt::Ev type, std::uint64_t payload, std::uint64_t t_ns) {
   Ring& r = this_ring();
   const std::uint64_t s = r.seq.load(std::memory_order_relaxed);
-  r.ev[s & kRingMask] = {now_ns(), flightfmt::pack(type, payload)};
+  r.ev[s & kRingMask] = {t_ns, flightfmt::pack(type, payload)};
   // Release: a dump thread that reads seq sees the event bytes.
   r.seq.store(s + 1, std::memory_order_release);
+}
+
+void log_span(const TraceEvent& e) {
+  Ring& r = this_ring();
+  std::lock_guard<std::mutex> lock(r.log_mu);
+  if (r.log.events.size() >= kMaxSpans) {
+    ++r.log.dropped;
+    return;
+  }
+  r.log.events.push_back(e);
+}
+
+// Rings past kMaxRings are in no table, so their spans are not seen.
+void for_each_span_log(const std::function<void(ThreadTrace&)>& fn) {
+  const int nr = std::min(g_nrings.load(std::memory_order_acquire),
+                          kMaxRings);
+  for (int i = 0; i < nr; ++i) {
+    if (Ring* r = g_rings[i].load(std::memory_order_acquire)) {
+      std::lock_guard<std::mutex> lock(r->log_mu);
+      fn(r->log);
+    }
+  }
 }
 
 void set_thread_name(const char* name) {

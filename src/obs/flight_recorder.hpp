@@ -16,6 +16,11 @@
 //     calls (async-signal-safe), then re-raise; SIGUSR1 has a dump
 //     thread write a dump with metrics, and the process continues.
 //
+// The ring also keeps the span tracer's log (obs/trace.hpp), a second
+// view of the recursion nodes it records: a vector behind a per-ring
+// mutex that only its owner (to append) and the Tracer take, never the
+// dump path or a signal handler.
+//
 // install_job_signal_handlers() adds cooperative SIGINT/SIGTERM
 // handling for long OOC jobs: the first signal records the event, sets
 // a stop flag the compute leaves poll (throw_if_stop_requested), and
@@ -35,6 +40,12 @@
 
 #include <cstdint>
 #include <stdexcept>
+
+#if GEP_OBS
+#include <functional>
+
+#include "obs/trace.hpp"
+#endif
 
 namespace gep::obs {
 
@@ -194,8 +205,21 @@ inline constexpr std::uint32_t kRingEvents = 4096;
 
 // Appends one event to the calling thread's ring. Lock-free and
 // wait-free after the thread's first call (which allocates + registers
-// the ring); roughly a clock read and a 16-byte store.
+// the ring); roughly a clock read and a 16-byte store. The second form
+// stamps it with a now_ns() the caller already read.
 void record(flightfmt::Ev type, std::uint64_t payload = 0);
+void record(flightfmt::Ev type, std::uint64_t payload, std::uint64_t t_ns);
+
+// Spans a ring's log holds; later spans are counted as dropped, so a
+// runaway trace degrades instead of exhausting memory (~40 MB a ring).
+inline constexpr std::size_t kMaxSpans = std::size_t{1} << 20;
+
+// Appends a traced span to the calling thread's ring's span log.
+void log_span(const TraceEvent& e);
+
+// Calls fn on every ring's span log (tid = ring id) under that ring's
+// mutex, in ring order.
+void for_each_span_log(const std::function<void(ThreadTrace&)>& fn);
 
 // Names the calling thread's ring in dumps ("pc-asyncio"); truncated to
 // the ThreadHeader field. Threads default to "thread-<tid>".
@@ -243,22 +267,6 @@ inline void throw_if_stop_requested() {
   if (flight::stop_requested()) throw JobCancelled();
 }
 
-// Recursion enter/leave bracket for the typed engine: ~a clock read and
-// a 16-byte ring store on each side.
-class FlightRecScope {
- public:
-  FlightRecScope(char kind, int depth, std::uint64_t m)
-      : w_(flightfmt::pack_rec(kind, depth, m)) {
-    flight::record(flightfmt::kRecEnter, w_);
-  }
-  ~FlightRecScope() { flight::record(flightfmt::kRecLeave, w_); }
-  FlightRecScope(const FlightRecScope&) = delete;
-  FlightRecScope& operator=(const FlightRecScope&) = delete;
-
- private:
-  std::uint64_t w_;
-};
-
 }  // namespace on
 
 #else  // GEP_OBS == 0: inert stubs, dump degrades gracefully.
@@ -290,11 +298,6 @@ inline std::uint64_t now_ns() { return 0; }
 }  // namespace flight
 
 inline void throw_if_stop_requested() {}
-
-class FlightRecScope {
- public:
-  FlightRecScope(char, int, std::uint64_t) {}
-};
 
 }  // namespace off
 

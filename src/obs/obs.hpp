@@ -4,15 +4,16 @@
 //                     per-thread sharded, lock-free on the hot path
 //   hw_counters.hpp — perf_event_open wrapper (cycles, instructions,
 //                     L1d / LLC misses) with graceful no-op fallback
-//   trace.hpp       — scoped spans for the typed recursion, exported as
-//                     Chrome trace_event JSON
+//   trace.hpp       — the typed recursion's span log (kept in the flight
+//                     recorder's rings), exported as Chrome trace JSON
 //   profile.hpp     — aggregation pass over the tracer: per-(kind,depth)
 //                     attribution, folded flamegraph stacks, sampled
 //                     leaf roofline points
 //   json.hpp        — the streaming JSON writer the exporters share
 //   json_read.hpp   — the matching reader (manifest / diff tooling)
 //   flight_recorder.hpp — always-on per-thread event rings with a
-//                     signal-handler *.gepdump path (tools/gep_events)
+//                     signal-handler *.gepdump path (tools/gep_events);
+//                     each ring also keeps its thread's span log
 //   watchdog.hpp    — heartbeat sources + stall monitor (counter ->
 //                     stderr -> flight dump escalation)
 //   progress.hpp    — percent-complete / ETA from the typed engine's
@@ -45,30 +46,62 @@
 namespace gep::obs {
 
 #if GEP_OBS
+
 inline namespace on {
-#else
-inline namespace off {
-#endif
 
 // Held by every node of the typed recursion that runs (gep/typed.hpp):
-// a tracer span, a flight-recorder breadcrumb and a stall-watchdog
-// heartbeat, so a wedged worker's dump shows the box it never left. One
-// text compiled into obs::on or obs::off with its members, so GEP_OBS=0
-// units stay ODR-safe beside GEP_OBS=1 libraries.
+// the one producer per node. It reads the clock once on entry and once
+// on exit, and with those two timestamps records the flight-recorder
+// enter/leave events, beats the stall watchdog (so a wedged worker's
+// dump shows the box it never left) and, while the tracer is active,
+// appends the node's span to its thread's ring.
 class NodeScope {
  public:
   NodeScope(char kind, int depth, long long i0, long long j0, long long k0,
             long long m)
-      : span_(kind, depth, i0, j0, k0, m),
-        frec_(kind, depth, static_cast<std::uint64_t>(m)) {
-    Watchdog::beat_this_thread();
+      : w_(flightfmt::pack_rec(kind, depth, static_cast<std::uint64_t>(m))),
+        span_{flight::now_ns(),
+              0,
+              static_cast<std::uint32_t>(i0),
+              static_cast<std::uint32_t>(j0),
+              static_cast<std::uint32_t>(k0),
+              static_cast<std::uint32_t>(m),
+              static_cast<std::uint16_t>(depth),
+              kind} {
+    flight::record(flightfmt::kRecEnter, w_, span_.t0_ns);
+    Watchdog::beat_this_thread(span_.t0_ns);
   }
+  ~NodeScope() {
+    const std::uint64_t t1 = flight::now_ns();
+    flight::record(flightfmt::kRecLeave, w_, t1);
+    if (!Tracer::active()) return;
+    const std::uint64_t base = Tracer::base_ns();
+    if (span_.t0_ns < base) return;  // entered before this trace started
+    span_.t0_ns -= base;
+    span_.t1_ns = t1 - base;
+    flight::log_span(span_);
+  }
+  NodeScope(const NodeScope&) = delete;
+  NodeScope& operator=(const NodeScope&) = delete;
 
  private:
-  [[no_unique_address]] ScopedSpan span_;
-  [[no_unique_address]] FlightRecScope frec_;
+  std::uint64_t w_;  // flightfmt::pack_rec(kind, depth, m)
+  TraceEvent span_;  // t0_ns absolute until logged
 };
 
-}  // namespace on/off
+}  // namespace on
+
+#else  // GEP_OBS == 0
+
+inline namespace off {
+
+class NodeScope {
+ public:
+  NodeScope(char, int, long long, long long, long long, long long) {}
+};
+
+}  // namespace off
+
+#endif  // GEP_OBS
 
 }  // namespace gep::obs

@@ -4,10 +4,8 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <memory>
-#include <mutex>
-#include <vector>
 
+#include "obs/flight_recorder.hpp"
 #include "obs/json.hpp"
 
 namespace gep::obs {
@@ -15,38 +13,7 @@ inline namespace on {
 
 namespace {
 
-// Hard cap per thread: ~24 MB of events. Overflow is counted, not stored,
-// so a runaway trace degrades gracefully instead of OOMing the process.
-constexpr std::size_t kMaxEventsPerThread = 1u << 20;
-
-struct ThreadBuf {
-  std::vector<TraceEvent> events;
-  std::uint64_t dropped = 0;
-  int tid = 0;
-};
-
-struct Buffers {
-  std::mutex mu;
-  std::vector<std::shared_ptr<ThreadBuf>> all;
-  std::uint64_t base_ns = 0;
-};
-
-Buffers& buffers() {
-  static Buffers* b = new Buffers();  // leaked: see Registry::global()
-  return *b;
-}
-
-ThreadBuf& this_thread_buf() {
-  thread_local std::shared_ptr<ThreadBuf> buf = [] {
-    auto b = std::make_shared<ThreadBuf>();
-    Buffers& g = buffers();
-    std::lock_guard<std::mutex> lock(g.mu);
-    b->tid = static_cast<int>(g.all.size());
-    g.all.push_back(b);  // global list keeps it alive past thread exit
-    return b;
-  }();
-  return *buf;
-}
+std::atomic<std::uint64_t> g_base_ns{0};
 
 }  // namespace
 
@@ -55,68 +22,45 @@ std::atomic<bool>& Tracer::active_flag() {
   return f;
 }
 
-std::uint64_t Tracer::base_ns() { return buffers().base_ns; }
+std::uint64_t Tracer::base_ns() {
+  return g_base_ns.load(std::memory_order_relaxed);
+}
 
 void Tracer::start() {
-  Buffers& g = buffers();
-  {
-    std::lock_guard<std::mutex> lock(g.mu);
-    if (g.base_ns == 0) g.base_ns = now_ns();
-  }
+  std::uint64_t unset = 0;
+  g_base_ns.compare_exchange_strong(unset, flight::now_ns(),
+                                    std::memory_order_relaxed);
   active_flag().store(true, std::memory_order_relaxed);
 }
 
 void Tracer::stop() { active_flag().store(false, std::memory_order_relaxed); }
 
 void Tracer::clear() {
-  Buffers& g = buffers();
-  std::lock_guard<std::mutex> lock(g.mu);
-  for (auto& b : g.all) {
-    b->events.clear();
-    b->dropped = 0;
-  }
-  g.base_ns = 0;
+  flight::for_each_span_log([](ThreadTrace& log) {
+    log.events = {};  // frees it: a cleared trace holds no memory
+    log.dropped = 0;
+  });
+  g_base_ns.store(0, std::memory_order_relaxed);
 }
 
 std::size_t Tracer::event_count() {
-  Buffers& g = buffers();
-  std::lock_guard<std::mutex> lock(g.mu);
   std::size_t n = 0;
-  for (const auto& b : g.all) n += b->events.size();
+  flight::for_each_span_log([&](ThreadTrace& log) { n += log.events.size(); });
   return n;
 }
 
 std::uint64_t Tracer::dropped_count() {
-  Buffers& g = buffers();
-  std::lock_guard<std::mutex> lock(g.mu);
   std::uint64_t n = 0;
-  for (const auto& b : g.all) n += b->dropped;
+  flight::for_each_span_log([&](ThreadTrace& log) { n += log.dropped; });
   return n;
 }
 
 std::vector<ThreadTrace> Tracer::snapshot() {
-  Buffers& g = buffers();
-  std::lock_guard<std::mutex> lock(g.mu);
   std::vector<ThreadTrace> out;
-  out.reserve(g.all.size());
-  for (const auto& b : g.all) {
-    if (b->events.empty() && b->dropped == 0) continue;
-    ThreadTrace t;
-    t.tid = b->tid;
-    t.dropped = b->dropped;
-    t.events = b->events;
-    out.push_back(std::move(t));
-  }
+  flight::for_each_span_log([&](ThreadTrace& log) {
+    if (!log.events.empty() || log.dropped != 0) out.push_back(log);
+  });
   return out;
-}
-
-void Tracer::record(const TraceEvent& e) {
-  ThreadBuf& b = this_thread_buf();
-  if (b.events.size() >= kMaxEventsPerThread) {
-    ++b.dropped;
-    return;
-  }
-  b.events.push_back(e);
 }
 
 const char* Tracer::env_path() { return std::getenv("GEP_OBS_TRACE"); }
@@ -128,10 +72,8 @@ bool Tracer::write_chrome_trace(const std::string& path) {
   w.begin_object();
   w.key("traceEvents");
   w.begin_array();
-  Buffers& g = buffers();
-  std::lock_guard<std::mutex> lock(g.mu);
-  for (const auto& b : g.all) {
-    for (const TraceEvent& e : b->events) {
+  for (const ThreadTrace& log : snapshot()) {  // no file I/O under a lock
+    for (const TraceEvent& e : log.events) {
       w.begin_object();
       w.key("name");
       char name[2] = {e.kind, 0};
@@ -139,7 +81,7 @@ bool Tracer::write_chrome_trace(const std::string& path) {
       w.kv("cat", "igep");
       w.kv("ph", "X");  // complete event: ts + dur
       w.kv("pid", 1);
-      w.kv("tid", b->tid);
+      w.kv("tid", log.tid);
       w.kv("ts", static_cast<double>(e.t0_ns) / 1e3);  // microseconds
       w.kv("dur", static_cast<double>(e.t1_ns - e.t0_ns) / 1e3);
       w.key("args");

@@ -1,11 +1,13 @@
-// Scoped span tracer for the typed I-GEP recursion.
+// Span tracer for the typed I-GEP recursion.
 //
-// Each traced call records {kind, depth, quadrant origin (i0,j0,k0), box
-// side m, thread, t_start, t_end} into a per-thread buffer (no locks on
-// the hot path; one relaxed atomic load when tracing is inactive).
-// Buffers are exported as Chrome trace_event JSON, viewable in
-// chrome://tracing or Perfetto (ui.perfetto.dev) as a flamegraph per
-// thread.
+// While tracing is active, each recursion node's obs::NodeScope appends
+// a span {kind, depth, quadrant origin (i0,j0,k0), box side m, t_start,
+// t_end} to its thread's span log, which lives in the flight recorder's
+// ring (obs/flight_recorder.hpp): a trace tid is a ring id, and a log
+// passes to the next thread with its ring. Readers take each ring's log
+// mutex, so a snapshot is safe while workers record. Exported as Chrome
+// trace_event JSON, viewable in chrome://tracing or Perfetto
+// (ui.perfetto.dev) as a flamegraph per thread.
 //
 // Usage:
 //   obs::Tracer::start();
@@ -29,7 +31,6 @@
 
 #if GEP_OBS
 #include <atomic>
-#include <chrono>
 #endif
 
 namespace gep::obs {
@@ -46,7 +47,7 @@ struct TraceEvent {
   char kind = '?';  // 'A' / 'B' / 'C' / 'D' (typed recursion), free-form
 };
 
-// Copy of one thread's recorded spans (Tracer::snapshot()).
+// Copy of one ring's span log (Tracer::snapshot()); tid is the ring id.
 struct ThreadTrace {
   int tid = 0;
   std::uint64_t dropped = 0;
@@ -60,65 +61,29 @@ class Tracer {
   }
   static void start();  // clears nothing; resumes appending
   static void stop();
-  static void clear();  // drops all recorded events
+  static void clear();  // drops all recorded spans
   static std::size_t event_count();
   static std::uint64_t dropped_count();
 
-  // Copies every thread's buffer out under the registry lock — the input
-  // of the profile aggregation pass (obs/profile.hpp). Call while
-  // stopped (a racing record() on a live thread may or may not be seen).
+  // Copies every ring's span log, each under its ring's mutex: the input
+  // of the profile aggregation pass (obs/profile.hpp). Safe while spans
+  // are being recorded; a span that ends during the copy may or may not
+  // be in it.
   static std::vector<ThreadTrace> snapshot();
 
-  // Appends to the calling thread's buffer (capped; overflow is counted,
-  // not stored). Only meaningful while active.
-  static void record(const TraceEvent& e);
-
-  // Serializes all buffers as Chrome trace_event JSON. Call while
-  // stopped. Returns false when the file cannot be written.
+  // Serializes all span logs as Chrome trace_event JSON. Returns false
+  // when the file cannot be written.
   static bool write_chrome_trace(const std::string& path);
 
   // Value of $GEP_OBS_TRACE (the trace output path), or nullptr.
   static const char* env_path();
 
-  static std::uint64_t now_ns() {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-  }
-  static std::uint64_t base_ns();  // timestamp of the last start()
+  // flight::now_ns() of the first start() since the last clear(); span
+  // times are relative to it.
+  static std::uint64_t base_ns();
 
  private:
   static std::atomic<bool>& active_flag();
-};
-
-// RAII span: captures the start time on construction when tracing is
-// active and records the event on destruction.
-class ScopedSpan {
- public:
-  ScopedSpan(char kind, int depth, long long i0, long long j0, long long k0,
-             long long m) {
-    if (!Tracer::active()) return;
-    on_ = true;
-    e_.kind = kind;
-    e_.depth = static_cast<std::uint16_t>(depth);
-    e_.i0 = static_cast<std::uint32_t>(i0);
-    e_.j0 = static_cast<std::uint32_t>(j0);
-    e_.k0 = static_cast<std::uint32_t>(k0);
-    e_.m = static_cast<std::uint32_t>(m);
-    e_.t0_ns = Tracer::now_ns() - Tracer::base_ns();
-  }
-  ~ScopedSpan() {
-    if (!on_) return;
-    e_.t1_ns = Tracer::now_ns() - Tracer::base_ns();
-    Tracer::record(e_);
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
- private:
-  TraceEvent e_;
-  bool on_ = false;
 };
 
 }  // namespace on
@@ -144,14 +109,8 @@ class Tracer {
   static std::size_t event_count() { return 0; }
   static std::uint64_t dropped_count() { return 0; }
   static std::vector<ThreadTrace> snapshot() { return {}; }
-  static void record(const TraceEvent&) {}
   static bool write_chrome_trace(const std::string&) { return false; }
   static const char* env_path() { return nullptr; }
-};
-
-class ScopedSpan {
- public:
-  ScopedSpan(char, int, long long, long long, long long, long long) {}
 };
 
 }  // namespace off

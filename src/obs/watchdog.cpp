@@ -64,6 +64,12 @@ obs::Counter& obs_dumps() {
 
 thread_local int t_source = -1;
 
+void beat_at(int id, std::uint64_t now_ns) {
+  Source& src = state().sources[id];
+  src.last_beat_ns.store(now_ns, std::memory_order_relaxed);
+  src.idle.store(false, std::memory_order_relaxed);
+}
+
 void monitor_loop() {
   State& s = state();
   const double threshold_ms = s.opts.threshold_ms;
@@ -255,11 +261,8 @@ void Watchdog::unregister_source(int id) {
 
 void Watchdog::beat(int id) {
   if (id < 0 || id >= kMaxSources) return;
-  State& s = state();
-  if (!s.enabled.load(std::memory_order_relaxed)) return;
-  Source& src = s.sources[id];
-  src.last_beat_ns.store(flight::now_ns(), std::memory_order_relaxed);
-  src.idle.store(false, std::memory_order_relaxed);
+  if (!state().enabled.load(std::memory_order_relaxed)) return;
+  beat_at(id, flight::now_ns());
 }
 
 void Watchdog::set_idle(int id) {
@@ -272,9 +275,10 @@ void Watchdog::attach_thread(int id) { t_source = id; }
 void Watchdog::detach_thread() { t_source = -1; }
 int Watchdog::attached_thread() { return t_source; }
 
-void Watchdog::beat_this_thread() {
+void Watchdog::beat_this_thread(std::uint64_t now_ns) {
   if (t_source < 0) return;
-  beat(t_source);
+  if (!state().enabled.load(std::memory_order_relaxed)) return;
+  beat_at(t_source, now_ns);
 }
 
 }  // namespace on

@@ -85,13 +85,14 @@ class Watchdog {
   static void set_idle(int id);      // waiting for work: exempt from checks
 
   // Thread-attached beats: loops that run work for a registered source
-  // (worker bodies, recursion leaves) bind the source to their thread
-  // once and then beat it with no id plumbing. No-ops for unattached
+  // (worker bodies, recursion nodes) bind the source to their thread
+  // once and then beat it with no id plumbing, stamped with a
+  // flight::now_ns() the caller already read. No-ops for unattached
   // threads, and a single relaxed load while the watchdog is stopped.
   static void attach_thread(int id);
   static void detach_thread();
   static int attached_thread();  // -1 when none
-  static void beat_this_thread();
+  static void beat_this_thread(std::uint64_t now_ns);
 };
 
 // RAII activity window for the typed-recursion driver: registers a
@@ -152,7 +153,7 @@ class Watchdog {
   static void attach_thread(int) {}
   static void detach_thread() {}
   static int attached_thread() { return -1; }
-  static void beat_this_thread() {}
+  static void beat_this_thread(std::uint64_t) {}
 };
 
 class WatchdogThreadSource {

@@ -193,7 +193,7 @@ void WorkStealingPool::worker_loop(int id) {
   // Park/wake events only on transitions (an idle worker wakes every
   // millisecond; recording each wake would flood its ring). While
   // parked the source is idle — the watchdog clock only runs across
-  // task execution, where leaves beat via beat_this_thread().
+  // task execution, where recursion nodes beat via beat_this_thread().
   bool parked = false;
   Deque& mine = *deques_[static_cast<std::size_t>(id)];
   while (!stop_.load(std::memory_order_acquire)) {

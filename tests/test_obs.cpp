@@ -13,7 +13,10 @@
 #include <thread>
 #include <vector>
 
+#include "matrix/matrix.hpp"
 #include "obs/obs.hpp"
+#include "parallel/task_graph.hpp"
+#include "parallel/work_stealing.hpp"
 #include "util/prng.hpp"
 
 namespace gep {
@@ -525,13 +528,13 @@ TEST(HwCounters, StopWithoutStartIsInvalid) {
 
 TEST(Tracer, SpansRecordedOnlyWhileActive) {
   obs::Tracer::clear();
-  { obs::ScopedSpan s('A', 0, 0, 0, 0, 64); }  // inactive: dropped
+  { obs::NodeScope s('A', 0, 0, 0, 0, 64); }  // inactive: dropped
   EXPECT_EQ(obs::Tracer::event_count(), 0u);
   obs::Tracer::start();
-  { obs::ScopedSpan s('B', 1, 0, 64, 0, 32); }
-  { obs::ScopedSpan s('D', 2, 32, 32, 0, 16); }
+  { obs::NodeScope s('B', 1, 0, 64, 0, 32); }
+  { obs::NodeScope s('D', 2, 32, 32, 0, 16); }
   obs::Tracer::stop();
-  { obs::ScopedSpan s('C', 0, 0, 0, 0, 8); }  // stopped again: dropped
+  { obs::NodeScope s('C', 0, 0, 0, 0, 8); }  // stopped again: dropped
   EXPECT_EQ(obs::Tracer::event_count(), 2u);
   obs::Tracer::clear();
   EXPECT_EQ(obs::Tracer::event_count(), 0u);
@@ -540,13 +543,9 @@ TEST(Tracer, SpansRecordedOnlyWhileActive) {
 TEST(Tracer, OverflowCountsDroppedSpans) {
   obs::Tracer::clear();
   obs::Tracer::start();
-  constexpr std::size_t kCap = 1u << 20;  // trace.cpp per-thread cap
-  obs::TraceEvent e;
-  e.kind = 'A';
+  constexpr std::size_t kCap = 1u << 20;  // spans a ring's log holds
   for (std::size_t i = 0; i < kCap + 3; ++i) {
-    e.t0_ns = i;
-    e.t1_ns = i + 1;
-    obs::Tracer::record(e);
+    obs::NodeScope s('A', 0, 0, 0, 0, 64);
   }
   obs::Tracer::stop();
   EXPECT_EQ(obs::Tracer::event_count(), kCap);
@@ -568,7 +567,7 @@ TEST(Tracer, ChromeTraceFileIsValidJson) {
   for (int t = 0; t < 4; ++t) {
     ts.emplace_back([t] {
       for (int i = 0; i < 10; ++i)
-        obs::ScopedSpan s("ABCD"[i % 4], t, i, i, i, 64);
+        obs::NodeScope s("ABCD"[i % 4], t, i, i, i, 64);
     });
   }
   for (auto& t : ts) t.join();
@@ -602,6 +601,83 @@ TEST(Tracer, ChromeTraceFileIsValidJson) {
   }
   EXPECT_EQ(depth, 0);
   std::remove(path);
+  obs::Tracer::clear();
+}
+
+// /profile scrapes the span logs while the workers still append to
+// them: run under -DGEP_SANITIZE=thread this must report no race, and no
+// span may be lost to the concurrent snapshots.
+TEST(Tracer, LiveSnapshotWhileWorkersRecord) {
+  const index_t n = 512, bs = 16;
+  Matrix<double> init(n, n);
+  SplitMix64 g(5);
+  for (index_t i = 0; i < n; ++i) {
+    for (index_t j = 0; j < n; ++j) init(i, j) = g.uniform(1.0, 50.0);
+    init(i, i) = 0.0;
+  }
+  auto traced_fw = [&](WorkStealingPool* pool) {
+    Matrix<double> d = init;
+    obs::Tracer::clear();
+    obs::Tracer::start();
+    RowMajorStore<double> st{d.data(), n, bs};
+    igep_floyd_warshall(pool, st, n, {bs, Runtime::ForkJoin});
+    obs::Tracer::stop();
+    return obs::Tracer::event_count();
+  };
+  const std::size_t want = traced_fw(nullptr);
+  ASSERT_GT(want, 0u);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> scrapes{0};
+  std::thread scraper([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const obs::Profile p = obs::Profile::collect();
+      int status = 0;
+      const std::string body = obs::StatServer::handle("/profile", &status,
+                                                       nullptr);
+      EXPECT_EQ(status, 200);
+      EXPECT_FALSE(body.empty());
+      scrapes.fetch_add(1, std::memory_order_release);
+    }
+  });
+  while (scrapes.load(std::memory_order_acquire) == 0) {
+    std::this_thread::yield();
+  }
+  std::size_t got = 0;
+  {
+    WorkStealingPool pool(4);
+    got = traced_fw(&pool);
+  }
+  done.store(true, std::memory_order_release);
+  scraper.join();
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(obs::Tracer::dropped_count(), 0u);
+  EXPECT_GT(scrapes.load(), 1);
+  obs::Tracer::clear();
+}
+
+// A thread's span log lives in its flight-recorder ring, which a later
+// thread takes over once it exits: 1000 short traced threads, one alive
+// at a time beside this one, leave no more logs than threads that
+// recorded at once, and every span is still counted.
+TEST(Tracer, ExitedThreadsShareRings) {
+  constexpr int kThreads = 1000;
+  constexpr int kSpansPerThread = 3;
+  constexpr std::size_t kPeakLive = 2;  // this thread and one worker
+  obs::Tracer::clear();
+  obs::Tracer::start();
+  for (int t = 0; t < kThreads; ++t) {
+    std::thread([t] {
+      obs::NodeScope root('A', 0, 0, 0, 0, 64);
+      obs::NodeScope b('B', 1, 0, 32, t, 32);
+      obs::NodeScope d('D', 2, 32, 32, t, 32);
+    }).join();
+  }
+  obs::Tracer::stop();
+  EXPECT_LE(obs::Tracer::snapshot().size(), kPeakLive + 1);
+  EXPECT_EQ(obs::Tracer::event_count(),
+            static_cast<std::size_t>(kThreads) * kSpansPerThread);
+  EXPECT_EQ(obs::Tracer::dropped_count(), 0u);
   obs::Tracer::clear();
 }
 

@@ -28,14 +28,12 @@ namespace gep {
 namespace {
 
 static_assert(!obs::kEnabled, "GEP_OBS=0 must disable the obs layer");
-// The stub span carries no state — the typed recursion's hot frames pay
-// nothing for it.
-static_assert(std::is_empty_v<obs::ScopedSpan>,
-              "disabled ScopedSpan must be stateless");
+// The stub node scope carries no state — the typed recursion's hot
+// frames pay nothing for it.
+static_assert(std::is_empty_v<obs::NodeScope>,
+              "disabled NodeScope must be stateless");
 static_assert(std::is_empty_v<obs::ScopedLeafSample>,
               "disabled ScopedLeafSample must be stateless");
-static_assert(std::is_empty_v<obs::FlightRecScope>,
-              "disabled FlightRecScope must be stateless");
 static_assert(obs::flight::kRingEvents == 0,
               "disabled flight recorder must not reserve ring space");
 
@@ -70,7 +68,7 @@ TEST(ObsOff, HwCountersUnavailable) {
 
 TEST(ObsOff, TracerRecordsNothing) {
   obs::Tracer::start();
-  { obs::ScopedSpan s('A', 0, 0, 0, 0, 64); }
+  { obs::NodeScope s('A', 0, 0, 0, 0, 64); }
   obs::Tracer::stop();
   EXPECT_FALSE(obs::Tracer::active());
   EXPECT_EQ(obs::Tracer::event_count(), 0u);
@@ -155,7 +153,7 @@ TEST(ObsOff, FlightRecorderIsInert) {
   EXPECT_FALSE(obs::flight::stop_requested()) << "stop flag compiled out";
   EXPECT_NO_THROW(obs::throw_if_stop_requested());
   obs::flight::reset_stop();
-  { obs::FlightRecScope s('A', 0, 64); }
+  { obs::NodeScope s('A', 0, 0, 0, 0, 64); }
   // The dump format itself stays available for the decoder build.
   EXPECT_EQ(obs::flightfmt::ev_of(obs::flightfmt::pack(
                 obs::flightfmt::kPageIn, 9)),
@@ -174,7 +172,7 @@ TEST(ObsOff, WatchdogRefusesToStart) {
   EXPECT_EQ(st.stalls, 0u);
   EXPECT_EQ(obs::Watchdog::register_source("off"), -1);
   obs::Watchdog::beat(0);
-  obs::Watchdog::beat_this_thread();
+  obs::Watchdog::beat_this_thread(obs::flight::now_ns());
   EXPECT_EQ(obs::Watchdog::attached_thread(), -1);
   { obs::WatchdogThreadSource src("off-src"); EXPECT_EQ(src.id(), -1); }
   obs::Watchdog::stop();

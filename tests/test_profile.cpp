@@ -308,7 +308,9 @@ TEST(Profile, TypedLuProfileCoversTracedTime) {
   }
   EXPECT_EQ(total_self, p.attributed_ns());
   // Folded stacks: every line ends in a positive integer count and
-  // starts at the root frame.
+  // starts at the root frame of the one traced thread (its ring id).
+  ASSERT_EQ(p.threads().size(), 1u);
+  const std::string root = "t" + std::to_string(p.threads()[0].tid) + ";";
   std::istringstream lines(p.folded());
   std::string line;
   int nlines = 0;
@@ -320,7 +322,7 @@ TEST(Profile, TypedLuProfileCoversTracedTime) {
     EXPECT_FALSE(count.empty());
     EXPECT_EQ(count.find_first_not_of("0123456789"), std::string::npos)
         << line;
-    EXPECT_EQ(line.rfind("t0;", 0), 0u) << line;
+    EXPECT_EQ(line.rfind(root, 0), 0u) << line;
   }
   EXPECT_GT(nlines, 0);
 }

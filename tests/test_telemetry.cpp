@@ -241,20 +241,33 @@ TEST(TelemetryFlight, DumpPathDefaultsAndOverrides) {
   obs::flight::set_dump_path("flight.gepdump");
 }
 
-std::int64_t resident_bytes() {
+#if defined(__SANITIZE_ADDRESS__)
+// libasan's allocator statistics (sanitizer/allocator_interface.h, which
+// not every toolchain ships).
+extern "C" std::size_t __sanitizer_get_current_allocated_bytes();
+#endif
+
+// The memory a thread churn may grow: the resident set, or under ASan the
+// live heap bytes, since ASan's quarantine keeps freed blocks resident.
+std::int64_t memory_in_use() {
+#if defined(__SANITIZE_ADDRESS__)
+  return static_cast<std::int64_t>(__sanitizer_get_current_allocated_bytes());
+#else
   long size = 0, resident = 0;
   if (std::FILE* f = std::fopen("/proc/self/statm", "r")) {
     if (std::fscanf(f, "%ld %ld", &size, &resident) != 2) resident = 0;
     std::fclose(f);
   }
   return static_cast<std::int64_t>(resident) * sysconf(_SC_PAGESIZE);
+#endif
 }
 
 // Every DAG solve starts a fresh pool, so a ring per thread ever started
 // grew a 4-worker solve loop by 192 KiB a solve. An exiting thread's ring
 // goes back to the table instead: 1000 pool create/run/destroy cycles
-// must leave the ring count and the RSS flat, and a dump taken after the
-// churn must still name the workers of the pool that is live then.
+// must leave the ring count and the memory in use flat, and a dump taken
+// after the churn must still name the workers of the pool that is live
+// then.
 TEST(TelemetryFlight, RingsOfExitedThreadsAreReused) {
   constexpr int kChurnThreads = 4;  // three workers plus this thread
   constexpr int kLiveThreads = 6;   // names ws-worker-4/5 are new
@@ -271,11 +284,11 @@ TEST(TelemetryFlight, RingsOfExitedThreadsAreReused) {
     }
   };
   churn(10);  // settle the allocator's per-thread arenas
-  const std::int64_t rss0 = resident_bytes();
+  const std::int64_t mem0 = memory_in_use();
   churn(1000);
   // At most kChurnThreads threads record at once (this one included).
   EXPECT_LE(obs::flight::ring_count(), rings_at_start + kChurnThreads + 1);
-  EXPECT_LT(resident_bytes() - rss0, std::int64_t{4} << 20);
+  EXPECT_LT(memory_in_use() - mem0, std::int64_t{4} << 20);
 
   WorkStealingPool live(kLiveThreads);
   const char* path = "telemetry_churn.gepdump";
@@ -397,7 +410,8 @@ TEST(TelemetryWatchdog, AttachNestingRestoresPreviousSource) {
       EXPECT_EQ(obs::Watchdog::attached_thread(), inner.id());
     }
     EXPECT_EQ(obs::Watchdog::attached_thread(), outer.id());
-    obs::Watchdog::beat_this_thread();  // must not crash while stopped
+    // Must not crash while stopped.
+    obs::Watchdog::beat_this_thread(obs::flight::now_ns());
   }
   EXPECT_EQ(obs::Watchdog::attached_thread(), -1);
 }
@@ -498,7 +512,7 @@ TEST(TelemetryWatchdog, SourceScopeExitLeavesNoStallBehind) {
   {
     obs::WatchdogThreadSource src("test-scope-exit");
     ASSERT_GE(src.id(), 0);
-    obs::Watchdog::beat_this_thread();
+    obs::Watchdog::beat_this_thread(obs::flight::now_ns());
   }  // armed monitor keeps polling; the dead slot must stay silent
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   // Slot reuse: a NEW source taking the freed slot starts from a fresh
@@ -537,7 +551,7 @@ TEST(TelemetryWatchdog, LatencyBurstInPageCacheIsDetected) {
     obs::WatchdogThreadSource src("test-latency");
     ASSERT_GE(src.id(), 0);
     ASSERT_TRUE(obs::Watchdog::start(opts));
-    obs::Watchdog::beat_this_thread();
+    obs::Watchdog::beat_this_thread(obs::flight::now_ns());
     cache.pin(f, 0, false);  // blocks ~300ms inside the injector
   }
   obs::Watchdog::stop();
@@ -567,12 +581,12 @@ TEST(TelemetryWatchdog, DefaultFaultLatencyBelowThresholdIsQuiet) {
     obs::WatchdogThreadSource src("test-quiet");
     ASSERT_TRUE(obs::Watchdog::start(opts));
     for (std::uint64_t p = 0; p < 16; ++p) {
-      obs::Watchdog::beat_this_thread();
+      obs::Watchdog::beat_this_thread(obs::flight::now_ns());
       char* b = static_cast<char*>(cache.pin(f, p, true));
       b[0] = static_cast<char>(p);
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    obs::Watchdog::beat_this_thread();
+    obs::Watchdog::beat_this_thread(obs::flight::now_ns());
   }
   obs::Watchdog::stop();
   EXPECT_EQ(obs::Watchdog::stalls_detected(), stalls0)

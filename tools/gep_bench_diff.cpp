@@ -15,7 +15,9 @@
 //     than --min-seconds in the baseline are reported but never gated
 //     (timer noise dominates).
 //   * deterministic work counters (typed.leaf_calls.*, typed.updates.*,
-//     typed.mm.*): pure functions of the workload, gated on ANY host at
+//     typed.mm.*) and the per-run simulated misses (sim_l1_misses,
+//     sim_l2_misses: the cache simulator replays fixed simulated
+//     addresses): pure functions of the workload, gated on ANY host at
 //     a tight --work-tol — drift means the benched workload changed
 //     (requiring a baseline regen) or the recursion itself did.
 //   * host-dependent counters (extmem.page_cache.*, kernels.dispatch.*,
@@ -257,7 +259,7 @@ int main(int argc, char** argv) {
       continue;
     }
 
-    // --- wall time per run -------------------------------------------------
+    // --- per run ------------------------------------------------------------
     const auto bruns = runs_by_key(*brep);
     const auto cruns = runs_by_key(*crep);
     for (const auto& [key, br] : bruns) {
@@ -268,6 +270,21 @@ int main(int argc, char** argv) {
         continue;
       }
       const JsonValue& cr = *it->second;
+
+      // --- simulated misses (sim:* rows carry no seconds) ---------------
+      for (const char* sim : {"sim_l1_misses", "sim_l2_misses"}) {
+        const JsonValue* bm = (*br).find(sim);
+        const JsonValue* cm = cr.find(sim);
+        if (bm == nullptr || cm == nullptr) continue;
+        const double bv = bm->as_double();
+        const double cv = cm->as_double();
+        const double sim_rel = (cv - bv) / std::max(bv, 1.0);
+        verdict_row(name, key + " " + sim, bv, cv, sim_rel,
+                    tol_bound(opt.work_tol),
+                    std::fabs(sim_rel) > opt.work_tol ? "REGRESSION" : "ok");
+      }
+
+      // --- wall time -----------------------------------------------------
       const double bs = (*br)["seconds"].as_double();
       const double cs = cr["seconds"].as_double();
       if (bs <= 0 || cs <= 0) continue;
