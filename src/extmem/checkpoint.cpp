@@ -14,7 +14,6 @@
 
 #include "obs/flight_recorder.hpp"
 #include "obs/registry.hpp"
-#include "obs/watchdog.hpp"
 #include "util/crc32c.hpp"
 
 namespace gep {
@@ -444,14 +443,18 @@ bool CheckpointCoordinator::is_done(int id) const {
 
 void CheckpointCoordinator::leaf_enter() {
   std::unique_lock<std::mutex> lk(mu_);
-  while (pending_) {
-    // The gate is closed while a snapshot drains and writes. Keep the
-    // watchdog fed (this is a legitimate stall) and stay cancellable —
+  if (pending_) {
+    // The gate is closed while a snapshot drains and writes. Park (a
+    // legitimate wait, exempt from the stall watchdog; one park/wake
+    // pair, not one event per 50 ms wake) and stay cancellable —
     // leaf_enter runs BEFORE the runtime's cancel bracket, so throwing
     // here needs no leaf_cancel().
-    obs::Watchdog::beat_this_thread(obs::flight::now_ns());
-    if (obs::flight::stop_requested()) throw obs::JobCancelled();
-    cv_.wait_for(lk, std::chrono::milliseconds(50));
+    obs::flight::record(obs::flightfmt::kTaskPark);
+    while (pending_) {
+      if (obs::flight::stop_requested()) throw obs::JobCancelled();
+      cv_.wait_for(lk, std::chrono::milliseconds(50));
+    }
+    obs::flight::record(obs::flightfmt::kTaskWake);
   }
   ++inflight_;
 }

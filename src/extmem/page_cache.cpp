@@ -423,12 +423,21 @@ void PageCache::note_worker_failure() {
 }
 
 void PageCache::io_worker_loop() {
-  obs::flight::set_thread_name("pc-asyncio");
-  const int wd = obs::Watchdog::register_source("pc-asyncio");
+  const obs::WatchdogThreadSource watch("pc-asyncio");
+  // Park/wake events only on transitions, as the pool workers record
+  // them: an idle worker wakes every millisecond. A parked worker is
+  // exempt from the stall watchdog's checks.
+  bool parked = false;
+  const auto set_parked = [&parked](bool p) {
+    if (p == parked) return;
+    parked = p;
+    obs::flight::record(p ? obs::flightfmt::kTaskPark
+                          : obs::flightfmt::kTaskWake);
+  };
   std::unique_lock<std::mutex> lock(mu_);
   while (!worker_stop_) {
-    obs::Watchdog::beat(wd);
     if (!prefetch_q_.empty()) {
+      set_parked(false);
       const PrefetchRequest req = prefetch_q_.front();
       prefetch_q_.pop_front();
       page_cache_obs().queue_depth.set(
@@ -465,6 +474,7 @@ void PageCache::io_worker_loop() {
                               ? kNoFrame
                               : write_behind_candidate();
     if (f != kNoFrame) {
+      set_parked(false);
       Frame& fr = frames_[f];
       fr.io_busy = true;
       ++io_in_flight_;
@@ -492,7 +502,7 @@ void PageCache::io_worker_loop() {
         // Back off before the next attempt: a failing store fails it just
         // as fast, and looping straight back would hold mu_ almost
         // without a gap, starving the workers that need it to pin tiles.
-        obs::Watchdog::set_idle(wd);
+        set_parked(true);
         work_cv_.wait_for(lock, std::chrono::milliseconds(1));
         continue;
       }
@@ -514,10 +524,9 @@ void PageCache::io_worker_loop() {
       io_cv_.notify_all();
       continue;
     }
-    obs::Watchdog::set_idle(wd);
+    set_parked(true);
     work_cv_.wait_for(lock, std::chrono::milliseconds(1));
   }
-  obs::Watchdog::unregister_source(wd);
 }
 
 void PageCache::enable_async_io() {

@@ -41,17 +41,32 @@ static_assert((kRingEvents & kRingMask) == 0, "ring size must be pow2");
 // process ever started (each DAG solve starts a fresh pool). A ring
 // taken over keeps its span log: spans of threads that ran one after the
 // other share a trace tid.
+//
+// Events are written and read with relaxed atomic_refs: the watchdog's
+// monitor and a dump read a ring while its owner records.
 struct Ring {
   Event ev[kRingEvents];
   std::atomic<std::uint64_t> seq{0};
   std::atomic<bool> in_use{true};
+  // Set inside a WatchdogThreadSource scope; the incident byte is the
+  // watchdog's (obs/watchdog.cpp). Both fit the padding before tid.
+  std::atomic<bool> watched{false};
+  std::atomic<std::uint8_t> incident{0};
+  // Written under mu. A dump copies it without the lock (it may run in
+  // a signal handler), like the events.
   char name[24] = {};
   std::uint32_t tid = 0;
-  // The tracer's span log: appended by the owner, read by the Tracer,
-  // both under log_mu. Never touched by a dump or a signal handler.
-  std::mutex log_mu;
+  // Guards name and the tracer's span log (appended by the owner, read
+  // by the Tracer). The dump path and signal handlers never take it.
+  std::mutex mu;
   ThreadTrace log;
 };
+
+void set_name(Ring& r, const char* name) {
+  std::lock_guard<std::mutex> lock(r.mu);
+  std::strncpy(r.name, name, sizeof r.name - 1);
+  r.name[sizeof r.name - 1] = '\0';
+}
 
 // Fixed global table of ring pointers: iterable from a signal handler
 // with nothing but atomic loads. Threads beyond the cap still record
@@ -114,13 +129,20 @@ Ring* ring_slow() {
     r->log.tid = static_cast<int>(r->tid);
   }
   r->seq.store(0, std::memory_order_release);
-  std::snprintf(r->name, sizeof r->name, "thread-%u", r->tid);
+  r->watched.store(false, std::memory_order_release);
+  char name[24];
+  std::snprintf(name, sizeof name, "thread-%u", r->tid);
+  set_name(*r, name);
   if (r->tid <= static_cast<std::uint32_t>(kMaxRings)) {
     if (fresh) g_rings[r->tid - 1].store(r, std::memory_order_release);
     t_release.ring = r;
   }
   t_ring = r;
   return r;
+}
+
+std::uint64_t load_relaxed(std::uint64_t& word) {
+  return std::atomic_ref<std::uint64_t>(word).load(std::memory_order_relaxed);
 }
 
 inline Ring& this_ring() {
@@ -178,12 +200,15 @@ int dump_events(const char* path, std::int32_t reason) {
     th.count = static_cast<std::uint32_t>(count);
     th.seq = seq;
     if (!write_all(fd, &th, sizeof th)) break;
-    // Oldest-to-newest. The owning thread may keep recording while we
-    // copy — a torn event near the head is acceptable in a diagnostic
-    // dump (the decoder tolerates any bit pattern).
+    // Oldest-to-newest, each event copied out with relaxed atomic loads.
+    // The owning thread may keep recording while we copy — a torn event
+    // near the head is acceptable in a diagnostic dump (the decoder
+    // tolerates any bit pattern).
     bool ok = true;
     for (std::uint64_t s = seq - count; s < seq && ok; ++s) {
-      ok = write_all(fd, &r->ev[s & kRingMask], sizeof(Event));
+      Event& e = r->ev[s & kRingMask];
+      const Event copy{load_relaxed(e.t_ns), load_relaxed(e.w)};
+      ok = write_all(fd, &copy, sizeof copy);
     }
     if (!ok) break;
   }
@@ -302,14 +327,18 @@ void record(flightfmt::Ev type, std::uint64_t payload) {
 void record(flightfmt::Ev type, std::uint64_t payload, std::uint64_t t_ns) {
   Ring& r = this_ring();
   const std::uint64_t s = r.seq.load(std::memory_order_relaxed);
-  r.ev[s & kRingMask] = {t_ns, flightfmt::pack(type, payload)};
+  Event& e = r.ev[s & kRingMask];
+  std::atomic_ref<std::uint64_t>(e.t_ns).store(t_ns,
+                                               std::memory_order_relaxed);
+  std::atomic_ref<std::uint64_t>(e.w).store(flightfmt::pack(type, payload),
+                                            std::memory_order_relaxed);
   // Release: a dump thread that reads seq sees the event bytes.
   r.seq.store(s + 1, std::memory_order_release);
 }
 
 void log_span(const TraceEvent& e) {
   Ring& r = this_ring();
-  std::lock_guard<std::mutex> lock(r.log_mu);
+  std::lock_guard<std::mutex> lock(r.mu);
   if (r.log.events.size() >= kMaxSpans) {
     ++r.log.dropped;
     return;
@@ -323,16 +352,57 @@ void for_each_span_log(const std::function<void(ThreadTrace&)>& fn) {
                           kMaxRings);
   for (int i = 0; i < nr; ++i) {
     if (Ring* r = g_rings[i].load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> lock(r->log_mu);
+      std::lock_guard<std::mutex> lock(r->mu);
       fn(r->log);
     }
   }
 }
 
-void set_thread_name(const char* name) {
+void set_thread_name(const char* name) { set_name(this_ring(), name); }
+
+Watch watch_state() {
+  const Ring& r = this_ring();
+  Watch w;
+  w.watched = r.watched.load(std::memory_order_relaxed);
+  std::memcpy(w.name, r.name, sizeof w.name);  // only its owner writes it
+  return w;
+}
+
+void set_watch(const Watch& w) {
   Ring& r = this_ring();
-  std::strncpy(r.name, name, sizeof r.name - 1);
-  r.name[sizeof r.name - 1] = '\0';
+  set_name(r, w.name);
+  if (w.watched && !r.watched.load(std::memory_order_relaxed)) {
+    r.incident.store(0, std::memory_order_relaxed);
+  }
+  r.watched.store(w.watched, std::memory_order_release);
+}
+
+void for_each_watched(const std::function<void(const WatchedRing&)>& fn) {
+  const int nr = std::min(g_nrings.load(std::memory_order_acquire),
+                          kMaxRings);
+  for (int i = 0; i < nr; ++i) {
+    Ring* r = g_rings[i].load(std::memory_order_acquire);
+    if (r == nullptr || !r->in_use.load(std::memory_order_acquire) ||
+        !r->watched.load(std::memory_order_acquire)) {
+      continue;
+    }
+    WatchedRing w;
+    w.tid = r->tid;
+    {
+      std::lock_guard<std::mutex> lock(r->mu);
+      std::memcpy(w.name, r->name, sizeof w.name);
+    }
+    // Acquire: the event below seq is complete. The owner may lap the
+    // ring meanwhile; the slot then holds a newer event, as good a beat.
+    const std::uint64_t s = r->seq.load(std::memory_order_acquire);
+    if (s > 0) {
+      Event& e = r->ev[(s - 1) & kRingMask];
+      w.last_ns = load_relaxed(e.t_ns);
+      w.last_ev = flightfmt::ev_of(load_relaxed(e.w));
+    }
+    w.incident = &r->incident;
+    fn(w);
+  }
 }
 
 void set_dump_path(const char* path) {

@@ -19,7 +19,9 @@
 // The ring also keeps the span tracer's log (obs/trace.hpp), a second
 // view of the recursion nodes it records: a vector behind a per-ring
 // mutex that only its owner (to append) and the Tracer take, never the
-// dump path or a signal handler.
+// dump path or a signal handler. And it is what the stall watchdog
+// (obs/watchdog.hpp) watches: a watched ring's newest event is its
+// thread's heartbeat.
 //
 // install_job_signal_handlers() adds cooperative SIGINT/SIGTERM
 // handling for long OOC jobs: the first signal records the event, sets
@@ -42,6 +44,7 @@
 #include <stdexcept>
 
 #if GEP_OBS
+#include <atomic>
 #include <functional>
 
 #include "obs/trace.hpp"
@@ -107,12 +110,12 @@ enum Ev : unsigned {
   kCrcRecover,     // payload: page
   kIoHardFail,     // payload: page
   kTaskSteal,      // payload: thief/victim worker ids
-  kTaskPark,       // payload: worker id
-  kTaskWake,       // payload: worker id
+  kTaskPark,       // payload: pool worker id (0 on other threads)
+  kTaskWake,       // payload: pool worker id (0 on other threads)
   kRecEnter,       // payload: kind/depth/m
   kRecLeave,       // payload: kind/depth/m
   kGuardTrip,      // payload: global pivot index k
-  kStallDetect,    // payload: watchdog source id
+  kStallDetect,    // payload: the stalled thread's tid
   kSignal,         // payload: signal number
   kMark,           // payload: caller-defined (tests)
   // DAG task runtime (parallel/task_graph.hpp). Appended after kMark so
@@ -251,6 +254,33 @@ void install_job_signal_handlers();
 bool stop_requested();
 void request_stop();
 void reset_stop();  // tests / repeated bench legs
+
+// --- the stall watchdog's view (obs/watchdog.hpp) -------------------------
+// A thread inside an obs::WatchdogThreadSource scope has its ring
+// *watched*. A ring that a new thread takes over starts unwatched.
+struct Watch {
+  bool watched = false;
+  char name[24] = {};  // the ring's name (ThreadHeader::name)
+};
+
+// The calling thread's watch state, and its setter, which also names
+// the ring. A watch that starts closes any incident the ring still has.
+Watch watch_state();
+void set_watch(const Watch& w);
+
+// One watched ring as the watchdog's monitor sees it. The ring keeps
+// the watchdog's incident state for its thread, so the watchdog needs
+// no table of its own.
+struct WatchedRing {
+  std::uint32_t tid = 0;
+  char name[24] = {};
+  std::uint64_t last_ns = 0;  // the newest event's stamp; 0: no events
+  unsigned last_ev = flightfmt::kNone;  // the newest event's type
+  std::atomic<std::uint8_t>* incident = nullptr;
+};
+
+// Calls fn on every watched ring of a live thread, in ring order.
+void for_each_watched(const std::function<void(const WatchedRing&)>& fn);
 
 // Rings allocated so far. A thread's ring is reused by a later thread
 // once it exits, so this tracks the peak number of recording threads.

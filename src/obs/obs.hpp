@@ -14,8 +14,8 @@
 //   flight_recorder.hpp — always-on per-thread event rings with a
 //                     signal-handler *.gepdump path (tools/gep_events);
 //                     each ring also keeps its thread's span log
-//   watchdog.hpp    — heartbeat sources + stall monitor (counter ->
-//                     stderr -> flight dump escalation)
+//   watchdog.hpp    — stall monitor over the watched flight rings
+//                     (counter -> stderr -> flight dump escalation)
 //   progress.hpp    — percent-complete / ETA from the typed engine's
 //                     work counters vs the closed-form totals
 //   io_model.hpp    — predicted Θ(n³/(B√M)) block transfers for the
@@ -52,9 +52,9 @@ inline namespace on {
 // Held by every node of the typed recursion that runs (gep/typed.hpp):
 // the one producer per node. It reads the clock once on entry and once
 // on exit, and with those two timestamps records the flight-recorder
-// enter/leave events, beats the stall watchdog (so a wedged worker's
-// dump shows the box it never left) and, while the tracer is active,
-// appends the node's span to its thread's ring.
+// enter/leave events (the stall watchdog's heartbeat, and a wedged
+// worker's dump shows the box it never left) and, while the tracer is
+// active, appends the node's span to its thread's ring.
 class NodeScope {
  public:
   NodeScope(char kind, int depth, long long i0, long long j0, long long k0,
@@ -69,7 +69,6 @@ class NodeScope {
               static_cast<std::uint16_t>(depth),
               kind} {
     flight::record(flightfmt::kRecEnter, w_, span_.t0_ns);
-    Watchdog::beat_this_thread(span_.t0_ns);
   }
   ~NodeScope() {
     const std::uint64_t t1 = flight::now_ns();

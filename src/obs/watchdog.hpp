@@ -1,21 +1,23 @@
-// Stall watchdog: heartbeat sources plus a monitor thread.
+// Stall watchdog: a monitor thread over the flight recorder's rings.
 //
 // Long OOC jobs hang in well-known places — an async I/O worker stuck
 // behind a latency burst, a work-stealing worker wedged in a leaf, a
-// recursion driver blocked on a pin. Each of those loops registers a
-// heartbeat source and beats it every iteration (a relaxed clock store,
-// and nothing at all while the watchdog is not running). The monitor
-// thread polls at ~threshold/4 and escalates a source whose age exceeds
-// the threshold while active:
+// recursion driver blocked on a pin. Each of those threads runs inside a
+// WatchdogThreadSource scope, which marks its flight ring *watched*. A
+// watched thread proves progress by recording flight events (every
+// recursion node and DAG task records two), so its heartbeat is the
+// stamp of its ring's newest event, and a thread whose newest event is
+// task_park is waiting for work: exempt, so a parked worker never
+// false-positives. The monitor polls at ~threshold/4 and escalates a
+// watched ring whose heartbeat is older than the threshold:
 //
-//   1st detection  -> obs counter `obs.watchdog.stalls` + stderr warning
+//   1st detection  -> obs counter `obs.watchdog.stalls` + a stall_detect
+//                     event naming the thread's tid + stderr warning
 //   still stalled  -> flight-recorder dump (`obs.watchdog.dumps`), once
 //                     per incident
 //
 // so a stall is reported within 1.25x the threshold and dumped within
-// 1.5x. A source that beats again closes its incident. Sources mark
-// themselves idle while legitimately waiting for work (a parked worker
-// never false-positives).
+// 1.5x. A fresh event closes the incident.
 //
 // The watchdog is off by default; benches start it via $GEP_WATCHDOG_MS
 // (start_from_env), tests explicitly. GEP_OBS=0 compiles everything to
@@ -29,19 +31,21 @@
 #include <cstdint>
 #include <string>
 
+#include "obs/flight_recorder.hpp"
+
 namespace gep::obs {
 
 // Queryable stall state (same shape in both builds) so the stat server
 // and tests read health directly instead of parsing stderr.
 //   Healthy   — watchdog off, or running with no incident ever recorded
-//   Stalled   — at least one active source has an open incident;
+//   Stalled   — at least one watched thread has an open incident;
 //               source/age_ms describe the worst (oldest-beat) offender
 //   Recovered — no open incident, but stalls were detected earlier
 struct WatchdogStatus {
   enum class State { Healthy, Stalled, Recovered };
   State state = State::Healthy;
-  std::string source;     // worst stalled source's name (Stalled only)
-  double age_ms = 0.0;    // ms since that source's last beat (Stalled only)
+  std::string source;     // worst stalled thread's name (Stalled only)
+  double age_ms = 0.0;    // ms since its newest event (Stalled only)
   std::uint64_t stalls = 0;
   std::uint64_t dumps = 0;
 
@@ -55,7 +59,7 @@ inline namespace on {
 class Watchdog {
  public:
   struct Options {
-    double threshold_ms = 1000.0;  // no-beat age that counts as a stall
+    double threshold_ms = 1000.0;  // no-event age that counts as a stall
     double poll_ms = 0.0;          // 0: threshold/4 (clamped to >= 5ms)
     bool dump_on_stall = true;     // escalate to a flight-recorder dump
   };
@@ -67,63 +71,29 @@ class Watchdog {
   static void stop();
   static bool running();
 
+  // The `obs.watchdog.stalls` / `obs.watchdog.dumps` counters.
   static std::uint64_t stalls_detected();
   static std::uint64_t dumps_written();
 
-  // Current stall state, computed from the source table (not from the
+  // Current stall state, computed from the watched rings (not from the
   // monitor's last poll — a query between polls still sees an open
   // incident). Safe to call from any thread, including while stopped.
   static WatchdogStatus status();
-
-  // --- heartbeat sources ---------------------------------------------------
-  // Registration is mutex-protected and rare (thread/pool startup); beat
-  // and set_idle are single relaxed stores. Ids are recycled after
-  // unregister. Returns -1 when the fixed table is full.
-  static int register_source(const char* name);
-  static void unregister_source(int id);
-  static void beat(int id);          // marks the source active
-  static void set_idle(int id);      // waiting for work: exempt from checks
-
-  // Thread-attached beats: loops that run work for a registered source
-  // (worker bodies, recursion nodes) bind the source to their thread
-  // once and then beat it with no id plumbing, stamped with a
-  // flight::now_ns() the caller already read. No-ops for unattached
-  // threads, and a single relaxed load while the watchdog is stopped.
-  static void attach_thread(int id);
-  static void detach_thread();
-  static int attached_thread();  // -1 when none
-  static void beat_this_thread(std::uint64_t now_ns);
 };
 
-// RAII activity window for the typed-recursion driver: registers a
-// source, attaches it to this thread and beats once; detaches and
-// unregisters on scope exit (so a finished driver can't go "stale
-// active" and trip the monitor).
+// Watches the calling thread for its scope: records a task_wake (a fresh
+// heartbeat), then marks the thread's ring watched and names it `name`
+// (the name stall reports and /healthz give). On exit it restores the
+// ring's previous watch state and name, so scopes nest.
 class WatchdogThreadSource {
  public:
-  explicit WatchdogThreadSource(const char* name) {
-    prev_ = Watchdog::attached_thread();
-    id_ = Watchdog::register_source(name);
-    Watchdog::attach_thread(id_);
-    Watchdog::beat(id_);
-  }
-  ~WatchdogThreadSource() {
-    // The driver's work is done: go idle BEFORE detaching/unregistering
-    // so a monitor poll landing in this window cannot see an active
-    // source whose last beat is the run's final leaf (a stall_detect
-    // false positive during teardown).
-    Watchdog::set_idle(id_);
-    Watchdog::attach_thread(prev_);
-    Watchdog::unregister_source(id_);
-  }
+  explicit WatchdogThreadSource(const char* name);
+  ~WatchdogThreadSource() { flight::set_watch(prev_); }
   WatchdogThreadSource(const WatchdogThreadSource&) = delete;
   WatchdogThreadSource& operator=(const WatchdogThreadSource&) = delete;
 
-  int id() const { return id_; }
-
  private:
-  int id_ = -1;
-  int prev_ = -1;
+  flight::Watch prev_;
 };
 
 }  // namespace on
@@ -146,20 +116,11 @@ class Watchdog {
   static std::uint64_t stalls_detected() { return 0; }
   static std::uint64_t dumps_written() { return 0; }
   static WatchdogStatus status() { return {}; }
-  static int register_source(const char*) { return -1; }
-  static void unregister_source(int) {}
-  static void beat(int) {}
-  static void set_idle(int) {}
-  static void attach_thread(int) {}
-  static void detach_thread() {}
-  static int attached_thread() { return -1; }
-  static void beat_this_thread(std::uint64_t) {}
 };
 
 class WatchdogThreadSource {
  public:
   explicit WatchdogThreadSource(const char*) {}
-  int id() const { return -1; }
 };
 
 }  // namespace off

@@ -184,26 +184,24 @@ bool WorkStealingPool::try_run_one() {
 void WorkStealingPool::worker_loop(int id) {
   tls_pool = this;
   tls_id = id;
-  char wd_name[24];
-  std::snprintf(wd_name, sizeof wd_name, "ws-worker-%d", id);
-  obs::flight::set_thread_name(wd_name);
-  const int wd = obs::Watchdog::register_source(wd_name);
-  obs::Watchdog::attach_thread(wd);
+  char name[24];
+  std::snprintf(name, sizeof name, "ws-worker-%d", id);
+  const obs::WatchdogThreadSource watch(name);
   obs_active_workers().add(1.0);  // starts active; park/wake adjust below
   // Park/wake events only on transitions (an idle worker wakes every
-  // millisecond; recording each wake would flood its ring). While
-  // parked the source is idle — the watchdog clock only runs across
-  // task execution, where recursion nodes beat via beat_this_thread().
+  // millisecond; recording each wake would flood its ring). A ring that
+  // ends in task_park is idle to the stall watchdog. A parked worker's
+  // next task is always a steal (its own deque stays empty while it
+  // sleeps), so the steal's event ends that idle state before the task
+  // runs, and the task's own events keep the heartbeat going.
   bool parked = false;
   Deque& mine = *deques_[static_cast<std::size_t>(id)];
   while (!stop_.load(std::memory_order_acquire)) {
-    if (!parked) obs::Watchdog::beat(wd);
     if (try_run_one()) {
       if (parked) {
         parked = false;
         obs::flight::record(obs::flightfmt::kTaskWake,
                             static_cast<std::uint64_t>(id));
-        obs::Watchdog::beat(wd);
         obs_active_workers().add(1.0);
       }
     } else {
@@ -211,7 +209,6 @@ void WorkStealingPool::worker_loop(int id) {
         parked = true;
         obs::flight::record(obs::flightfmt::kTaskPark,
                             static_cast<std::uint64_t>(id));
-        obs::Watchdog::set_idle(wd);
         obs_active_workers().add(-1.0);
       }
       const auto park_start = std::chrono::steady_clock::now();
@@ -235,8 +232,6 @@ void WorkStealingPool::worker_loop(int id) {
     }
   }
   if (!parked) obs_active_workers().add(-1.0);  // parked already subtracted
-  obs::Watchdog::detach_thread();
-  obs::Watchdog::unregister_source(wd);
   tls_pool = nullptr;
   tls_id = -1;
 }

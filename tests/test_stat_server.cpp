@@ -254,15 +254,14 @@ TEST(StatGauge, WorkStealingPoolPublishesActiveWorkers) {
 
 TEST(StatWatchdog, StatusReportsStallAndRecovery) {
   ASSERT_FALSE(obs::Watchdog::running());
-  const int id = obs::Watchdog::register_source("test-status-stall");
-  ASSERT_GE(id, 0);
+  obs::WatchdogThreadSource src("test-status-stall");
   obs::Watchdog::Options opts;
   opts.threshold_ms = 100.0;
   opts.poll_ms = 25.0;
   opts.dump_on_stall = false;
   ASSERT_TRUE(obs::Watchdog::start(opts));
 
-  obs::Watchdog::beat(id);
+  obs::flight::record(obs::flightfmt::kMark, 0);
   EXPECT_TRUE(obs::Watchdog::status().healthy());
 
   // Silence: within ~1.5x threshold the monitor opens an incident and
@@ -275,18 +274,17 @@ TEST(StatWatchdog, StatusReportsStallAndRecovery) {
   EXPECT_GT(stalled.age_ms, 100.0);
   EXPECT_GE(stalled.stalls, 1u);
 
-  // A beat followed by going idle ends the incident: the source is
+  // An event followed by a park ends the incident: a parked thread is
   // exempt from checks (a parked worker is not a stall), so the earlier
   // detections leave the status at Recovered — and healthy() again
   // (recovered jobs must not fail liveness probes).
-  obs::Watchdog::beat(id);
-  obs::Watchdog::set_idle(id);
+  obs::flight::record(obs::flightfmt::kMark, 1);
+  obs::flight::record(obs::flightfmt::kTaskPark);
   const obs::WatchdogStatus after = obs::Watchdog::status();
   EXPECT_EQ(after.state, obs::WatchdogStatus::State::Recovered);
   EXPECT_TRUE(after.healthy());
 
   obs::Watchdog::stop();
-  obs::Watchdog::unregister_source(id);
 }
 
 // ---- handle(): the router the serve loop and the tests share -------------
@@ -431,14 +429,13 @@ TEST(StatHandle, HealthzFlipsTo503DuringStallAndBack) {
       << err;
   EXPECT_EQ(st, 200) << "no watchdog, no degradation: healthy";
 
-  const int id = obs::Watchdog::register_source("test-healthz-stall");
-  ASSERT_GE(id, 0);
+  obs::WatchdogThreadSource src("test-healthz-stall");
   obs::Watchdog::Options opts;
   opts.threshold_ms = 100.0;
   opts.poll_ms = 25.0;
   opts.dump_on_stall = false;
   ASSERT_TRUE(obs::Watchdog::start(opts));
-  obs::Watchdog::beat(id);
+  obs::flight::record(obs::flightfmt::kMark, 0);
   std::this_thread::sleep_for(std::chrono::milliseconds(400));
 
   ASSERT_TRUE(obs::JsonValue::parse(
@@ -449,8 +446,8 @@ TEST(StatHandle, HealthzFlipsTo503DuringStallAndBack) {
   EXPECT_EQ(v["watchdog"]["state"].as_string(), "stalled");
   EXPECT_EQ(v["watchdog"]["source"].as_string(), "test-healthz-stall");
 
-  obs::Watchdog::beat(id);
-  obs::Watchdog::set_idle(id);  // work done: exempt, incident over
+  obs::flight::record(obs::flightfmt::kMark, 1);
+  obs::flight::record(obs::flightfmt::kTaskPark);  // work done: exempt
   ASSERT_TRUE(obs::JsonValue::parse(
       obs::StatServer::handle("/healthz", &st, nullptr), &v, &err))
       << err;
@@ -459,7 +456,6 @@ TEST(StatHandle, HealthzFlipsTo503DuringStallAndBack) {
   EXPECT_EQ(v["watchdog"]["state"].as_string(), "recovered");
 
   obs::Watchdog::stop();
-  obs::Watchdog::unregister_source(id);
 }
 
 TEST(StatHandle, HealthzDegradesWithAsyncGauge) {

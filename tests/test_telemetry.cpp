@@ -39,9 +39,9 @@ namespace ff = obs::flightfmt;
 
 // Teardown gate for the idle/exit false-positive fix: after the whole
 // suite has run — every WatchdogThreadSource destroyed, every test's
-// monitor stopped — re-arm the watchdog over whatever source slots the
-// tests left behind. A source that failed to de-register (or whose slot
-// kept a stale last_beat) trips this within one poll.
+// monitor stopped — re-arm the watchdog over whatever rings the tests
+// left behind. A ring left watched with a stale newest event trips this
+// within one poll.
 class NoLeakedStallSources : public ::testing::Environment {
  public:
   void TearDown() override {
@@ -399,21 +399,48 @@ TEST(TelemetryCancel, OocLeavesPollTheStopFlag) {
 // ---- watchdog ------------------------------------------------------------
 
 TEST(TelemetryWatchdog, AttachNestingRestoresPreviousSource) {
-  EXPECT_EQ(obs::Watchdog::attached_thread(), -1);
+  const obs::flight::Watch before = obs::flight::watch_state();
+  EXPECT_FALSE(before.watched);
   {
     obs::WatchdogThreadSource outer("wd-outer");
-    ASSERT_GE(outer.id(), 0);
-    EXPECT_EQ(obs::Watchdog::attached_thread(), outer.id());
+    EXPECT_TRUE(obs::flight::watch_state().watched);
+    EXPECT_STREQ(obs::flight::watch_state().name, "wd-outer");
     {
       obs::WatchdogThreadSource inner("wd-inner");
-      ASSERT_GE(inner.id(), 0);
-      EXPECT_EQ(obs::Watchdog::attached_thread(), inner.id());
+      EXPECT_TRUE(obs::flight::watch_state().watched);
+      EXPECT_STREQ(obs::flight::watch_state().name, "wd-inner");
     }
-    EXPECT_EQ(obs::Watchdog::attached_thread(), outer.id());
-    // Must not crash while stopped.
-    obs::Watchdog::beat_this_thread(obs::flight::now_ns());
+    EXPECT_TRUE(obs::flight::watch_state().watched);
+    EXPECT_STREQ(obs::flight::watch_state().name, "wd-outer");
   }
-  EXPECT_EQ(obs::Watchdog::attached_thread(), -1);
+  EXPECT_FALSE(obs::flight::watch_state().watched);
+  EXPECT_STREQ(obs::flight::watch_state().name, before.name);
+}
+
+// A thread that exits while watched (no scope restored its ring) must
+// not hand a watched ring to the next thread that takes it over. Enough
+// threads run at once to take over every free ring, that one included.
+TEST(TelemetryWatchdog, TakenOverRingStartsUnwatched) {
+  std::thread([] {
+    obs::flight::Watch w;
+    w.watched = true;
+    std::strcpy(w.name, "wd-exited");
+    obs::flight::set_watch(w);
+  }).join();
+  const int rings = obs::flight::ring_count();
+  std::atomic<int> arrived{0};
+  std::atomic<int> watched{0};
+  std::vector<std::thread> ts;
+  for (int i = 0; i < rings; ++i) {
+    ts.emplace_back([&] {
+      obs::flight::record(ff::kMark, 0);  // takes over a ring (or makes one)
+      if (obs::flight::watch_state().watched) watched.fetch_add(1);
+      arrived.fetch_add(1);
+      while (arrived.load() < rings) std::this_thread::yield();
+    });
+  }
+  for (std::thread& t : ts) t.join();
+  EXPECT_EQ(watched.load(), 0);
 }
 
 TEST(TelemetryWatchdog, StalledSourceIsDetectedAndDumped) {
@@ -424,39 +451,50 @@ TEST(TelemetryWatchdog, StalledSourceIsDetectedAndDumped) {
   const std::uint64_t stalls0 = obs::Watchdog::stalls_detected();
   const std::uint64_t dumps0 = obs::Watchdog::dumps_written();
 
-  const int id = obs::Watchdog::register_source("test-stall");
-  ASSERT_GE(id, 0);
-  obs::Watchdog::Options opts;
-  opts.threshold_ms = 100.0;
-  opts.poll_ms = 25.0;
-  ASSERT_TRUE(obs::Watchdog::start(opts));
-  EXPECT_TRUE(obs::Watchdog::running());
-  EXPECT_FALSE(obs::Watchdog::start(opts)) << "double start must refuse";
+  {
+    obs::WatchdogThreadSource src("test-stall");
+    obs::Watchdog::Options opts;
+    opts.threshold_ms = 100.0;
+    opts.poll_ms = 25.0;
+    ASSERT_TRUE(obs::Watchdog::start(opts));
+    EXPECT_TRUE(obs::Watchdog::running());
+    EXPECT_FALSE(obs::Watchdog::start(opts)) << "double start must refuse";
 
-  // One beat activates the source (beats are no-ops while stopped),
-  // then silence: within ~1.5x threshold the monitor must have both
-  // counted the stall and escalated to a dump. 500ms is 5x: no flake.
-  obs::Watchdog::beat(id);
-  std::this_thread::sleep_for(std::chrono::milliseconds(500));
-  EXPECT_GE(obs::Watchdog::stalls_detected(), stalls0 + 1);
-  EXPECT_GE(obs::Watchdog::dumps_written(), dumps0 + 1);
+    // One event, then silence: within ~1.5x threshold the monitor must
+    // have both counted the stall and escalated to a dump. 500ms is 5x:
+    // no flake.
+    obs::flight::record(ff::kMark, 1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    EXPECT_GE(obs::Watchdog::stalls_detected(), stalls0 + 1);
+    EXPECT_GE(obs::Watchdog::dumps_written(), dumps0 + 1);
 
-  // Beating closes the incident; a NEW stall is a new incident with
-  // exactly one more dump.
-  obs::Watchdog::beat(id);
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  const std::uint64_t dumps_after = obs::Watchdog::dumps_written();
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
-  EXPECT_EQ(obs::Watchdog::dumps_written(), dumps_after + 1);
+    // An event closes the incident; a NEW stall is a new incident with
+    // exactly one more dump.
+    obs::flight::record(ff::kMark, 2);
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    const std::uint64_t dumps_after = obs::Watchdog::dumps_written();
+    std::this_thread::sleep_for(std::chrono::milliseconds(400));
+    EXPECT_EQ(obs::Watchdog::dumps_written(), dumps_after + 1);
 
-  obs::Watchdog::stop();
-  obs::Watchdog::unregister_source(id);
+    obs::Watchdog::stop();
+  }
   EXPECT_FALSE(obs::Watchdog::running());
 
+  // The stall event names the stalled thread by tid; the dump's thread
+  // headers resolve it (as gep_events does).
   const DecodedDump d = decode_dump(path);
   ASSERT_TRUE(d.ok);
   EXPECT_EQ(d.hdr.reason, ff::kReasonWatchdog);
-  EXPECT_TRUE(any_event(d, ff::kStallDetect));
+  const ff::Event* stall = nullptr;
+  for (const DecodedThread& t : d.threads) {
+    for (const ff::Event& e : t.events) {
+      if (ff::ev_of(e.w) == ff::kStallDetect) stall = &e;
+    }
+  }
+  ASSERT_NE(stall, nullptr);
+  const DecodedThread* stalled = find_thread(d, "test-stall");
+  ASSERT_NE(stalled, nullptr);
+  EXPECT_EQ(ff::payload_of(stall->w), stalled->th.tid);
   std::remove(path);
   obs::flight::set_dump_path("flight.gepdump");
 }
@@ -465,41 +503,46 @@ TEST(TelemetryWatchdog, BeatingAndIdleSourcesNeverFalsePositive) {
   ASSERT_FALSE(obs::Watchdog::running());
   const std::uint64_t stalls0 = obs::Watchdog::stalls_detected();
 
-  const int beating = obs::Watchdog::register_source("test-beating");
-  const int idle = obs::Watchdog::register_source("test-idle");
-  ASSERT_GE(beating, 0);
-  ASSERT_GE(idle, 0);
-  obs::Watchdog::set_idle(idle);
+  // One thread records every 20ms; the other parks and stays parked.
+  std::atomic<bool> stop{false};
+  std::atomic<int> ready{0};
+  std::thread beater([&] {
+    obs::WatchdogThreadSource src("test-beating");
+    ready.fetch_add(1);
+    while (!stop.load()) {
+      obs::flight::record(ff::kMark, 0);
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  });
+  std::thread idle([&] {
+    obs::WatchdogThreadSource src("test-idle");
+    obs::flight::record(ff::kTaskPark);
+    ready.fetch_add(1);
+    while (!stop.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  });
+  while (ready.load() < 2) std::this_thread::yield();
 
   obs::Watchdog::Options opts;
   opts.threshold_ms = 150.0;
   opts.poll_ms = 25.0;
   opts.dump_on_stall = false;
   ASSERT_TRUE(obs::Watchdog::start(opts));
-
-  std::atomic<bool> stop{false};
-  std::thread beater([&] {
-    while (!stop.load()) {
-      obs::Watchdog::beat(beating);
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-  });
   std::this_thread::sleep_for(std::chrono::milliseconds(400));
   stop.store(true);
   beater.join();
+  idle.join();
   obs::Watchdog::stop();
 
   EXPECT_EQ(obs::Watchdog::stalls_detected(), stalls0)
-      << "neither a beating source nor an idle one may trip the monitor";
-  obs::Watchdog::unregister_source(beating);
-  obs::Watchdog::unregister_source(idle);
+      << "neither a recording thread nor a parked one may trip the monitor";
 }
 
 // Regression for the idle false-positive: a WatchdogThreadSource whose
 // scope ends while the monitor is armed must leave nothing behind that
-// can stall — its destructor idles the slot, refreshes the beat, and
-// de-registers, in that order, so the monitor can never observe a
-// live-looking slot with a stale last_beat.
+// can stall — its ring is no longer watched, however old its last
+// event grows.
 TEST(TelemetryWatchdog, SourceScopeExitLeavesNoStallBehind) {
   ASSERT_FALSE(obs::Watchdog::running());
   const std::uint64_t stalls0 = obs::Watchdog::stalls_detected();
@@ -511,12 +554,11 @@ TEST(TelemetryWatchdog, SourceScopeExitLeavesNoStallBehind) {
   ASSERT_TRUE(obs::Watchdog::start(opts));
   {
     obs::WatchdogThreadSource src("test-scope-exit");
-    ASSERT_GE(src.id(), 0);
-    obs::Watchdog::beat_this_thread(obs::flight::now_ns());
-  }  // armed monitor keeps polling; the dead slot must stay silent
+    obs::flight::record(ff::kMark, 0);
+  }  // armed monitor keeps polling; the unwatched ring must stay silent
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  // Slot reuse: a NEW source taking the freed slot starts from a fresh
-  // beat, not the dead source's last one.
+  // Re-watching: a NEW scope on the same ring starts from a fresh
+  // heartbeat (its entry's wake), not the ring's event of 300ms ago.
   {
     obs::WatchdogThreadSource next("test-scope-reuse");
     std::this_thread::sleep_for(std::chrono::milliseconds(40));
@@ -524,6 +566,72 @@ TEST(TelemetryWatchdog, SourceScopeExitLeavesNoStallBehind) {
   obs::Watchdog::stop();
   EXPECT_EQ(obs::Watchdog::stalls_detected(), stalls0)
       << "an exited source must never trip the monitor";
+}
+
+// A pool worker wedged in a task that records nothing is reported under
+// its own name, while the pool's other worker, parked, is not: exactly
+// one stall.
+TEST(TelemetryWatchdog, StalledPoolWorkerIsNamed) {
+  ASSERT_FALSE(obs::Watchdog::running());
+  const std::uint64_t stalls0 = obs::Watchdog::stalls_detected();
+
+  WorkStealingPool pool(3);  // the caller plus ws-worker-1 and ws-worker-2
+  obs::Watchdog::Options opts;
+  opts.threshold_ms = 100.0;
+  opts.poll_ms = 25.0;
+  opts.dump_on_stall = false;
+  ASSERT_TRUE(obs::Watchdog::start(opts));
+
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  char worker[24] = {};
+  {
+    WsTaskGroup g(&pool);
+    // Queued on the caller's deque; the caller never runs it (it waits
+    // below without helping), so a worker steals it.
+    g.run([&] {
+      std::memcpy(worker, obs::flight::watch_state().name, sizeof worker);
+      started.store(true);
+      while (!release.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      }
+    });
+    while (!started.load()) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(400));
+    const obs::WatchdogStatus st = obs::Watchdog::status();
+    EXPECT_EQ(st.state, obs::WatchdogStatus::State::Stalled);
+    EXPECT_EQ(std::string(worker).rfind("ws-worker-", 0), 0u) << worker;
+    EXPECT_EQ(st.source, worker);
+    EXPECT_EQ(obs::Watchdog::stalls_detected(), stalls0 + 1)
+        << "only the wedged worker stalls; the parked one is idle";
+    release.store(true);
+    g.wait();
+  }
+  obs::Watchdog::stop();
+}
+
+TEST(TelemetryWatchdog, ParkedPoolIsQuiet) {
+  ASSERT_FALSE(obs::Watchdog::running());
+  const std::uint64_t stalls0 = obs::Watchdog::stalls_detected();
+
+  WorkStealingPool pool(3);
+  obs::Watchdog::Options opts;
+  opts.threshold_ms = 100.0;
+  opts.poll_ms = 25.0;
+  opts.dump_on_stall = false;
+  ASSERT_TRUE(obs::Watchdog::start(opts));
+  {
+    // A burst of work, then the workers park for 4x the threshold.
+    std::atomic<int> ran{0};
+    WsTaskGroup g(&pool);
+    for (int i = 0; i < 32; ++i) g.run([&ran] { ran.fetch_add(1); });
+    g.wait();
+    EXPECT_EQ(ran.load(), 32);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  obs::Watchdog::stop();
+  EXPECT_EQ(obs::Watchdog::stalls_detected(), stalls0)
+      << "parked pool workers are waiting for work, not stalled";
 }
 
 TEST(TelemetryWatchdog, LatencyBurstInPageCacheIsDetected) {
@@ -549,9 +657,8 @@ TEST(TelemetryWatchdog, LatencyBurstInPageCacheIsDetected) {
   opts.dump_on_stall = false;
   {
     obs::WatchdogThreadSource src("test-latency");
-    ASSERT_GE(src.id(), 0);
     ASSERT_TRUE(obs::Watchdog::start(opts));
-    obs::Watchdog::beat_this_thread(obs::flight::now_ns());
+    obs::flight::record(ff::kMark, 0);
     cache.pin(f, 0, false);  // blocks ~300ms inside the injector
   }
   obs::Watchdog::stop();
@@ -581,12 +688,12 @@ TEST(TelemetryWatchdog, DefaultFaultLatencyBelowThresholdIsQuiet) {
     obs::WatchdogThreadSource src("test-quiet");
     ASSERT_TRUE(obs::Watchdog::start(opts));
     for (std::uint64_t p = 0; p < 16; ++p) {
-      obs::Watchdog::beat_this_thread(obs::flight::now_ns());
+      obs::flight::record(ff::kMark, p);
       char* b = static_cast<char*>(cache.pin(f, p, true));
       b[0] = static_cast<char>(p);
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    obs::Watchdog::beat_this_thread(obs::flight::now_ns());
+    obs::flight::record(ff::kMark, 16);
   }
   obs::Watchdog::stop();
   EXPECT_EQ(obs::Watchdog::stalls_detected(), stalls0)

@@ -109,8 +109,9 @@ std::string reason_str(std::int32_t reason) {
   return "unknown (" + std::to_string(reason) + ")";
 }
 
-// Type-aware payload rendering for the text view.
-std::string describe(std::uint64_t w) {
+// Type-aware payload rendering for the text view. A stall names the
+// stalled thread from the dump's own thread headers.
+std::string describe(const Dump& d, std::uint64_t w) {
   const unsigned e = ev_of(w);
   const std::uint64_t p = payload_of(w);
   char buf[96];
@@ -144,9 +145,14 @@ std::string describe(std::uint64_t w) {
     case kGuardTrip:
       std::snprintf(buf, sizeof buf, "pivot k=%" PRIu64, p);
       return buf;
-    case kStallDetect:
-      std::snprintf(buf, sizeof buf, "watchdog source %" PRIu64, p);
-      return buf;
+    case kStallDetect: {
+      std::snprintf(buf, sizeof buf, "tid %" PRIu64, p);
+      std::string s = buf;
+      for (const ThreadDump& td : d.threads) {
+        if (td.header.tid == p) return s + " (" + td.header.name + ")";
+      }
+      return s;
+    }
     case kSignal:
       std::snprintf(buf, sizeof buf, "sig %" PRIu64, p);
       return buf;
@@ -185,7 +191,7 @@ void print_text(const Dump& d) {
            static_cast<double>(d.header.dump_ns)) /
           1e6;
       std::printf("  %+12.3fms  %-14s %s\n", rel_ms,
-                  ev_name(ev_of(ev.w)), describe(ev.w).c_str());
+                  ev_name(ev_of(ev.w)), describe(d, ev.w).c_str());
     }
   }
   if (!d.metrics_json.empty()) {
